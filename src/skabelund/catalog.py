@@ -16,6 +16,7 @@ not cataloged; spectrum reports carry a completeness note to that effect.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -140,6 +141,16 @@ def make_record(
     return GenusRecord(descriptor=descriptor, order=order, delta=delta, genus=genus)
 
 
+def standard_exponent_step(m: int, n1: int, n2: int) -> int:
+    """The valid a for (n1, n2) are exactly the multiples of this step below n2.
+
+    n1*n2 | a*m holds iff n1*n2/gcd(n1*n2, m) divides a; since n1 | m the
+    step divides n2.
+    """
+    n1n2 = n1 * n2
+    return n1n2 // math.gcd(n1n2, m)
+
+
 def enumerate_standard_exponents(m: int) -> list[StandardExponents]:
     """All standard-exponent triples for C_m x C_m, lexicographic by (n1, n2, a).
 
@@ -152,10 +163,8 @@ def enumerate_standard_exponents(m: int) -> list[StandardExponents]:
     out = []
     for n1 in divs:
         for n2 in divs:
-            n1n2 = n1 * n2
-            for a in range(n2):
-                if (a * m) % n1n2 == 0:
-                    out.append(StandardExponents(n1, n2, a))
+            step = standard_exponent_step(m, n1, n2)
+            out.extend(StandardExponents(n1, n2, a) for a in range(0, n2, step))
     return out
 
 
@@ -183,10 +192,18 @@ def standard_exponent_elements(m: int, se: StandardExponents) -> frozenset[tuple
 
 
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
-    """All cataloged descriptors for one curve, in deterministic order."""
+    """All cataloged descriptors for one curve, in deterministic order: the
+    Singer square first, then enumerate_non_singer_descriptors."""
     out: list[SubgroupDescriptor] = [
         SigmaCm(se) for se in enumerate_standard_exponents(params.m)
     ]
+    out.extend(enumerate_non_singer_descriptors(params))
+    return out
+
+
+def enumerate_non_singer_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
+    """The cataloged descriptors outside the Singer square, in deterministic order."""
+    out: list[SubgroupDescriptor] = []
     m_divs = divisors(params.m)
     if params.family is Family.SUZUKI:
         for d in divisors(params.q - 1):

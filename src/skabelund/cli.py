@@ -8,17 +8,19 @@ Subcommands:
 
 Exit status is 0 for success and 1 when a verification fails.  Default
 curve-size caps (s <= 6 Suzuki, s <= 5 Ree) bound runtimes; override with
---allow-large-s or the SKABELUND_MAX_S environment variable.
+--allow-large-s or the SKABELUND_MAX_S environment variable.  A setting
+that is not a valid integer, or a descriptor the curve does not have, ends
+the run with a one-line message and exit status 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .catalog import StandardExponents
 from .curves import Family, make_params
+from .oracle import SettingError, env_int
 from .spectrum import (
     compute_spectrum,
     descriptor_kind,
@@ -43,7 +45,7 @@ def _family(name: str) -> Family:
 
 
 def _check_s_cap(family: Family, s: int, allow_large: bool) -> None:
-    cap = int(os.environ.get("SKABELUND_MAX_S", 0)) or DEFAULT_MAX_S[family]
+    cap = env_int("SKABELUND_MAX_S", DEFAULT_MAX_S[family], minimum=1)
     if s > cap and not allow_large:
         raise SystemExit(
             f"s={s} exceeds the default cap {cap} for {family.value}; "
@@ -124,7 +126,10 @@ def _cmd_genus(args) -> int:
     _check_s_cap(args.family, args.s, args.allow_large_s)
     params = make_params(args.family, args.s)
     descriptor = _parse_descriptor(args.descriptor)
-    record = evaluate_descriptor(params, descriptor)
+    try:
+        record = evaluate_descriptor(params, descriptor)
+    except ValueError as exc:
+        raise SystemExit(f"invalid descriptor {args.descriptor!r}: {exc}") from None
     ps = ",".join(str(x) for x in descriptor_params(descriptor) if x is not None)
     print(
         f"family={params.family.value} s={params.s} q={params.q} m={params.m} "
@@ -183,7 +188,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except SettingError as exc:
+        raise SystemExit(str(exc)) from None
 
 
 if __name__ == "__main__":

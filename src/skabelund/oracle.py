@@ -32,18 +32,36 @@ class BruteForceCapError(ValueError):
     """Raised when an oracle run would exceed the configured brute-force cap."""
 
 
+class SettingError(ValueError):
+    """Raised when an environment setting does not hold a valid value."""
+
+
+def env_int(name: str, default: int, minimum: int | None = None) -> int:
+    """Integer value of environment variable name, or default when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise SettingError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
 def max_elements_cap(override: int | None = None) -> int:
     """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS)."""
     if override is not None:
         return override
-    return int(os.environ.get("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS))
+    return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
 
 
 def max_closure_m(override: int | None = None) -> int:
     """Largest m for closure subgroup enumeration (env SKABELUND_MAX_CLOSURE_M)."""
     if override is not None:
         return override
-    return int(os.environ.get("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M))
+    return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M)
 
 
 def delta_sigma_cm_bruteforce(

@@ -11,12 +11,34 @@ nu_{d,l} = min(v_{p_l}(n1*q^d - a), v_{p_l}(n2)),
 where the d-th summand counts the subgroup elements sigma^A tau^B whose
 tau-exponent hits the d-th special power A*q^d, via a prime-by-prime
 congruence solution count.
+
+delta_sigma_cm evaluates this for one subgroup.  For a whole curve,
+evaluate_singer_square evaluates it once per nu-profile class instead, on
+one member of the class: for fixed (n1, n2) the exponents nu_{d,l} depend on
+a only through a mod p_l^v_{p_l}(n2), so the valid a (the multiples of
+n1*n2/gcd(n1*n2, m) below n2) fall into a few classes that share one
+profile, one delta and one genus.  The classes are counted prime by prime:
+only the residues a = n1*q^d (mod p) can have a nonzero exponent, so at most
+one residue in p of each power is enumerated and every other residue is
+counted into the all-zero profile.  The primes are then combined by the
+Chinese remainder theorem into a multiset {profile: count}, with one member
+of each class.
 """
 
 from __future__ import annotations
 
-from .arith import valuation
-from .catalog import StandardExponents
+from itertools import repeat
+from typing import NamedTuple
+
+from .arith import divisors, valuation
+from .catalog import (
+    GenusRecord,
+    SigmaCm,
+    StandardExponents,
+    make_record,
+    standard_exponent_step,
+    subgroup_order_sigma,
+)
 from .curves import CurveParams
 
 
@@ -39,3 +61,158 @@ def delta_sigma_cm(params: CurveParams, se: StandardExponents) -> int:
         assert rem == 0, f"congruence count {m * prod} not divisible by {n1n2}"
         total += (count - 1) * m
     return total
+
+
+class ProfileClass(NamedTuple):
+    """The subgroups of one (n1, n2) that share a nu-profile."""
+
+    a: int  # one member of the class
+    count: int  # number of members
+
+
+class SingerBlock(NamedTuple):
+    """The subgroups (n1, n2, a) of one (n1, n2), grouped by nu-profile.
+
+    a runs over the multiples of step below n2.  For the i-th prime p | n2,
+    residues[i] maps a mod moduli[i] = p^v_p(n2) to the index of the p-part
+    of its profile; residues missing from the map have the all-zero p-part,
+    index 0.  A class is keyed by the tuple of those indices.
+    """
+
+    n1: int
+    n2: int
+    step: int
+    moduli: tuple[int, ...]
+    residues: tuple[dict[int, int], ...]
+    classes: dict[tuple[int, ...], ProfileClass]
+
+
+def _p_part(x: int, p: int, pe: int) -> int:
+    """p^min(v_p(x), e) for pe = p^e."""
+    x %= pe
+    if x == 0:
+        return pe
+    part = 1
+    while x % p == 0:
+        x //= p
+        part *= p
+    return part
+
+
+def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
+    """The p-parts p^nu_d of the profiles over the residues a mod pe that are
+    multiples of p^v_p(step).
+
+    Returns (residue -> profile index, count per profile, one residue per
+    profile); index 0 is the all-zero profile.
+    """
+    base = 1
+    while step % (base * p) == 0:
+        base *= p
+    index = {(1,) * len(params.q_powers): 0}
+    residue_ids: dict[int, int] = {}
+    counts = [pe // base]
+    members = [None]
+    for target in sorted({n1 * qd % p for qd in params.q_powers}):
+        # residues = target (mod p) that are multiples of base; when base > 1
+        # they exist only for target 0, and then they are all of them
+        if base == 1:
+            hits = range(target, pe, p)
+        elif target == 0:
+            hits = range(0, pe, base)
+        else:
+            continue
+        for r in hits:
+            profile = tuple(_p_part(n1 * qd - r, p, pe) for qd in params.q_powers)
+            i = index.setdefault(profile, len(index))
+            if i == len(counts):
+                counts.append(0)
+                members.append(r)
+            residue_ids[r] = i
+            counts[i] += 1
+            counts[0] -= 1
+    if counts[0]:
+        members[0] = next(r for r in range(0, pe, base) if r not in residue_ids)
+    return residue_ids, counts, members
+
+
+def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
+    """Every nu-profile class of the subgroups (n1, n2, a), with its size."""
+    step = standard_exponent_step(params.m, n1, n2)
+    combined = {(): (0, 1)}  # class key -> (CRT sum of a member, count)
+    moduli = []
+    residues = []
+    for p, _e in params.m_factors:
+        pe = 1
+        while n2 % (pe * p) == 0:
+            pe *= p
+        if pe == 1:
+            continue
+        residue_ids, counts, members = _prime_classes(params, n1, p, pe, step)
+        moduli.append(pe)
+        residues.append(residue_ids)
+        # a = r (mod pe) and a = 0 (mod n2/pe) for a member r of the p-class
+        rest = n2 // pe
+        lift = rest * pow(rest, -1, pe)
+        combined = {
+            key + (i,): (a + members[i] * lift, count * counts[i])
+            for key, (a, count) in combined.items()
+            for i in range(len(counts))
+            if counts[i]
+        }
+    classes = {key: ProfileClass(a % n2, count) for key, (a, count) in combined.items()}
+    total = sum(c.count for c in classes.values())
+    assert total == n2 // step, f"(n1, n2)=({n1}, {n2}): {total} subgroups counted"
+    return SingerBlock(n1, n2, step, tuple(moduli), tuple(residues), classes)
+
+
+class SingerSquare(NamedTuple):
+    """Every subgroup of the Singer-cycle square of one curve, by class.
+
+    class_records[i] maps each class key of blocks[i] to the genus record of
+    the class's member a.
+    """
+
+    blocks: tuple[SingerBlock, ...]
+    class_records: tuple[dict[tuple[int, ...], GenusRecord], ...]
+
+    def genera(self) -> set[int]:
+        return {r.genus for records in self.class_records for r in records.values()}
+
+    def expand(self) -> list[GenusRecord]:
+        """One record per subgroup, in enumerate_standard_exponents order."""
+        out = []
+        for block, records in zip(self.blocks, self.class_records):
+            n1, n2 = block.n1, block.n2
+            values = range(0, n2, block.step)
+            # the class key of each a, one residue-table column per prime
+            columns = [
+                [res.get(a % pe, 0) for a in values]
+                for pe, res in zip(block.moduli, block.residues)
+            ]
+            keys = zip(*columns) if columns else repeat(())
+            out += [
+                GenusRecord(SigmaCm(StandardExponents(n1, n2, a)), r.order, r.delta, r.genus)
+                for a, r in zip(values, map(records.__getitem__, keys))
+            ]
+        return out
+
+
+def _class_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
+    order = subgroup_order_sigma(params.m, se)
+    return make_record(params, SigmaCm(se), order, delta_sigma_cm(params, se))
+
+
+def evaluate_singer_square(params: CurveParams) -> SingerSquare:
+    """Class tables of every (n1, n2); each class's record is evaluated once,
+    on one member, by delta_sigma_cm and make_record."""
+    divs = divisors(params.m)
+    blocks = tuple(singer_block(params, n1, n2) for n1 in divs for n2 in divs)
+    class_records = tuple(
+        {
+            key: _class_record(params, StandardExponents(b.n1, b.n2, c.a))
+            for key, c in b.classes.items()
+        }
+        for b in blocks
+    )
+    return SingerSquare(blocks, class_records)

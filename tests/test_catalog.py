@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skabelund.arith import is_prime
+from skabelund.arith import divisors, is_prime
 from skabelund.catalog import (
     B0Cyclic,
     B0Dihedral,
@@ -11,6 +13,7 @@ from skabelund.catalog import (
     enumerate_descriptors,
     enumerate_standard_exponents,
     standard_exponent_elements,
+    standard_exponent_step,
     subgroup_order_sigma,
 )
 from skabelund.curves import Family, make_params
@@ -39,6 +42,32 @@ def test_standard_exponents_m25_count():
     # 45 subgroups of C_25 x C_25, certified by the closure oracle
     # (1 trivial + 6 of order 5 + 31 of order 25 + 6 of order 125 + 1 full)
     assert len(enumerate_standard_exponents(25)) == 45
+
+
+def filter_standard_exponents(m):
+    """The defining filter over all of range(n2), for comparison."""
+    return [
+        StandardExponents(n1, n2, a)
+        for n1 in divisors(m)
+        for n2 in divisors(m)
+        for a in range(n2)
+        if (a * m) % (n1 * n2) == 0
+    ]
+
+
+@given(st.integers(min_value=1, max_value=2000))
+@settings(max_examples=200, deadline=None)
+@example(1)
+@example(2 * 3 * 5 * 7 * 11)  # five distinct primes
+@example(2**10)  # a prime power
+@example(3**4 * 5**2)  # two prime squares and higher
+@example(1680)  # the most divisors below 2000
+@example(1999)  # a prime
+def test_step_enumeration_equals_filter(m):
+    assert enumerate_standard_exponents(m) == filter_standard_exponents(m)
+    for n1 in divisors(m):
+        for n2 in divisors(m):
+            assert n2 % standard_exponent_step(m, n1, n2) == 0
 
 
 def test_rejects_bad_m():

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import skabelund
 
 from skabelund.cli import main
 
@@ -74,3 +80,53 @@ def test_bad_descriptor_kind():
         main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:1"])
     with pytest.raises(SystemExit):
         main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:a,b"])
+
+
+def run_cli(*args, **env):
+    """The CLI in a fresh interpreter, as a shell would start it."""
+    src = str(Path(skabelund.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "skabelund.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": path, **env},
+    )
+
+
+def assert_one_line_error(done, text):
+    assert done.returncode != 0
+    assert "Traceback" not in done.stderr
+    assert done.stderr.strip().count("\n") == 0
+    assert text in done.stderr
+
+
+def test_out_of_range_descriptor_is_a_one_line_error():
+    done = run_cli("genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:1,5,7")
+    assert_one_line_error(done, "a=7 out of range")
+    with pytest.raises(SystemExit, match="does not divide q-1"):
+        main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "b0-cyclic:2,1"])
+    with pytest.raises(SystemExit, match="need Ree parameters"):
+        main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "psl28:1"])
+
+
+@pytest.mark.parametrize(
+    "name", ["SKABELUND_MAX_S", "SKABELUND_MAX_ELEMENTS", "SKABELUND_MAX_CLOSURE_M"]
+)
+def test_non_integer_setting_is_a_one_line_error(name):
+    done = run_cli("oracle", "--family", "suzuki", "--s", "1", **{name: "lots"})
+    assert_one_line_error(done, f"{name} must be an integer, got 'lots'")
+
+
+def test_zero_max_s_is_rejected(monkeypatch):
+    monkeypatch.setenv("SKABELUND_MAX_S", "0")
+    with pytest.raises(SystemExit, match="SKABELUND_MAX_S must be at least 1, got 0"):
+        main(["spectrum", "--family", "suzuki", "--s", "1"])
+
+
+def test_oracle_that_checks_nothing_exits_nonzero(capsys):
+    assert main(["oracle", "--family", "ree", "--s", "2", "--max-elements", "-5"]) == 1
+    out = capsys.readouterr().out
+    assert "PASS singer-square" not in out
+    assert out.count("FAIL") == 3

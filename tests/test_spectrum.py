@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -123,3 +125,33 @@ def test_oracle_suite_passes():
     for family, s in ((Family.SUZUKI, 1), (Family.REE, 1)):
         checks = run_oracle_suite(family, s)
         assert checks and all(c.ok for c in checks), [c for c in checks if not c.ok]
+
+
+def test_oracle_check_that_covers_nothing_fails():
+    checks = {c.name: c for c in run_oracle_suite(Family.REE, 2, max_elements=-5)}
+    for name in (
+        "singer-square delta: closed form vs element enumeration",
+        "congruence solution count: literal loop vs CRT product",
+        "skew subgroups: closed forms vs element-level census and reduction",
+    ):
+        assert not checks[name].ok
+        assert checks[name].detail.startswith("0 ")
+        assert "none within the element cap -5" in checks[name].detail
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "pipebench" / "golden.json"
+
+
+@pytest.mark.parametrize(
+    "family,s",
+    [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 5)],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_exports_match_golden_hashes(family, s):
+    expected = json.loads(GOLDEN.read_text())["export"][f"{family.value}-{s}"]
+    report = compute_spectrum(family, s)
+    digest = {
+        "csv_sha256": hashlib.sha256(render_csv(report).encode()).hexdigest(),
+        "json_sha256": hashlib.sha256(render_json(report).encode()).hexdigest(),
+    }
+    assert digest == expected
