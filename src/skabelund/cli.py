@@ -101,7 +101,7 @@ def _cmd_spectrum(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-        print(f"wrote {len(report.records)} records to {args.out}")
+        print(f"wrote {report.record_count} records to {args.out}")
     else:
         sys.stdout.write(text)
     return 0

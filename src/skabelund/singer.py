@@ -27,6 +27,7 @@ of each class.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import repeat
 from typing import NamedTuple
 
@@ -179,23 +180,30 @@ class SingerSquare(NamedTuple):
     def genera(self) -> set[int]:
         return {r.genus for records in self.class_records for r in records.values()}
 
-    def expand(self) -> list[GenusRecord]:
-        """One record per subgroup, in enumerate_standard_exponents order."""
-        out = []
+    def count(self) -> int:
+        """Number of subgroups, summed over the class sizes."""
+        return sum(c.count for b in self.blocks for c in b.classes.values())
+
+    def walk(self) -> Iterator[tuple[int, int, Iterator[tuple[int, GenusRecord]]]]:
+        """Per (n1, n2), in enumerate_standard_exponents order: (n1, n2, pairs),
+        where pairs yields (a, record of a's class) for each valid a in order."""
         for block, records in zip(self.blocks, self.class_records):
-            n1, n2 = block.n1, block.n2
-            values = range(0, n2, block.step)
+            values = range(0, block.n2, block.step)
             # the class key of each a, one residue-table column per prime
             columns = [
                 [res.get(a % pe, 0) for a in values]
                 for pe, res in zip(block.moduli, block.residues)
             ]
             keys = zip(*columns) if columns else repeat(())
-            out += [
-                GenusRecord(SigmaCm(StandardExponents(n1, n2, a)), r.order, r.delta, r.genus)
-                for a, r in zip(values, map(records.__getitem__, keys))
-            ]
-        return out
+            yield block.n1, block.n2, zip(values, map(records.__getitem__, keys))
+
+    def expand(self) -> list[GenusRecord]:
+        """One record per subgroup, in enumerate_standard_exponents order."""
+        return [
+            GenusRecord(SigmaCm(StandardExponents(n1, n2, a)), r.order, r.delta, r.genus)
+            for n1, n2, pairs in self.walk()
+            for a, r in pairs
+        ]
 
 
 def _class_record(params: CurveParams, se: StandardExponents) -> GenusRecord:

@@ -1,10 +1,11 @@
 """Spectrum pipeline: enumerate descriptors, evaluate genera, verify tables.
 
 The Singer square is evaluated once per nu-profile class (see singer.py),
-not once per subgroup: genus spectra and verify_tables read the class
-tables alone, and per-subgroup records are expanded from them only when
-SpectrumReport.records is first read.  Every other descriptor is evaluated
-on its own.
+not once per subgroup: genus spectra, verify_tables and the CSV, JSON and
+table exports read the class tables alone.  The exports are rendered from
+SpectrumReport.rows(), which walks the tables in catalog order; per-subgroup
+GenusRecords are materialized only when SpectrumReport.records is read.
+Every other descriptor is evaluated on its own.
 
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .arith import divisors, valuation
@@ -142,6 +144,24 @@ class SpectrumReport:
         singer = self.singer.expand() if self.singer is not None else ()
         return (*singer, *self.other_records)
 
+    @property
+    def record_count(self) -> int:
+        """len(records), counted from the class tables without expanding them."""
+        singer = self.singer.count() if self.singer is not None else 0
+        return singer + len(self.other_records)
+
+    def rows(self) -> Iterator[tuple[str, tuple[int, ...], int, int, int]]:
+        """(kind, params, order, delta, genus) per descriptor, in the order of
+        records, with params the used parameter slots; the Singer square is
+        walked from its class tables, so no record is built."""
+        if self.singer is not None:
+            for n1, n2, pairs in self.singer.walk():
+                for a, r in pairs:
+                    yield "sigma-cm", (n1, n2, a), r.order, r.delta, r.genus
+        for r in self.other_records:
+            params = tuple(x for x in descriptor_params(r.descriptor) if x is not None)
+            yield descriptor_kind(r.descriptor), params, r.order, r.delta, r.genus
+
 
 def _evaluate(
     params: CurveParams, kinds
@@ -192,69 +212,66 @@ def compute_spectrum(
 
 def render_csv(report: SpectrumReport) -> str:
     p = report.params
+    prefix = f"{p.family.value},{p.s},{p.q},{p.m},"
     lines = [CSV_HEADER]
-    for record in report.records:
-        p1, p2, p3 = descriptor_params(record.descriptor)
-        cells = [
-            p.family.value,
-            p.s,
-            p.q,
-            p.m,
-            descriptor_kind(record.descriptor),
-            p1,
-            p2,
-            p3,
-            record.order,
-            record.delta,
-            record.genus,
-        ]
-        lines.append(",".join("" if c is None else str(c) for c in cells))
+    for kind, params, order, delta, genus in report.rows():
+        # three parameter columns, unused slots left empty
+        cells = ",".join(map(str, params)) + "," * (3 - len(params))
+        lines.append(f"{prefix}{kind},{cells},{order},{delta},{genus}")
     return "\n".join(lines) + "\n"
 
 
-def report_to_dict(report: SpectrumReport) -> dict:
-    p = report.params
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "family": p.family.value,
-        "s": p.s,
-        "q": p.q,
-        "m": p.m,
-        "ambient_degree": p.ambient_degree,
-        "families_covered": list(report.families_covered),
-        "completeness_note": report.completeness_note,
-        "genera": list(report.genera),
-        "records": [
-            {
-                "kind": descriptor_kind(r.descriptor),
-                "params": [x for x in descriptor_params(r.descriptor) if x is not None],
-                "order": r.order,
-                "delta": r.delta,
-                "genus": r.genus,
-            }
-            for r in report.records
-        ],
-    }
-
-
 def render_json(report: SpectrumReport) -> str:
-    return json.dumps(report_to_dict(report), sort_keys=True, indent=1) + "\n"
+    """The document json.dumps(..., sort_keys=True, indent=1) would give.
+
+    The head is encoded by json.dumps with an empty record list; the records
+    are written from a fixed template (keys sorted, depth 2) and spliced in,
+    since an indented json.dumps never uses the C encoder.
+    """
+    p = report.params
+    head = json.dumps(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "family": p.family.value,
+            "s": p.s,
+            "q": p.q,
+            "m": p.m,
+            "ambient_degree": p.ambient_degree,
+            "families_covered": list(report.families_covered),
+            "completeness_note": report.completeness_note,
+            "genera": list(report.genera),
+            "records": [],
+        },
+        sort_keys=True,
+        indent=1,
+    )
+    kinds = {kind: json.dumps(kind) for kind in DESCRIPTOR_KINDS.values()}
+    records = []
+    for kind, params, order, delta, genus in report.rows():
+        items = ",\n    ".join(map(str, params))  # every kind has a parameter
+        records.append(
+            f'  {{\n   "delta": {delta},\n   "genus": {genus},'
+            f'\n   "kind": {kinds[kind]},\n   "order": {order},'
+            f'\n   "params": [\n    {items}\n   ]\n  }}'
+        )
+    if records:
+        head = head.replace(
+            '"records": []', '"records": [\n' + ",\n".join(records) + "\n ]", 1
+        )
+    return head + "\n"
 
 
 def render_table(report: SpectrumReport) -> str:
     p = report.params
     head = (
         f"{p.family.value} s={p.s}: q={p.q}, m={p.m}, "
-        f"{len(report.records)} subgroups, {len(report.genera)} distinct genera"
+        f"{report.record_count} subgroups, {len(report.genera)} distinct genera"
     )
     rows = [head, ""]
     rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
-    for r in report.records:
-        ps = ",".join(str(x) for x in descriptor_params(r.descriptor) if x is not None)
-        rows.append(
-            f"{descriptor_kind(r.descriptor):<16}{ps:<16}"
-            f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
-        )
+    for kind, params, order, delta, genus in report.rows():
+        ps = ",".join(map(str, params))
+        rows.append(f"{kind:<16}{ps:<16}{order:>12}{delta:>16}{genus:>16}")
     rows.append("")
     rows.append("spectrum: " + ", ".join(str(g) for g in report.genera))
     return "\n".join(rows) + "\n"

@@ -42,6 +42,29 @@ def test_spectrum_csv_to_file(tmp_path, capsys):
     assert lines[0].startswith("family,s,q,m,")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "table"])
+def test_spectrum_out_counts_records_without_expanding_them(
+    fmt, tmp_path, capsys, monkeypatch
+):
+    from skabelund import cli
+
+    original = cli.compute_spectrum
+    reports = []
+
+    def capture(*args):
+        reports.append(original(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "compute_spectrum", capture)
+    out_file = tmp_path / f"spectrum.{fmt}"
+    assert main(["spectrum", "--family", "ree", "--s", "2",
+                 "--format", fmt, "--out", str(out_file)]) == 0
+    (report,) = reports
+    assert "records" not in report.__dict__
+    assert capsys.readouterr().out == f"wrote {len(report.records)} records to {out_file}\n"
+    assert len(report.records) == 392
+
+
 def test_spectrum_json_stdout(capsys):
     assert main(["spectrum", "--family", "ree", "--s", "1",
                  "--format", "json", "--subgroup-family", "psl28"]) == 0

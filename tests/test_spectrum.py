@@ -6,8 +6,12 @@ import pytest
 
 from skabelund.curves import Family
 from skabelund.spectrum import (
+    CSV_HEADER,
+    DESCRIPTOR_KINDS,
+    SCHEMA_VERSION,
     compute_spectrum,
     descriptor_kind,
+    descriptor_params,
     render_csv,
     render_json,
     render_table,
@@ -155,3 +159,127 @@ def test_exports_match_golden_hashes(family, s):
         "json_sha256": hashlib.sha256(render_json(report).encode()).hexdigest(),
     }
     assert digest == expected
+
+
+# --- exports streamed from the class tables vs the per-record reference ----
+#
+# The renderers below are the per-record exports the streaming renderers
+# replaced; they read report.records and encode JSON with json.dumps.
+
+
+def reference_csv(report):
+    p = report.params
+    lines = [CSV_HEADER]
+    for record in report.records:
+        p1, p2, p3 = descriptor_params(record.descriptor)
+        cells = [
+            p.family.value,
+            p.s,
+            p.q,
+            p.m,
+            descriptor_kind(record.descriptor),
+            p1,
+            p2,
+            p3,
+            record.order,
+            record.delta,
+            record.genus,
+        ]
+        lines.append(",".join("" if c is None else str(c) for c in cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(report):
+    p = report.params
+    doc = {
+        "schema_version": SCHEMA_VERSION,
+        "family": p.family.value,
+        "s": p.s,
+        "q": p.q,
+        "m": p.m,
+        "ambient_degree": p.ambient_degree,
+        "families_covered": list(report.families_covered),
+        "completeness_note": report.completeness_note,
+        "genera": list(report.genera),
+        "records": [
+            {
+                "kind": descriptor_kind(r.descriptor),
+                "params": [x for x in descriptor_params(r.descriptor) if x is not None],
+                "order": r.order,
+                "delta": r.delta,
+                "genus": r.genus,
+            }
+            for r in report.records
+        ],
+    }
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def reference_table(report):
+    p = report.params
+    head = (
+        f"{p.family.value} s={p.s}: q={p.q}, m={p.m}, "
+        f"{len(report.records)} subgroups, {len(report.genera)} distinct genera"
+    )
+    rows = [head, ""]
+    rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
+    for r in report.records:
+        ps = ",".join(str(x) for x in descriptor_params(r.descriptor) if x is not None)
+        rows.append(
+            f"{descriptor_kind(r.descriptor):<16}{ps:<16}"
+            f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
+        )
+    rows.append("")
+    rows.append("spectrum: " + ", ".join(str(g) for g in report.genera))
+    return "\n".join(rows) + "\n"
+
+
+def assert_same_text(got, want):
+    """Byte equality, reporting the first differing line (pytest's own diff of
+    two texts this long would take minutes)."""
+    if got == want:
+        return
+    got_lines, want_lines = got.split("\n"), want.split("\n")
+    i = next(
+        (i for i, (g, w) in enumerate(zip(got_lines, want_lines)) if g != w),
+        min(len(got_lines), len(want_lines)),
+    )
+    pytest.fail(
+        f"line {i}: got {got_lines[i:i + 1]!r}, want {want_lines[i:i + 1]!r} "
+        f"({len(got_lines)} vs {len(want_lines)} lines)"
+    )
+
+
+def assert_exports_match_reference(report):
+    streamed = (render_csv(report), render_json(report), render_table(report))
+    count = report.record_count
+    assert "records" not in report.__dict__  # neither streams nor count expanded
+    assert_same_text(streamed[0], reference_csv(report))
+    assert_same_text(streamed[1], reference_json(report))
+    assert_same_text(streamed[2], reference_table(report))
+    assert count == len(report.records)
+
+
+@pytest.mark.parametrize(
+    "family,s",
+    [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 6)],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_streamed_exports_equal_per_record_exports(family, s):
+    assert_exports_match_reference(compute_spectrum(family, s))
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("kind", list(DESCRIPTOR_KINDS.values()))
+@pytest.mark.parametrize("s", [1, 2])
+def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s):
+    assert_exports_match_reference(compute_spectrum(family, s, kind))
+
+
+def test_exports_of_a_kind_without_records():
+    report = compute_spectrum(Family.REE, 1, "b0-cyclic")
+    assert report.record_count == 0
+    doc = validate_export(render_json(report))
+    assert doc["records"] == [] and doc["genera"] == []
+    assert '"records": [],' in render_json(report)
+    assert render_csv(report) == CSV_HEADER + "\n"
