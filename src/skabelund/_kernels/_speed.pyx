@@ -1,13 +1,11 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernels for the brute-force oracle inner loops.
 
-Same contracts as skabelund._kernels.pure; the loops run on C integers.
-All quantities handled here are bounded by m^2 with m < 2^20, so 64-bit
-arithmetic is exact throughout (big-integer work stays in Python).
+Same contracts as the counting kernels of skabelund._kernels.pure; the
+loops run on C integers.  All quantities handled here are bounded by m^2
+with m < 2^20, so 64-bit arithmetic is exact throughout; the package sends
+larger m to the pure kernels.  Subgroup closure has no compiled version.
 """
-
-from libc.stdlib cimport calloc, free, malloc
-from libc.string cimport memcpy, memset
 
 BACKEND_NAME = "compiled"
 
@@ -80,131 +78,3 @@ def congruence_count(m, n1, n2, rhs):
             if jn2 >= cm:
                 jn2 -= cm
     return count
-
-
-cdef inline bint _bit(unsigned long long *words, long long pos):
-    return (words[pos >> 6] >> (pos & 63)) & 1
-
-
-cdef inline void _set_bit(unsigned long long *words, long long pos):
-    words[pos >> 6] |= 1ULL << (pos & 63)
-
-
-def cm_subgroups(m):
-    """All subgroups of C_m x C_m by closure, as sorted tuples of x*m+y codes.
-
-    Cyclic subgroups first, then pairwise joins (sumsets); bitsets keyed by
-    their byte image deduplicate the results.
-    """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    cdef long long cm = m, nn = cm * cm
-    if nn >= _M_LIMIT:
-        raise ValueError(f"m={m} too large for the compiled kernel")
-    cdef long long words = (nn + 63) >> 6
-    cdef unsigned long long *mask = <unsigned long long *> calloc(words, 8)
-    cdef unsigned long long *joined = <unsigned long long *> calloc(words, 8)
-    # element list of the current cyclic subgroup, stored as (x, y) pairs
-    cdef long long *elems = <long long *> malloc(2 * cm * sizeof(long long))
-    # element lists of all distinct cyclic subgroups, concatenated
-    cdef long long *all_elems = NULL
-    cdef long long *starts = NULL
-    cdef long long *gens = NULL  # per cyclic subgroup: gx, gy, order
-    cdef dict cyclic = {}  # bytes(mask) -> (gx, gy, order, element pairs)
-    cdef long long gx, gy, x, y, order, pos, total, n_cyc
-    cdef long long i1, i2, i, k, ex, ey, mx, my, g2x, g2y, order2, base1, count1
-    cdef bytes key
-    cdef const unsigned char *kbytes
-    if mask == NULL or joined == NULL or elems == NULL:
-        free(mask); free(joined); free(elems)
-        raise MemoryError()
-
-    try:
-        for gx in range(cm):
-            for gy in range(cm):
-                memset(mask, 0, words * 8)
-                _set_bit(mask, 0)
-                elems[0] = 0
-                elems[1] = 0
-                x = gx; y = gy; order = 1
-                while x != 0 or y != 0:
-                    _set_bit(mask, x * cm + y)
-                    elems[2 * order] = x
-                    elems[2 * order + 1] = y
-                    x = (x + gx) % cm
-                    y = (y + gy) % cm
-                    order += 1
-                key = (<char *> mask)[:words * 8]
-                if key not in cyclic:
-                    cyclic[key] = (
-                        gx,
-                        gy,
-                        order,
-                        [(elems[2 * i], elems[2 * i + 1]) for i in range(order)],
-                    )
-
-        # pack the per-subgroup data into flat C arrays for the join loops
-        subgroup_keys = set(cyclic)
-        entries = list(cyclic.items())
-        n_cyc = len(entries)
-        total = 0
-        for _key, (_gx, _gy, _order, _pairs) in entries:
-            total += _order
-        all_elems = <long long *> malloc(2 * total * sizeof(long long))
-        starts = <long long *> malloc((n_cyc + 1) * sizeof(long long))
-        gens = <long long *> malloc(3 * n_cyc * sizeof(long long))
-        if all_elems == NULL or starts == NULL or gens == NULL:
-            raise MemoryError()
-        pos = 0
-        for i1 in range(n_cyc):
-            _key, (_gx, _gy, _order, _pairs) = entries[i1]
-            starts[i1] = pos
-            gens[3 * i1] = _gx
-            gens[3 * i1 + 1] = _gy
-            gens[3 * i1 + 2] = _order
-            for ex, ey in _pairs:
-                all_elems[2 * pos] = ex
-                all_elems[2 * pos + 1] = ey
-                pos += 1
-        starts[n_cyc] = pos
-
-        for i1 in range(n_cyc):
-            key = <bytes> entries[i1][0]
-            kbytes = <const unsigned char *> (<char *> key)
-            memcpy(mask, kbytes, words * 8)
-            base1 = starts[i1]
-            count1 = starts[i1 + 1] - base1
-            for i2 in range(i1, n_cyc):
-                g2x = gens[3 * i2]
-                g2y = gens[3 * i2 + 1]
-                order2 = gens[3 * i2 + 2]
-                if _bit(mask, g2x * cm + g2y):
-                    continue  # <g2> inside C1: join is C1 itself
-                memset(joined, 0, words * 8)
-                mx = 0; my = 0
-                for k in range(order2):
-                    for i in range(count1):
-                        ex = all_elems[2 * (base1 + i)]
-                        ey = all_elems[2 * (base1 + i) + 1]
-                        _set_bit(joined, ((ex + mx) % cm) * cm + (ey + my) % cm)
-                    mx = (mx + g2x) % cm
-                    my = (my + g2y) % cm
-                subgroup_keys.add((<char *> joined)[:words * 8])
-
-        out = set()
-        for key in subgroup_keys:
-            kbytes = <const unsigned char *> (<char *> key)
-            memcpy(mask, kbytes, words * 8)
-            indices = []
-            for pos in range(nn):
-                if _bit(mask, pos):
-                    indices.append(pos)
-            out.add(tuple(indices))
-        return out
-    finally:
-        free(mask)
-        free(joined)
-        free(elems)
-        free(all_elems)
-        free(starts)
-        free(gens)

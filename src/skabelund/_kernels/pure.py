@@ -1,8 +1,14 @@
 """Pure-Python kernels for the brute-force oracle inner loops.
 
-These are the fallback implementations selected when the compiled extension
-is unavailable (or explicitly disabled).  Semantics are identical to the
-compiled versions; the test suite cross-checks the two backends.
+The two counting kernels enumerate the fundamental domain of a subgroup of
+the Singer square as pairs (i, j) and count the pairs that satisfy a
+congruence.  They do so as a table join rather than as an (i, j) double
+loop: the shorter side of the domain is tabulated once (a set or Counter of
+its residues mod m), and the longer side is streamed past that table through
+C-level iterators (range progressions, ``map(operator.mod, ..., repeat(m))``,
+set and dict lookups).  Every pair is still compared; no gcd, valuation,
+CRT step or closed form enters, and memory stays bounded by the shorter
+side.
 
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
@@ -12,7 +18,56 @@ shift/mask operations instead of one operation per member.
 
 from __future__ import annotations
 
+from collections import Counter
+from itertools import repeat
+from operator import countOf, mod
+
 BACKEND_NAME = "pure"
+
+
+def _residues(start: int, step: int, count: int, m: int):
+    """(start + i*step) mod m for i in range(count), as a C-level stream."""
+    if step == 0:
+        return repeat(start % m, count)
+    return map(mod, range(start, start + count * step, step), repeat(m))
+
+
+def _pair_count(
+    m: int, rows: int, n2: int, steps, skip_rows: tuple[int, ...] = ()
+) -> int:
+    """Number of pairs (i, j), 0 <= i < rows, 0 <= j < m/n2, i not in
+    skip_rows, with j*n2 = i*r (mod m) for at least one r in steps.
+
+    The shorter side is tabulated.  Fewer rows: each row adds its set of
+    distinct images i*r mod m to a Counter, and the column residues are
+    looked up in it.  Otherwise the rows' images are streamed, one stream
+    per step, and zipped so that each row's images arrive together: a row
+    counts each column residue among its images once, however many steps
+    give it.  Several columns: the residues, all distinct, are tabulated as
+    a set and intersected with each row's images.  One column: its residue
+    is 0, and all() over a row's images tells whether one of them is 0
+    without building a set per row.
+    """
+    cols = m // n2
+    column_residues = range(0, cols * n2, n2)  # j*n2 < m: already reduced
+    if rows < cols:
+        table: Counter[int] = Counter()
+        for i in range(rows):
+            if i not in skip_rows:
+                table.update({i * r % m for r in steps})
+        return sum(map(table.get, column_residues, repeat(0)))
+    images = [_residues(0, r, rows, m) for r in steps]
+    if cols > 1:
+        columns = set(column_residues)
+        hits = sum(map(len, map(columns.intersection, zip(*images))))
+        for i in skip_rows:
+            hits -= len(columns.intersection({i * r % m for r in steps}))
+        return hits
+    if len(images) == 1:  # zipping one stream would double the cost per row
+        hits = countOf(images[0], 0)
+    else:
+        hits = countOf(map(all, zip(*images)), False)
+    return hits - sum(not all(i * r % m for r in steps) for i in skip_rows)
 
 
 def sigma_cm_iota_counts(
@@ -22,38 +77,28 @@ def sigma_cm_iota_counts(
     exponents (n1, n2, a): return (pure tau-power count, count of elements
     sigma^A tau^B with B = A*q^d mod m for some d).
 
-    Elements are enumerated literally as (sigma^n1 tau^a)^i (tau^n2)^j over
-    the fundamental domain 0 <= i < m/n1, 0 <= j < m/n2.
+    The elements are (sigma^n1 tau^a)^i (tau^n2)^j over the fundamental
+    domain 0 <= i < m/n1, 0 <= j < m/n2, that is A = i*n1 and
+    B = i*a + j*n2 (mod m).  B = A*q^d reads j*n2 = i*(n1*q^d - a), a pair
+    count over the rows with A != 0.  The rows with A = 0 are found as the
+    positions of the multiples of m in the progression i*n1; each holds a
+    pure tau power for every j except those with B = 0.
     """
-    tau_count = 0
-    special_count = 0
-    for i in range(m // n1):
-        a_exp = (i * n1) % m
-        b_base = (i * a) % m
-        if a_exp == 0:
-            for j in range(m // n2):
-                b_exp = (b_base + j * n2) % m
-                if b_exp != 0:
-                    tau_count += 1
-        else:
-            specials = {(a_exp * qd) % m for qd in q_powers}
-            for j in range(m // n2):
-                if (b_base + j * n2) % m in specials:
-                    special_count += 1
-    return tau_count, special_count
+    rows, cols = m // n1, m // n2
+    sigma_exponents = range(0, rows * n1, n1)
+    tau_rows = tuple(
+        sigma_exponents.index(x) for x in range(0, rows * n1, m) if x in sigma_exponents
+    )
+    column_residues = range(0, cols * n2, n2)
+    tau_count = sum(cols - countOf(column_residues, -i * a % m) for i in tau_rows)
+    steps = {(n1 * qd - a) % m for qd in q_powers}
+    return tau_count, _pair_count(m, rows, n2, steps, tau_rows)
 
 
 def congruence_count(m: int, n1: int, n2: int, rhs: int) -> int:
-    """Literal count of pairs (i, j), 0 <= i < m/n1, 0 <= j < m/n2, with
+    """Count of pairs (i, j), 0 <= i < m/n1, 0 <= j < m/n2, with
     j*n2 = i*rhs (mod m).  Includes (0, 0)."""
-    rhs %= m
-    count = 0
-    for i in range(m // n1):
-        target = (i * rhs) % m
-        for j in range(m // n2):
-            if (j * n2) % m == target:
-                count += 1
-    return count
+    return _pair_count(m, m // n1, n2, (rhs % m,))
 
 
 def _translate(mask: int, tx: int, ty: int, m: int, full: int, row_low) -> int:

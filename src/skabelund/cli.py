@@ -9,8 +9,9 @@ Subcommands:
 Exit status is 0 for success and 1 when a verification fails.  Default
 curve-size caps (s <= 6 Suzuki, s <= 5 Ree) bound runtimes; override with
 --allow-large-s or the SKABELUND_MAX_S environment variable.  A setting
-that is not a valid integer, or a descriptor the curve does not have, ends
-the run with a one-line message and exit status 1.
+that is not a valid integer, an s below 1, an unknown --subgroup-family, a
+descriptor the curve does not have, or a verify-tables run that selects no
+table ends the run with a one-line message and exit status 1.
 """
 
 from __future__ import annotations
@@ -45,6 +46,8 @@ def _family(name: str) -> Family:
 
 
 def _check_s_cap(family: Family, s: int, allow_large: bool) -> None:
+    if s < 1:
+        raise SystemExit(f"--s must be at least 1, got {s}")
     cap = env_int("SKABELUND_MAX_S", DEFAULT_MAX_S[family], minimum=1)
     if s > cap and not allow_large:
         raise SystemExit(
@@ -90,7 +93,10 @@ def _parse_descriptor(spec: str):
 
 def _cmd_spectrum(args) -> int:
     _check_s_cap(args.family, args.s, args.allow_large_s)
-    report = compute_spectrum(args.family, args.s, args.subgroup_family)
+    try:
+        report = compute_spectrum(args.family, args.s, args.subgroup_family)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     if args.format == "csv":
         text = render_csv(report)
     elif args.format == "json":
@@ -109,6 +115,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_verify_tables(args) -> int:
     checks = verify_tables(s_max=args.s_max)
+    if not checks:
+        raise SystemExit(f"no reference table has s <= {args.s_max}")
     failed = False
     for check in checks:
         t = check.table

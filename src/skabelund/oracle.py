@@ -1,10 +1,17 @@
 """Independent brute-force recomputation of every closed-form genus.
 
-Nothing in this module evaluates a closed-form different degree: deltas are
-obtained by literal element enumeration and per-element weights, congruence
-solutions by literal pair counting, and subgroup lists by set closure.  The
-only shared code with the formula modules is the iota classification layer,
-which is exactly the point of contact the cross-checks are meant to pin.
+Nothing in this module evaluates a closed-form different degree, and nothing
+in it takes a gcd, a valuation or a CRT step.  Deltas are sums of
+per-element weights over enumerated elements, congruence solutions are
+counted pair by pair, and subgroup lists come from set closure.  The pair
+counts run as table joins in the kernels (the shorter side of the
+fundamental domain tabulated, the longer side streamed past it), which
+compares the same pairs as a double loop without interpreting one.  Census
+sums add each distinct term once and multiply it by the number of elements
+that carry it: the weight of sigma*tau^k depends on the class of sigma and
+on k, not on which element of the class sigma is.  The only shared code
+with the formula modules is the iota classification layer, which is
+exactly the point of contact the cross-checks are meant to pin.
 
 The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
@@ -15,9 +22,10 @@ maps.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import Counter
+from itertools import repeat
+from operator import countOf, mod
 
 from . import _kernels
 from .catalog import StandardExponents, subgroup_order_sigma
@@ -131,8 +139,10 @@ def enumerate_subgroups_bruteforce(
 def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
     """Different degree of C_d x C_n or D_d x C_n (Suzuki) by census summation.
 
-    q-1 is odd, so the d rotation classes all have odd order dividing q-1;
-    the dihedral case adds d reflection cosets of involutions.
+    q-1 is odd, so the d-1 non-identity rotations all have odd order
+    dividing q-1; the dihedral case adds d reflections, all involutions.
+    Each rotation and each reflection carries the same C_n coset of weights,
+    so each coset is summed once and counted once per element.
     """
     if params.family is not Family.SUZUKI:
         raise ValueError("delta_b0_census needs Suzuki parameters")
@@ -141,27 +151,27 @@ def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
     total = sum(
         iota_suzuki(params, OrderClassSz.TAU, k) for k in range(1, n)
     )
-    total += sum(
-        iota_suzuki(params, OrderClassSz.DIVIDES_Q_MINUS_1, k)
-        for _rot in range(d - 1)
-        for k in range(n)
+    total += (d - 1) * sum(
+        iota_suzuki(params, OrderClassSz.DIVIDES_Q_MINUS_1, k) for k in range(n)
     )
     if dihedral:
-        total += sum(
-            iota_suzuki(params, OrderClassSz.ORDER2, k)
-            for _refl in range(d)
-            for k in range(n)
-        )
+        total += d * sum(iota_suzuki(params, OrderClassSz.ORDER2, k) for k in range(n))
     return total
 
 
-def delta_census(group_tag: str, params: CurveParams, n: int) -> int:
+def delta_census(
+    group_tag: str, params: CurveParams, n: int, cosets: dict | None = None
+) -> int:
     """Different degree of (Ree(3)-subgroup) x C_n by census summation.
 
-    Expands each census entry over its full C_n coset: order-2 entries give
-    n*(q+1) each, order-6 entries n*1, order-3 and order-9 entries their
-    k=0 weight plus (n-1)*1, order-7 entries (gcd(7, n) - 1)*m.  The tau-only
-    coset contributes (n-1)*(q^3+1).
+    Each census entry contributes its count times the weight sum of one
+    full C_n coset, sigma*tau^k for k in range(n) (see _ree_coset_sum); the
+    tau-only coset (k != 0) is added once.
+
+    A coset sum depends on the element order and on n, not on the group, so
+    a caller checking several groups for one curve and one n may pass the
+    same dict as cosets: each sum is then computed by the first call that
+    needs it.  The dict must not be shared between curves or values of n.
     """
     from .iota import census as census_table
 
@@ -170,30 +180,54 @@ def delta_census(group_tag: str, params: CurveParams, n: int) -> int:
     if params.m % n != 0:
         raise ValueError(f"n={n} does not divide m={params.m}")
     cen = census_table(group_tag)
-    total = sum(iota_ree(params, OrderClassRee.TAU, k) for k in range(1, n))
+    if cosets is None:
+        cosets = {}
+
+    def coset(order: int) -> int:
+        key = (order, cen.order3_central if order == 3 else None)
+        if key not in cosets:
+            cosets[key] = _ree_coset_sum(params, order, cen.order3_central, n)
+        return cosets[key]
+
+    total = coset(1)
     for order, count in cen.counts:
-        if order == 1:
-            continue
-        if order == 2:
-            coset = sum(iota_ree(params, OrderClassRee.ORDER2, k) for k in range(n))
-        elif order == 6:
-            coset = sum(iota_ree(params, OrderClassRee.ORDER6, k) for k in range(n))
-        elif order in (3, 9):
-            if order == 9:
-                klass = OrderClassRee.ORDER9
-            elif cen.order3_central:
-                klass = OrderClassRee.ORDER3_CENTRAL
-            else:
-                klass = OrderClassRee.ORDER3_NONCENTRAL
-            coset = sum(iota_ree(params, klass, k) for k in range(n))
-        elif order == 7:
-            # order-7 elements: weight 0 on the whole coset unless 7 | m, in
-            # which case the coset crosses gcd(7, n) - 1 special tau powers
-            coset = (math.gcd(7, n) - 1) * params.m
-        else:
-            raise ValueError(f"unexpected element order {order} in census")
-        total += count * coset
+        if order != 1:
+            total += count * coset(order)
     return total
+
+
+_REE_ORDER_CLASSES = {
+    2: OrderClassRee.ORDER2,
+    6: OrderClassRee.ORDER6,
+    9: OrderClassRee.ORDER9,
+}
+
+
+def _ree_coset_sum(
+    params: CurveParams, order: int, order3_central: bool | None, n: int
+) -> int:
+    """Weight sum of sigma*tau^k over k in range(n), for sigma of the given
+    order in a Ree(3)-side group; order 1 stands for the tau powers, k != 0.
+
+    Order-2 elements weigh q+1 on every k, order-6 elements 1, order-3 and
+    order-9 elements their k=0 weight and 1 elsewhere.  Order-7 elements
+    weigh 0 except at the special tau powers, the k != 0 with 7*k = 0 in
+    C_n, which weigh m each.
+    """
+    if order == 1:
+        return sum(iota_ree(params, OrderClassRee.TAU, k) for k in range(1, n))
+    if order == 7:
+        return params.m * countOf(map(mod, range(7, 7 * n, 7), repeat(n)), 0)
+    if order == 3:
+        if order3_central:
+            klass = OrderClassRee.ORDER3_CENTRAL
+        else:
+            klass = OrderClassRee.ORDER3_NONCENTRAL
+    elif order in _REE_ORDER_CLASSES:
+        klass = _REE_ORDER_CLASSES[order]
+    else:
+        raise ValueError(f"unexpected element order {order} in census")
+    return sum(iota_ree(params, klass, k) for k in range(n))
 
 
 # --- F8 arithmetic and the skew-subgroup element oracle ---------------------
@@ -214,6 +248,9 @@ def f8_mul(a: int, b: int) -> int:
             a ^= _F8_REDUCTION
     return acc
 
+
+# product table of F8, built from f8_mul: _F8_MUL[a][b] = a*b
+_F8_MUL = tuple(tuple(f8_mul(a, b) for b in range(8)) for a in range(8))
 
 # discrete logarithm table for F8*: _F8_LOG[g^c] = c
 _F8_LOG = {}
@@ -254,8 +291,9 @@ def materialize_skew_subgroup(
     while frontier:
         nxt = []
         for a1, b1, e1 in frontier:
+            row = _F8_MUL[a1]
             for a2, b2, e2 in gens:
-                prod = (f8_mul(a1, a2), f8_mul(a1, b2) ^ b1, (e1 + e2) % m)
+                prod = (row[a2], row[b2] ^ b1, (e1 + e2) % m)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
@@ -269,7 +307,9 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     Involution cosets weigh q+1 per element, pure tau powers q^3+1, and the
     order-7-bearing elements a*x+b (a = g^c != 1) reduce to the Singer-square
     weight of sigma^(c*m/7) tau^e: conjugation by a translation moves any
-    such element onto r^c without touching e.
+    such element onto r^c without touching e.  The weight of a*x+b paired
+    with tau^e therefore depends on (a, whether b = 0, e) only; the elements
+    are counted by that key and each key's weight is read once.
     """
     elements = materialize_skew_subgroup(params, variant, i, w)
     expected_order = (56 if variant == "full" else 7) * (params.m // (7 * w))
@@ -278,15 +318,17 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     )
     m = params.m
     total = 0
-    for a, b, e in elements:
-        if a == 1:
-            if b == 0:
-                if e != 0:
-                    total += iota_ree(params, OrderClassRee.TAU, e)
-            else:
-                total += iota_ree(params, OrderClassRee.ORDER2, e)
+    terms = Counter((a, b != 0, e) for a, b, e in elements)
+    for (a, translated, e), count in terms.items():
+        if a != 1:
+            weight = iota_sigma_element(params, (_F8_LOG[a] * (m // 7)) % m, e)
+        elif translated:
+            weight = iota_ree(params, OrderClassRee.ORDER2, e)
+        elif e != 0:
+            weight = iota_ree(params, OrderClassRee.TAU, e)
         else:
-            total += iota_sigma_element(params, (_F8_LOG[a] * (m // 7)) % m, e)
+            continue  # the identity
+        total += count * weight
     return total
 
 
@@ -295,18 +337,18 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
 
 def _f8_frobenius(x: int, j: int) -> int:
     for _ in range(j):
-        x = f8_mul(x, x)
+        x = _F8_MUL[x][x]
     return x
 
 
 def _affine_perm(a: int, b: int, j: int) -> tuple[int, ...]:
     """x -> a * x^(2^j) + b as a permutation of the eight field elements."""
-    return tuple(f8_mul(a, _f8_frobenius(x, j)) ^ b for x in range(8))
+    return tuple(_F8_MUL[a][_f8_frobenius(x, j)] ^ b for x in range(8))
 
 
 def _f8_div(a: int, b: int) -> int:
     for k in range(8):
-        if f8_mul(b, k) == a:
+        if _F8_MUL[b][k] == a:
             return k
     raise ZeroDivisionError("division by zero in F8")
 
@@ -318,8 +360,8 @@ def _mobius_perm(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
         if z == 8:
             image.append(8 if c == 0 else _f8_div(a, c))
             continue
-        num = f8_mul(a, z) ^ b
-        den = f8_mul(c, z) ^ d
+        num = _F8_MUL[a][z] ^ b
+        den = _F8_MUL[c][z] ^ d
         image.append(8 if den == 0 else _f8_div(num, den))
     return tuple(image)
 
@@ -351,7 +393,7 @@ def _perm_order(p: tuple[int, ...]) -> int:
 
 
 _G = F8_GENERATOR
-_G2 = f8_mul(_G, _G)
+_G2 = _F8_MUL[_G][_G]
 
 # generator sets: s1, s2, s3 span the translations (the Sylow 2-subgroup),
 # r is multiplication by a generator of F8* (order 7, cycles the s_i under

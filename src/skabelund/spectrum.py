@@ -491,11 +491,12 @@ def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
 
     bad = []
     for n in divisors(params.m):
-        if genus_psl28(params, n).delta != delta_census("psl28", params, n):
+        cosets: dict = {}  # coset sums of this n, shared by the seven groups
+        if genus_psl28(params, n).delta != delta_census("psl28", params, n, cosets):
             bad.append(f"psl28 n={n}")
         for k_order in (168, 56, 24, 12, 8, 4):
             formula = genus_n2_nonskew(params, k_order, n).delta
-            if formula != delta_census(f"n2_{k_order}", params, n):
+            if formula != delta_census(f"n2_{k_order}", params, n, cosets):
                 bad.append(f"n2_{k_order} n={n}")
     checks.append(
         OracleCheck(

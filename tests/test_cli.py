@@ -153,3 +153,27 @@ def test_oracle_that_checks_nothing_exits_nonzero(capsys):
     out = capsys.readouterr().out
     assert "PASS singer-square" not in out
     assert out.count("FAIL") == 3
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (("verify-tables", "--s-max", "0"), "no reference table has s <= 0"),
+        (
+            ("spectrum", "--family", "suzuki", "--s", "1", "--subgroup-family", "nope"),
+            "unknown subgroup family 'nope'",
+        ),
+        (("spectrum", "--family", "suzuki", "--s", "0"), "--s must be at least 1, got 0"),
+        (
+            ("genus", "--family", "ree", "--s", "0", "--descriptor", "psl28:1"),
+            "--s must be at least 1, got 0",
+        ),
+        (("oracle", "--family", "ree", "--s", "-1"), "--s must be at least 1, got -1"),
+    ],
+    ids=["verify-tables-s-max-0", "unknown-subgroup-family", "spectrum-s-0", "genus-s-0",
+         "oracle-s-negative"],
+)
+def test_bad_run_arguments_are_one_line_errors(args, text):
+    done = run_cli(*args)
+    assert_one_line_error(done, text)
+    assert done.returncode == 1 and done.stdout == ""

@@ -1,0 +1,279 @@
+"""Equality gate for the oracle's fast paths.
+
+The kernels count pairs as table joins, and the census sums add each
+distinct term once.  The references below are the nested-loop kernels and
+the per-element census loops those replaced, kept as the slow paths the
+fast ones must agree with: on every kernel call the oracle suite makes for
+Suzuki s <= 6 and Ree s <= 4, on random small cases, and on every census
+case for s <= 4.  Beyond that, the suite must reproduce the verdicts and
+details recorded in data/oracle_golden.json by the nested-loop oracle for
+Suzuki s = 5 and 6.
+"""
+
+import json
+import math
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from skabelund import _kernels
+from skabelund._kernels import pure
+from skabelund.arith import divisors
+from skabelund.curves import Family, make_params
+from skabelund.iota import (
+    OrderClassRee,
+    OrderClassSz,
+    census,
+    iota_ree,
+    iota_sigma_element,
+    iota_suzuki,
+)
+from skabelund.oracle import (
+    _F8_LOG,
+    F8_GENERATOR,
+    delta_b0_census,
+    delta_census,
+    delta_skew_census,
+    f8_mul,
+    max_elements_cap,
+)
+from skabelund.spectrum import run_oracle_suite, seven_divides_m
+
+# --- references: the nested-loop kernels ------------------------------------
+
+
+def ref_sigma_cm_iota_counts(m, n1, n2, a, q_powers):
+    tau_count = 0
+    special_count = 0
+    for i in range(m // n1):
+        a_exp = (i * n1) % m
+        b_base = (i * a) % m
+        if a_exp == 0:
+            for j in range(m // n2):
+                b_exp = (b_base + j * n2) % m
+                if b_exp != 0:
+                    tau_count += 1
+        else:
+            specials = {(a_exp * qd) % m for qd in q_powers}
+            for j in range(m // n2):
+                if (b_base + j * n2) % m in specials:
+                    special_count += 1
+    return tau_count, special_count
+
+
+def ref_congruence_count(m, n1, n2, rhs):
+    rhs %= m
+    count = 0
+    for i in range(m // n1):
+        target = (i * rhs) % m
+        for j in range(m // n2):
+            if (j * n2) % m == target:
+                count += 1
+    return count
+
+
+REFERENCE_KERNELS = {
+    "sigma_cm_iota_counts": ref_sigma_cm_iota_counts,
+    "congruence_count": ref_congruence_count,
+}
+
+# --- references: the per-element census loops --------------------------------
+
+
+def ref_delta_b0_census(params, d, n, dihedral):
+    total = sum(iota_suzuki(params, OrderClassSz.TAU, k) for k in range(1, n))
+    total += sum(
+        iota_suzuki(params, OrderClassSz.DIVIDES_Q_MINUS_1, k)
+        for _rot in range(d - 1)
+        for k in range(n)
+    )
+    if dihedral:
+        total += sum(
+            iota_suzuki(params, OrderClassSz.ORDER2, k)
+            for _refl in range(d)
+            for k in range(n)
+        )
+    return total
+
+
+def ref_delta_census(group_tag, params, n):
+    cen = census(group_tag)
+    total = sum(iota_ree(params, OrderClassRee.TAU, k) for k in range(1, n))
+    for order, count in cen.counts:
+        if order == 1:
+            continue
+        if order == 2:
+            coset = sum(iota_ree(params, OrderClassRee.ORDER2, k) for k in range(n))
+        elif order == 6:
+            coset = sum(iota_ree(params, OrderClassRee.ORDER6, k) for k in range(n))
+        elif order in (3, 9):
+            if order == 9:
+                klass = OrderClassRee.ORDER9
+            elif cen.order3_central:
+                klass = OrderClassRee.ORDER3_CENTRAL
+            else:
+                klass = OrderClassRee.ORDER3_NONCENTRAL
+            coset = sum(iota_ree(params, klass, k) for k in range(n))
+        elif order == 7:
+            coset = (math.gcd(7, n) - 1) * params.m
+        else:
+            raise ValueError(f"unexpected element order {order} in census")
+        total += count * coset
+    return total
+
+
+def ref_materialize_skew_subgroup(params, variant, i, w):
+    m = params.m
+    gens = [(F8_GENERATOR, 0, (i * w) % m)]
+    if variant == "full":
+        gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
+    identity = (1, 0, 0)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a1, b1, e1 in frontier:
+            for a2, b2, e2 in gens:
+                prod = (f8_mul(a1, a2), f8_mul(a1, b2) ^ b1, (e1 + e2) % m)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+def ref_delta_skew_census(params, variant, i, w):
+    m = params.m
+    total = 0
+    for a, b, e in ref_materialize_skew_subgroup(params, variant, i, w):
+        if a == 1:
+            if b == 0:
+                if e != 0:
+                    total += iota_ree(params, OrderClassRee.TAU, e)
+            else:
+                total += iota_ree(params, OrderClassRee.ORDER2, e)
+        else:
+            total += iota_sigma_element(params, (_F8_LOG[a] * (m // 7)) % m, e)
+    return total
+
+
+# --- the gate -----------------------------------------------------------------
+
+ORACLE_CURVES = [(Family.SUZUKI, s) for s in range(1, 7)] + [
+    (Family.REE, s) for s in range(1, 5)
+]
+
+
+@pytest.fixture
+def default_caps(monkeypatch):
+    for name in ("SKABELUND_MAX_ELEMENTS", "SKABELUND_MAX_CLOSURE_M"):
+        monkeypatch.delenv(name, raising=False)
+
+
+@pytest.mark.parametrize(
+    "family, s", ORACLE_CURVES, ids=[f"{f.value}-{s}" for f, s in ORACLE_CURVES]
+)
+def test_kernels_match_the_nested_loops_on_every_oracle_call(
+    family, s, monkeypatch, default_caps
+):
+    calls = []
+    for name in REFERENCE_KERNELS:
+        kernel = getattr(_kernels, name)
+
+        def recording(*args, _name=name, _kernel=kernel):
+            result = _kernel(*args)
+            calls.append((_name, args, result))
+            return result
+
+        monkeypatch.setattr(_kernels, name, recording)
+    run_oracle_suite(family, s)
+    assert {name for name, _, _ in calls} == set(REFERENCE_KERNELS)
+    for name, args, result in calls:
+        assert result == REFERENCE_KERNELS[name](*args), (name, args)
+
+
+@st.composite
+def kernel_cases(draw):
+    m = draw(st.integers(1, 300))
+    n1 = draw(st.sampled_from(divisors(m)))
+    n2 = draw(st.sampled_from(divisors(m)))
+    a = draw(st.integers(-m, 2 * m))
+    rhs = draw(st.one_of(st.just(0), st.integers(-m, 2 * m)))
+    # powers that differ by multiples of m/k map every A divisible by k to
+    # the same image A*q^d; k = m gives arbitrary powers
+    k = draw(st.sampled_from(divisors(m)))
+    base = draw(st.integers(0, 2 * m))
+    shifts = draw(st.lists(st.integers(0, 2 * k), min_size=1, max_size=8))
+    q_powers = tuple(base + c * (m // k) for c in shifts)
+    return m, n1, n2, a, rhs, q_powers
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_cases())
+def test_kernels_match_the_nested_loops_on_small_cases(case):
+    m, n1, n2, a, rhs, q_powers = case
+    assert pure.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
+    assert pure.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
+        m, n1, n2, a, q_powers
+    )
+
+
+def test_kernels_count_coinciding_images_once():
+    # m = 12, a = 0: the element (i, j) is sigma^i tau^j
+    # powers 1, 13, 25 are all 1 mod 12: one image, the diagonal j = i != 0
+    assert pure.sigma_cm_iota_counts(12, 1, 1, 0, (1, 13, 25)) == (11, 11)
+    # powers 1 and 7: images i and 7i coincide exactly for even i
+    assert pure.sigma_cm_iota_counts(12, 1, 1, 0, (1, 7)) == (11, 6 * 2 + 5)
+    # fewer rows than columns, A = 2i: images 2i and 8i coincide for i = 2, 4
+    assert pure.sigma_cm_iota_counts(12, 2, 1, 0, (1, 4)) == (11, 2 + 1 + 2 + 1 + 2)
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_b0_census_matches_the_element_loops(s):
+    params = make_params(Family.SUZUKI, s)
+    for d in divisors(params.q - 1):
+        for n in divisors(params.m):
+            for dihedral in (False, True):
+                assert delta_b0_census(params, d, n, dihedral) == ref_delta_b0_census(
+                    params, d, n, dihedral
+                ), (d, n, dihedral)
+
+
+@pytest.mark.parametrize("s", range(1, 5))
+def test_ree_census_matches_the_element_loops(s):
+    params = make_params(Family.REE, s)
+    tags = ("psl28", "n2_168", "n2_56", "n2_24", "n2_12", "n2_8", "n2_4")
+    for n in divisors(params.m):
+        shared: dict = {}
+        for tag in tags:
+            expected = ref_delta_census(tag, params, n)
+            assert delta_census(tag, params, n) == expected, (tag, n)
+            assert delta_census(tag, params, n, shared) == expected, (tag, n)
+
+
+@pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
+def test_skew_census_matches_the_element_loop(s, default_caps):
+    params = make_params(Family.REE, s)
+    assert seven_divides_m(params)
+    cap = max_elements_cap()
+    for w in divisors(params.m // 7):
+        if 56 * (params.m // (7 * w)) > cap:
+            continue
+        for i in range(1, 7):
+            for variant in ("full", "cyclic"):
+                assert delta_skew_census(params, variant, i, w) == ref_delta_skew_census(
+                    params, variant, i, w
+                ), (variant, i, w)
+
+
+GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
+
+
+@pytest.mark.parametrize("curve", ["suzuki-5", "suzuki-6"])
+def test_oracle_reproduces_the_recorded_verdicts(curve, default_caps):
+    family, s = curve.split("-")
+    checks = run_oracle_suite(Family(family), int(s))
+    expected = json.loads(GOLDEN.read_text())[curve]
+    assert [[c.name, c.ok, c.detail] for c in checks] == expected
