@@ -10,6 +10,12 @@ set and dict lookups).  Every pair is still compared; no gcd, valuation,
 CRT step or closed form enters, and memory stays bounded by the shorter
 side.
 
+A domain with one column (n2 = m, the dominant shape in the Ree oracle)
+is the extreme of that rule: its only column residue is 0, so a row counts
+iff one of its images i*r is 0 mod m.  The shorter side is then the
+multiples of m below rows*r, tested against the progression i*r; with r
+folded to min(r, m-r) that is at most rows/2 items per step.
+
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
 translating the whole set by a group element costs a handful of wide-int
@@ -19,8 +25,8 @@ shift/mask operations instead of one operation per member.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import repeat
-from operator import countOf, mod
+from itertools import compress, repeat
+from operator import countOf, mod, not_
 
 BACKEND_NAME = "pure"
 
@@ -32,23 +38,51 @@ def _residues(start: int, step: int, count: int, m: int):
     return map(mod, range(start, start + count * step, step), repeat(m))
 
 
+def _vanishing_rows(m: int, rows: int, r: int):
+    """The rows i < rows with i*r = 0 (mod m), for r > 0, as a stream.
+
+    i*r runs over the progression range(0, rows*r, r); its members that are
+    multiples of m are found among the multiples of m below rows*r, which
+    are ceil(rows*r/m) instead of rows.
+    """
+    multiples = range(0, rows * r, m)
+    hits = compress(multiples, map(not_, map(mod, multiples, repeat(r))))
+    return map(range(0, rows * r, r).index, hits)
+
+
 def _pair_count(
     m: int, rows: int, n2: int, steps, skip_rows: tuple[int, ...] = ()
 ) -> int:
     """Number of pairs (i, j), 0 <= i < rows, 0 <= j < m/n2, i not in
     skip_rows, with j*n2 = i*r (mod m) for at least one r in steps.
 
-    The shorter side is tabulated.  Fewer rows: each row adds its set of
-    distinct images i*r mod m to a Counter, and the column residues are
-    looked up in it.  Otherwise the rows' images are streamed, one stream
-    per step, and zipped so that each row's images arrive together: a row
-    counts each column residue among its images once, however many steps
-    give it.  Several columns: the residues, all distinct, are tabulated as
-    a set and intersected with each row's images.  One column: its residue
-    is 0, and all() over a row's images tells whether one of them is 0
-    without building a set per row.
+    One column (n2 = m, the dominant shape): its residue is 0, so row i
+    counts iff i*r = 0 (mod m) for some r.  i*r and i*(m-r) vanish
+    together, so r is folded to r' = min(r, m-r) and the multiples of m
+    below rows*r' are tested against the progression i*r': at most rows/2
+    items per step.  A zero step hits every row.  Several steps put their
+    hit rows into one set, so a row that several steps hit counts once.
+
+    Otherwise the shorter side is tabulated.  Fewer rows: each row adds its
+    set of distinct images i*r mod m to a Counter, and the column residues
+    are looked up in it.  More rows: the rows' images are streamed, one
+    stream per step, and zipped so that each row's images arrive together;
+    the column residues, all distinct, are tabulated as a set and
+    intersected with each row's images, so a row counts each column residue
+    once, however many steps give it.
     """
     cols = m // n2
+    if cols == 1:
+        folded = {min(r, m - r) for r in steps}
+        if 0 in folded:
+            return rows - len(skip_rows)
+        if len(folded) == 1 and not skip_rows:
+            (r,) = folded
+            return countOf(map(mod, range(0, rows * r, m), repeat(r)), 0)
+        hit_rows: set[int] = set()
+        for r in folded:
+            hit_rows.update(_vanishing_rows(m, rows, r))
+        return len(hit_rows.difference(skip_rows))
     column_residues = range(0, cols * n2, n2)  # j*n2 < m: already reduced
     if rows < cols:
         table: Counter[int] = Counter()
@@ -56,18 +90,12 @@ def _pair_count(
             if i not in skip_rows:
                 table.update({i * r % m for r in steps})
         return sum(map(table.get, column_residues, repeat(0)))
+    columns = set(column_residues)
     images = [_residues(0, r, rows, m) for r in steps]
-    if cols > 1:
-        columns = set(column_residues)
-        hits = sum(map(len, map(columns.intersection, zip(*images))))
-        for i in skip_rows:
-            hits -= len(columns.intersection({i * r % m for r in steps}))
-        return hits
-    if len(images) == 1:  # zipping one stream would double the cost per row
-        hits = countOf(images[0], 0)
-    else:
-        hits = countOf(map(all, zip(*images)), False)
-    return hits - sum(not all(i * r % m for r in steps) for i in skip_rows)
+    hits = sum(map(len, map(columns.intersection, zip(*images))))
+    for i in skip_rows:
+        hits -= len(columns.intersection({i * r % m for r in steps}))
+    return hits
 
 
 def sigma_cm_iota_counts(
@@ -85,10 +113,7 @@ def sigma_cm_iota_counts(
     pure tau power for every j except those with B = 0.
     """
     rows, cols = m // n1, m // n2
-    sigma_exponents = range(0, rows * n1, n1)
-    tau_rows = tuple(
-        sigma_exponents.index(x) for x in range(0, rows * n1, m) if x in sigma_exponents
-    )
+    tau_rows = tuple(_vanishing_rows(m, rows, n1))
     column_residues = range(0, cols * n2, n2)
     tau_count = sum(cols - countOf(column_residues, -i * a % m) for i in tau_rows)
     steps = {(n1 * qd - a) % m for qd in q_powers}

@@ -105,8 +105,11 @@ def _cmd_spectrum(args) -> int:
     else:
         text = render_table(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise SystemExit(f"cannot write {args.out}: {exc.strerror}") from None
         print(f"wrote {report.record_count} records to {args.out}")
     else:
         sys.stdout.write(text)

@@ -6,7 +6,9 @@ per-element weights over enumerated elements, congruence solutions are
 counted pair by pair, and subgroup lists come from set closure.  The pair
 counts run as table joins in the kernels (the shorter side of the
 fundamental domain tabulated, the longer side streamed past it), which
-compares the same pairs as a double loop without interpreting one.  Census
+compares the same pairs as a double loop without interpreting one; on a
+one-column domain (n2 = m) they stream the multiples of m that the
+progression i*r can reach, at most half as many items as rows.  Census
 sums add each distinct term once and multiply it by the number of elements
 that carry it: the weight of sigma*tau^k depends on the class of sigma and
 on k, not on which element of the class sigma is.  The only shared code
@@ -17,13 +19,15 @@ The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
 field with eight elements by semilinear affine maps x -> a*x^(2^j) + b, and
 PSL(2,8) acts on the projective line over that field by fractional linear
-maps.
+maps.  A realization does not depend on the curve, so each group is closed
+once per process.
 """
 
 from __future__ import annotations
 
 import os
 from collections import Counter
+from functools import cache
 from itertools import repeat
 from operator import countOf, mod
 
@@ -442,11 +446,20 @@ _PERM_GENERATORS: dict[str, list[tuple[int, ...]]] = {
 }
 
 
-def realize_census(group_tag: str) -> dict[int, int]:
-    """Order census of a tagged group from its permutation realization."""
+@cache
+def _realized_census(group_tag: str) -> tuple[tuple[int, int], ...]:
     try:
         generators = _PERM_GENERATORS[group_tag]
     except KeyError:
         raise ValueError(f"unknown group tag {group_tag!r}") from None
     group = _perm_closure(generators)
-    return dict(sorted(Counter(_perm_order(p) for p in group).items()))
+    return tuple(sorted(Counter(_perm_order(p) for p in group).items()))
+
+
+def realize_census(group_tag: str) -> dict[int, int]:
+    """Order census of a tagged group from its permutation realization.
+
+    The closure does not depend on the curve, so it runs once per tag per
+    process; each call returns a fresh dict.
+    """
+    return dict(_realized_census(group_tag))

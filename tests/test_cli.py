@@ -177,3 +177,11 @@ def test_bad_run_arguments_are_one_line_errors(args, text):
     done = run_cli(*args)
     assert_one_line_error(done, text)
     assert done.returncode == 1 and done.stdout == ""
+
+
+def test_spectrum_out_to_an_unwritable_path_is_a_one_line_error(tmp_path):
+    target = tmp_path / "no-such-dir" / "x.csv"
+    done = run_cli("spectrum", "--family", "suzuki", "--s", "1", "--out", str(target))
+    assert_one_line_error(done, f"cannot write {target}")
+    assert done.returncode == 1 and done.stdout == ""
+    assert not target.parent.exists()

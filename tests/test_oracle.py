@@ -153,6 +153,14 @@ def test_n2_realization_census_value():
         realize_census("sporadic")
 
 
+def test_a_caller_cannot_change_the_cached_census():
+    first = realize_census("psl28")
+    first[2] = -1
+    first[99] = 1
+    assert realize_census("psl28") == dict(census("psl28").counts)
+    assert realize_census("psl28") is not realize_census("psl28")
+
+
 def test_congruence_crt_law_small():
     # count * n1 * n2 = m * prod p^nu for every triple and power
     from skabelund.arith import valuation

@@ -4,10 +4,13 @@ The kernels count pairs as table joins, and the census sums add each
 distinct term once.  The references below are the nested-loop kernels and
 the per-element census loops those replaced, kept as the slow paths the
 fast ones must agree with: on every kernel call the oracle suite makes for
-Suzuki s <= 6 and Ree s <= 4, on random small cases, and on every census
-case for s <= 4.  Beyond that, the suite must reproduce the verdicts and
-details recorded in data/oracle_golden.json by the nested-loop oracle for
-Suzuki s = 5 and 6.
+Suzuki s <= 6 and Ree s <= 4, on random small cases (with a separate
+strategy for the one-column domains n2 = m, whose count streams the
+multiples of m), and on every census case for s <= 4.  Beyond that, the
+suite must reproduce the verdicts and details recorded in
+data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
+and for Ree s = 5 (the longest one-column domains within the caps) by the
+table-join oracle before the one-column count.
 """
 
 import json
@@ -220,6 +223,47 @@ def test_kernels_match_the_nested_loops_on_small_cases(case):
     )
 
 
+@st.composite
+def one_column_cases(draw):
+    """n2 = m with steps n1*q^d - a that hold 0, mirror pairs r, m - r and,
+    for even m, m/2."""
+    m = draw(st.integers(1, 400))
+    n1 = draw(st.sampled_from(divisors(m)))
+    # every step n1*q - a lies in the class of -a mod n1; keeping that class
+    # at 0 or n1/2 lets a step set hold 0, mirror pairs and m/2
+    shift = draw(st.sampled_from([0, n1 // 2])) if n1 % 2 == 0 else 0
+    a = n1 * draw(st.integers(-2, 2 * m)) - shift
+    reachable = range(shift, m, n1)
+    steps = draw(st.lists(st.sampled_from(reachable), min_size=1, max_size=6))
+    steps += [(m - r) % m for r in draw(st.lists(st.sampled_from(steps), max_size=3))]
+    specials = [x for x in (0, m // 2) if 2 * x % m == 0 and x in reachable]
+    if specials:
+        steps += draw(st.lists(st.sampled_from(specials), max_size=2))
+    q_powers = tuple(
+        (r + a) // n1 + draw(st.integers(0, 2)) * (m // n1) for r in steps
+    )
+    assert {(n1 * qd - a) % m for qd in q_powers} == set(steps)
+    rhs = draw(
+        st.one_of(
+            st.sampled_from(steps),
+            st.sampled_from([0, m // 2, m - 1]),
+            st.integers(-m, 2 * m),
+        )
+    )
+    return m, n1, a, rhs, q_powers
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_column_cases())
+def test_one_column_kernels_match_the_nested_loops(case):
+    m, n1, a, rhs, q_powers = case
+    for r in (rhs, -rhs, m - rhs):
+        assert pure.congruence_count(m, n1, m, r) == ref_congruence_count(m, n1, m, r)
+    assert pure.sigma_cm_iota_counts(m, n1, m, a, q_powers) == ref_sigma_cm_iota_counts(
+        m, n1, m, a, q_powers
+    )
+
+
 def test_kernels_count_coinciding_images_once():
     # m = 12, a = 0: the element (i, j) is sigma^i tau^j
     # powers 1, 13, 25 are all 1 mod 12: one image, the diagonal j = i != 0
@@ -271,7 +315,7 @@ def test_skew_census_matches_the_element_loop(s, default_caps):
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
 
 
-@pytest.mark.parametrize("curve", ["suzuki-5", "suzuki-6"])
+@pytest.mark.parametrize("curve", ["suzuki-5", "suzuki-6", "ree-5"])
 def test_oracle_reproduces_the_recorded_verdicts(curve, default_caps):
     family, s = curve.split("-")
     checks = run_oracle_suite(Family(family), int(s))
