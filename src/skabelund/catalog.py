@@ -151,20 +151,27 @@ def standard_exponent_step(m: int, n1: int, n2: int) -> int:
     return n1n2 // math.gcd(n1n2, m)
 
 
+def standard_exponent_blocks(m: int) -> list[tuple[int, int, int]]:
+    """(n1, n2, step) per block of enumerate_standard_exponents, in its order.
+
+    The block (n1, n2) holds the n2/step triples (n1, n2, j*step), all of
+    order m^2/(n1*n2).
+    """
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got {m}")
+    divs = divisors(m)
+    return [(n1, n2, standard_exponent_step(m, n1, n2)) for n1 in divs for n2 in divs]
+
+
 def enumerate_standard_exponents(m: int) -> list[StandardExponents]:
     """All standard-exponent triples for C_m x C_m, lexicographic by (n1, n2, a).
 
     Exactly one triple per subgroup; the bijection with closure-enumerated
     subgroups is certified by the oracle test suite.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    divs = divisors(m)
     out = []
-    for n1 in divs:
-        for n2 in divs:
-            step = standard_exponent_step(m, n1, n2)
-            out.extend(StandardExponents(n1, n2, a) for a in range(0, n2, step))
+    for n1, n2, step in standard_exponent_blocks(m):
+        out.extend(StandardExponents(n1, n2, a) for a in range(0, n2, step))
     return out
 
 

@@ -11,9 +11,19 @@ one-column domain (n2 = m) they stream the multiples of m that the
 progression i*r can reach, at most half as many items as rows.  Census
 sums add each distinct term once and multiply it by the number of elements
 that carry it: the weight of sigma*tau^k depends on the class of sigma and
-on k, not on which element of the class sigma is.  The only shared code
-with the formula modules is the iota classification layer, which is
-exactly the point of contact the cross-checks are meant to pin.
+on k, not on which element of the class sigma is.  A census still weighs
+every element it adds: it binds a weigher of the iota layer once per class
+(ree_weigher, suzuki_weigher, sigma_weigher) and streams it over the
+elements with map.  The only shared code with the formula modules is the
+iota classification layer, which is exactly the point of contact the
+cross-checks are meant to pin.
+
+A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
+affine part (a, b).  Right multiplication by an element moves each bucket
+to one bucket and rotates its bits, so the closure adds S*g^(2^j) for
+j = 0, 1, ... to S until nothing is added, for each generator g in turn,
+until S*g is inside S for every generator; its census counts the buckets,
+not the elements.
 
 The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
@@ -28,13 +38,23 @@ from __future__ import annotations
 import os
 from collections import Counter
 from functools import cache
-from itertools import repeat
+from itertools import compress, repeat
 from operator import countOf, mod
 
 from . import _kernels
 from .catalog import StandardExponents, subgroup_order_sigma
 from .curves import CurveParams, Family
-from .iota import OrderClassRee, OrderClassSz, iota_ree, iota_sigma_element, iota_suzuki
+from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
+    OrderClassRee,
+    OrderClassSz,
+    iota_ree,
+    iota_sigma_element,
+    iota_suzuki,
+    ree_weigher,
+    sigma_weigher,
+    suzuki_weigher,
+)
+from .iota import census as census_table
 
 DEFAULT_MAX_ELEMENTS = 400_000
 DEFAULT_MAX_CLOSURE_M = 60
@@ -152,14 +172,12 @@ def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
         raise ValueError("delta_b0_census needs Suzuki parameters")
     if (params.q - 1) % d != 0 or params.m % n != 0:
         raise ValueError(f"invalid divisors (d={d}, n={n})")
-    total = sum(
-        iota_suzuki(params, OrderClassSz.TAU, k) for k in range(1, n)
-    )
+    total = sum(map(suzuki_weigher(params, OrderClassSz.TAU), range(1, n)))
     total += (d - 1) * sum(
-        iota_suzuki(params, OrderClassSz.DIVIDES_Q_MINUS_1, k) for k in range(n)
+        map(suzuki_weigher(params, OrderClassSz.DIVIDES_Q_MINUS_1), range(n))
     )
     if dihedral:
-        total += d * sum(iota_suzuki(params, OrderClassSz.ORDER2, k) for k in range(n))
+        total += d * sum(map(suzuki_weigher(params, OrderClassSz.ORDER2), range(n)))
     return total
 
 
@@ -177,8 +195,6 @@ def delta_census(
     same dict as cosets: each sum is then computed by the first call that
     needs it.  The dict must not be shared between curves or values of n.
     """
-    from .iota import census as census_table
-
     if params.family is not Family.REE:
         raise ValueError("delta_census needs Ree parameters")
     if params.m % n != 0:
@@ -190,7 +206,7 @@ def delta_census(
     def coset(order: int) -> int:
         key = (order, cen.order3_central if order == 3 else None)
         if key not in cosets:
-            cosets[key] = _ree_coset_sum(params, order, cen.order3_central, n)
+            cosets[key] = _ree_coset_sum(params, key, n)
         return cosets[key]
 
     total = coset(1)
@@ -200,38 +216,36 @@ def delta_census(
     return total
 
 
-_REE_ORDER_CLASSES = {
-    2: OrderClassRee.ORDER2,
-    6: OrderClassRee.ORDER6,
-    9: OrderClassRee.ORDER9,
+# (element order, central in a Sylow 3-subgroup or None) -> order class of
+# sigma in a Ree(3)-side group; order 1 stands for the tau powers, k != 0
+_REE_COSET_CLASSES = {
+    (1, None): OrderClassRee.TAU,
+    (2, None): OrderClassRee.ORDER2,
+    (3, True): OrderClassRee.ORDER3_CENTRAL,
+    (3, False): OrderClassRee.ORDER3_NONCENTRAL,
+    (6, None): OrderClassRee.ORDER6,
+    (9, None): OrderClassRee.ORDER9,
 }
 
 
-def _ree_coset_sum(
-    params: CurveParams, order: int, order3_central: bool | None, n: int
-) -> int:
-    """Weight sum of sigma*tau^k over k in range(n), for sigma of the given
-    order in a Ree(3)-side group; order 1 stands for the tau powers, k != 0.
+def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) -> int:
+    """Weight sum of sigma*tau^k over k in range(n), for sigma of the order
+    and centrality in key (see _REE_COSET_CLASSES); for the tau powers the
+    sum runs over k != 0.
 
     Order-2 elements weigh q+1 on every k, order-6 elements 1, order-3 and
     order-9 elements their k=0 weight and 1 elsewhere.  Order-7 elements
     weigh 0 except at the special tau powers, the k != 0 with 7*k = 0 in
     C_n, which weigh m each.
     """
-    if order == 1:
-        return sum(iota_ree(params, OrderClassRee.TAU, k) for k in range(1, n))
-    if order == 7:
+    if key[0] == 7:
         return params.m * countOf(map(mod, range(7, 7 * n, 7), repeat(n)), 0)
-    if order == 3:
-        if order3_central:
-            klass = OrderClassRee.ORDER3_CENTRAL
-        else:
-            klass = OrderClassRee.ORDER3_NONCENTRAL
-    elif order in _REE_ORDER_CLASSES:
-        klass = _REE_ORDER_CLASSES[order]
-    else:
-        raise ValueError(f"unexpected element order {order} in census")
-    return sum(iota_ree(params, klass, k) for k in range(n))
+    try:
+        klass = _REE_COSET_CLASSES[key]
+    except KeyError:
+        raise ValueError(f"unexpected (order, central) {key} in census") from None
+    first = 1 if klass is OrderClassRee.TAU else 0
+    return sum(map(ree_weigher(params, klass), range(first, n)))
 
 
 # --- F8 arithmetic and the skew-subgroup element oracle ---------------------
@@ -265,15 +279,19 @@ for _c in range(7):
 del _c, _v
 
 
-def materialize_skew_subgroup(
-    params: CurveParams, variant: str, i: int, w: int
-) -> set[tuple[int, int, int]]:
-    """Element set of H_{i,w} (variant 'full') or H'_{i,w} ('cyclic').
+# bin() digits '0'/'1' as the bytes 0/1, selectors for itertools.compress
+_BIT_DIGITS = bytes.maketrans(b"01", bytes((0, 1)))
 
-    Elements are triples (a, b, e) meaning the affine map x -> a*x + b on F8
-    (an element of the order-56 subgroup of N2) paired with tau^e.  Closure
-    of the generating set, no structure theory used.
-    """
+
+def _bit_positions(bits: int):
+    """Positions of the set bits of a non-negative int, ascending."""
+    digits = bin(bits)[:1:-1].encode().translate(_BIT_DIGITS)
+    return compress(range(len(digits)), digits)
+
+
+def _skew_generators(
+    params: CurveParams, variant: str, i: int, w: int
+) -> list[tuple[int, int, int]]:
     if params.family is not Family.REE:
         raise ValueError("skew subgroups need Ree parameters")
     m = params.m
@@ -285,24 +303,62 @@ def materialize_skew_subgroup(
         raise ValueError(f"i={i} out of range 1..6")
     if variant not in ("full", "cyclic"):
         raise ValueError(f"unknown variant {variant!r}")
-
     gens = [(F8_GENERATOR, 0, (i * w) % m)]
     if variant == "full":
         gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
-    identity = (1, 0, 0)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a1, b1, e1 in frontier:
+    return gens
+
+
+def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
+    """Closure of gens as {(a, b): m-bit int whose bit e marks (a, b, e)}.
+
+    The product (a1, b1, e1)(a2, b2, e2) is (a1*a2, a1*b2 + b1, e1 + e2), so
+    right multiplication by one element moves every bucket (a, b) to one
+    bucket and rotates its bits by e2.  S <- S*<g> is built by doubling
+    (S <- S u S*g^(2^j) until nothing is added), generator after
+    generator, until S*g is inside S for every generator.
+    """
+    full = (1 << m) - 1
+
+    def times(group, g):
+        a2, b2, e2 = g
+        out = {}
+        for (a1, b1), bits in group.items():
             row = _F8_MUL[a1]
-            for a2, b2, e2 in gens:
-                prod = (row[a2], row[b2] ^ b1, (e1 + e2) % m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
+            out[row[a2], row[b2] ^ b1] = ((bits << e2) | (bits >> (m - e2))) & full
+        return out
+
+    group = {(1, 0): 1}  # the identity (1, 0, 0)
+    closed = False
+    while not closed:
+        closed = True
+        for g in gens:
+            power = g
+            while True:
+                grown = dict(group)
+                for key, bits in times(group, power).items():
+                    grown[key] = grown.get(key, 0) | bits
+                if grown == group:
+                    break
+                group, closed = grown, False
+                a, b, e = power
+                power = (_F8_MUL[a][a], _F8_MUL[a][b] ^ b, (2 * e) % m)
+    return group
+
+
+def materialize_skew_subgroup(
+    params: CurveParams, variant: str, i: int, w: int
+) -> set[tuple[int, int, int]]:
+    """Element set of H_{i,w} (variant 'full') or H'_{i,w} ('cyclic').
+
+    Elements are triples (a, b, e) meaning the affine map x -> a*x + b on F8
+    (an element of the order-56 subgroup of N2) paired with tau^e.  Closure
+    of the generating set (_close_skew), no structure theory used.
+    """
+    buckets = _close_skew(params.m, _skew_generators(params, variant, i, w))
+    return {
+        (a, b, e) for (a, b), bits in buckets.items() for e in _bit_positions(bits)
+    }
 
 
 def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
@@ -312,27 +368,28 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     order-7-bearing elements a*x+b (a = g^c != 1) reduce to the Singer-square
     weight of sigma^(c*m/7) tau^e: conjugation by a translation moves any
     such element onto r^c without touching e.  The weight of a*x+b paired
-    with tau^e therefore depends on (a, whether b = 0, e) only; the elements
-    are counted by that key and each key's weight is read once.
+    with tau^e therefore depends on (a, whether b = 0, e) only.  Buckets of
+    the closure (_close_skew) with the same a, the same "b = 0" and the same
+    bits are counted together, and the weights of their e are summed once.
     """
-    elements = materialize_skew_subgroup(params, variant, i, w)
-    expected_order = (56 if variant == "full" else 7) * (params.m // (7 * w))
-    assert len(elements) == expected_order, (
-        f"closure produced {len(elements)} elements, expected {expected_order}"
-    )
     m = params.m
+    buckets = _close_skew(m, _skew_generators(params, variant, i, w))
+    order = sum(bits.bit_count() for bits in buckets.values())
+    expected_order = (56 if variant == "full" else 7) * (m // (7 * w))
+    assert order == expected_order, (
+        f"closure produced {order} elements, expected {expected_order}"
+    )
+    buckets[1, 0] &= ~1  # the identity has no weight
     total = 0
-    terms = Counter((a, b != 0, e) for a, b, e in elements)
-    for (a, translated, e), count in terms.items():
+    terms = Counter((a, b != 0, bits) for (a, b), bits in buckets.items())
+    for (a, translated, bits), count in terms.items():
         if a != 1:
-            weight = iota_sigma_element(params, (_F8_LOG[a] * (m // 7)) % m, e)
+            weigher = sigma_weigher(params, (_F8_LOG[a] * (m // 7)) % m)
         elif translated:
-            weight = iota_ree(params, OrderClassRee.ORDER2, e)
-        elif e != 0:
-            weight = iota_ree(params, OrderClassRee.TAU, e)
+            weigher = ree_weigher(params, OrderClassRee.ORDER2)
         else:
-            continue  # the identity
-        total += count * weight
+            weigher = ree_weigher(params, OrderClassRee.TAU)
+        total += count * sum(map(weigher, _bit_positions(bits)))
     return total
 
 

@@ -35,8 +35,8 @@ from .catalog import (
     SubgroupDescriptor,
     enumerate_non_singer_descriptors,
     enumerate_standard_exponents,
+    standard_exponent_blocks,
     standard_exponent_elements,
-    subgroup_order_sigma,
 )
 from .curves import CurveParams, Family, make_params, seven_divides_m
 from .genus_ree import (
@@ -370,6 +370,34 @@ def sample_evenly(items: list, limit: int) -> list:
     return picked
 
 
+def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExponents]:
+    """sample_evenly(triples, limit) over the standard-exponent triples of
+    order <= cap, in enumerate_standard_exponents order, without listing them.
+
+    Each (n1, n2) block is a run of n2/step triples of one order, so the
+    picked indices (every stride-th, plus the last) are located block by
+    block and only the picked triples are built.
+    """
+    blocks = [
+        (n1, n2, step)
+        for n1, n2, step in standard_exponent_blocks(m)
+        if m * m // (n1 * n2) <= cap
+    ]
+    total = sum(n2 // step for _, n2, step in blocks)
+    stride = max(1, total // limit) if total > limit else 1
+    picked = []
+    start = 0  # index of the block's first triple
+    for n1, n2, step in blocks:
+        size = n2 // step
+        first = -start % stride  # offset of the block's first picked triple
+        picked.extend(StandardExponents(n1, n2, j * step) for j in range(first, size, stride))
+        start += size
+    if (total - 1) % stride:
+        n1, n2, step = blocks[-1]
+        picked.append(StandardExponents(n1, n2, n2 - step))
+    return picked
+
+
 def _none_within(cap: int, cases: list) -> str:
     """Explains a check that covered no case; such a check fails."""
     return "" if cases else f" (none within the element cap {cap})"
@@ -386,12 +414,7 @@ def run_oracle_suite(
     cap = max_elements_cap(max_elements)
     checks: list[OracleCheck] = []
 
-    triples = [
-        se
-        for se in enumerate_standard_exponents(params.m)
-        if subgroup_order_sigma(params.m, se) <= cap
-    ]
-    sampled = sample_evenly(triples, sample_limit)
+    sampled = sample_standard_exponents(params.m, cap, sample_limit)
 
     bad = []
     for se in sampled:
@@ -432,13 +455,9 @@ def run_oracle_suite(
 
     if params.m <= max_closure_m():
         subgroups = enumerate_subgroups_bruteforce(params.m)
-        generated = {
-            standard_exponent_elements(params.m, se)
-            for se in enumerate_standard_exponents(params.m)
-        }
-        ok = generated == subgroups and len(generated) == len(
-            enumerate_standard_exponents(params.m)
-        )
+        triples = enumerate_standard_exponents(params.m)
+        generated = {standard_exponent_elements(params.m, se) for se in triples}
+        ok = generated == subgroups and len(generated) == len(triples)
         checks.append(
             OracleCheck(
                 "subgroup enumeration: standard exponents vs closure",

@@ -18,13 +18,15 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund import _kernels
 from skabelund._kernels import pure
 from skabelund.arith import divisors
-from skabelund.curves import Family, make_params
+from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
+from skabelund.cli import DEFAULT_MAX_S
+from skabelund.curves import CurveParams, Family, make_params
 from skabelund.iota import (
     OrderClassRee,
     OrderClassSz,
@@ -32,17 +34,28 @@ from skabelund.iota import (
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
+    ree_weigher,
+    sigma_weigher,
+    suzuki_weigher,
 )
 from skabelund.oracle import (
     _F8_LOG,
     F8_GENERATOR,
+    _bit_positions,
+    _close_skew,
     delta_b0_census,
     delta_census,
     delta_skew_census,
     f8_mul,
+    materialize_skew_subgroup,
     max_elements_cap,
 )
-from skabelund.spectrum import run_oracle_suite, seven_divides_m
+from skabelund.spectrum import (
+    run_oracle_suite,
+    sample_evenly,
+    sample_standard_exponents,
+    seven_divides_m,
+)
 
 # --- references: the nested-loop kernels ------------------------------------
 
@@ -315,9 +328,173 @@ def test_skew_census_matches_the_element_loop(s, default_caps):
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
 
 
-@pytest.mark.parametrize("curve", ["suzuki-5", "suzuki-6", "ree-5"])
+@pytest.mark.parametrize(
+    "curve", ["suzuki-5", "suzuki-6", "ree-5", "ree-6", "suzuki-7", "suzuki-8"]
+)
 def test_oracle_reproduces_the_recorded_verdicts(curve, default_caps):
     family, s = curve.split("-")
     checks = run_oracle_suite(Family(family), int(s))
     expected = json.loads(GOLDEN.read_text())[curve]
     assert [[c.name, c.ok, c.detail] for c in checks] == expected
+
+
+# --- weighers, the index sample and the bitset closure -------------------------
+
+
+WEIGHER_CURVES = [(f, s) for f in Family for s in range(1, 5)]
+
+
+def _weight_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+@pytest.mark.parametrize(
+    "family, s", WEIGHER_CURVES, ids=[f"{f.value}-{s}" for f, s in WEIGHER_CURVES]
+)
+def test_class_weighers_match_the_iota_functions(family, s):
+    params = make_params(family, s)
+    if family is Family.SUZUKI:
+        iota, bind, classes = iota_suzuki, suzuki_weigher, OrderClassSz
+    else:
+        iota, bind, classes = iota_ree, ree_weigher, OrderClassRee
+    for klass in classes:
+        try:
+            weigher = bind(params, klass)
+        except ValueError as exc:  # Singer-cycle classes have no class weight
+            with pytest.raises(ValueError, match=str(exc)):
+                iota(params, klass, 1)
+            continue
+        for k in range(2 * params.m):
+            assert _weight_or_error(weigher, k) == _weight_or_error(
+                iota, params, klass, k
+            ), (klass, k)
+
+
+@pytest.mark.parametrize(
+    "family, s", WEIGHER_CURVES, ids=[f"{f.value}-{s}" for f, s in WEIGHER_CURVES]
+)
+def test_sigma_weighers_match_iota_sigma_element(family, s):
+    params = make_params(family, s)
+    m = params.m
+    exponents = set(range(0, m, max(1, m // 12))) | {1, m - 1, m, -1}
+    exponents |= {c * (m // 7) for c in range(7)} if m % 7 == 0 else set()
+    for a_exp in sorted(exponents):
+        weigher = sigma_weigher(params, a_exp)
+        for b_exp in range(2 * m):
+            assert _weight_or_error(weigher, b_exp) == _weight_or_error(
+                iota_sigma_element, params, a_exp, b_exp
+            ), (a_exp, b_exp)
+
+
+def _filtered_triples(m, cap):
+    return [se for se in enumerate_standard_exponents(m) if subgroup_order_sigma(m, se) <= cap]
+
+
+@pytest.mark.parametrize(
+    "family, s",
+    [(f, s) for f in Family for s in range(1, DEFAULT_MAX_S[f] + 1)],
+    ids=[f"{f.value}-{s}" for f in Family for s in range(1, DEFAULT_MAX_S[f] + 1)],
+)
+def test_index_sample_matches_the_list_sample(family, s, default_caps):
+    m = make_params(family, s).m
+    cap = max_elements_cap()
+    triples = _filtered_triples(m, cap)
+    n = len(triples)
+    for limit in sorted({1, 2, 24, 50, 60, n - 1, n, n + 1} - {0}):
+        assert sample_standard_exponents(m, cap, limit) == sample_evenly(triples, limit), limit
+
+
+@st.composite
+def sample_cases(draw):
+    m = draw(st.integers(1, 400))
+    cap = draw(st.one_of(st.just(0), st.integers(0, m * m + 1)))
+    total = len(_filtered_triples(m, cap))
+    limit = draw(st.one_of(st.integers(1, total + 3), st.just(total + 1)))
+    return m, cap, max(limit, 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sample_cases())
+@example((12, 0, 1))  # a cap that excludes every triple
+@example((12, 10**6, 28))  # limit = total
+@example((12, 10**6, 29))  # limit > total
+@example((360, 360, 7))
+def test_index_sample_matches_the_list_sample_on_any_cap(case):
+    m, cap, limit = case
+    assert sample_standard_exponents(m, cap, limit) == sample_evenly(
+        _filtered_triples(m, cap), limit
+    )
+
+
+@pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
+def test_bitset_closure_matches_the_element_closure(s):
+    params = make_params(Family.REE, s)
+    for w in divisors(params.m // 7):
+        for i in range(1, 7):
+            for variant in ("full", "cyclic"):
+                assert materialize_skew_subgroup(
+                    params, variant, i, w
+                ) == ref_materialize_skew_subgroup(params, variant, i, w), (variant, i, w)
+
+
+def _ree_params_with_m(m):
+    return CurveParams(Family.REE, 1, 3, 27, m, 6, 0, (1,), 1)
+
+
+@st.composite
+def skew_cases(draw):
+    k = draw(st.integers(1, 300))
+    w = draw(st.sampled_from(divisors(k)))
+    return 7 * k, draw(st.sampled_from(("full", "cyclic"))), draw(st.integers(1, 6)), w
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_cases())
+@example((7, "full", 1, 1))
+@example((14, "cyclic", 2, 1))  # i*w shares a factor with m: a smaller group
+@example((7 * 60, "full", 6, 5))
+def test_bitset_closure_matches_the_element_closure_on_synthetic_m(case):
+    m, variant, i, w = case
+    params = _ree_params_with_m(m)
+    assert materialize_skew_subgroup(params, variant, i, w) == ref_materialize_skew_subgroup(
+        params, variant, i, w
+    )
+
+
+def ref_close_affine(m, gens):
+    identity = (1, 0, 0)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for a1, b1, e1 in frontier:
+            for a2, b2, e2 in gens:
+                prod = (f8_mul(a1, a2), f8_mul(a1, b2) ^ b1, (e1 + e2) % m)
+                if prod not in seen:
+                    seen.add(prod)
+                    nxt.append(prod)
+        frontier = nxt
+    return seen
+
+
+@st.composite
+def affine_generators(draw):
+    """Any maps x -> a*x + b (a != 0) paired with tau^e, not only the skew
+    generators: translations by a non-identity a, several rotations."""
+    m = draw(st.integers(1, 60))
+    gen = st.tuples(st.integers(1, 7), st.integers(0, 7), st.integers(0, m - 1))
+    return m, draw(st.lists(gen, min_size=1, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(affine_generators())
+@example((5, [(1, 3, 0), (1, 5, 1)]))  # translations only: order-2 powers
+@example((6, [(3, 1, 2)]))  # one map with a != 1 and b != 0
+def test_bitset_closure_matches_the_element_closure_on_any_generators(case):
+    m, gens = case
+    buckets = _close_skew(m, gens)
+    got = {(a, b, e) for (a, b), bits in buckets.items() for e in _bit_positions(bits)}
+    assert got == ref_close_affine(m, gens)
