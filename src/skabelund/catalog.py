@@ -12,16 +12,22 @@ Sylow 2-subgroup of Ree(3)) on the Ree side.  Families whose genus formulas
 exist only in earlier work (Frobenius, opposite Singer normalizer,
 involution centralizer, N, and subfield-subgroup products) are deliberately
 not cataloged; spectrum reports carry a completeness note to that effect.
+
+KINDS defines each cataloged kind once: its name, descriptor class,
+parameters, curve family, enumerator and closed-form evaluator.  The CLI,
+the spectrum pipeline and the exports read that table.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from typing import Union
+from operator import attrgetter
+from typing import NamedTuple, Union
 
 from .arith import divisors
-from .curves import CurveParams, Family, seven_divides_m
+from .curves import CurveParams, Family
 
 N2_SUBGROUP_ORDERS = (168, 56, 24, 12, 8, 4)
 
@@ -198,35 +204,109 @@ def standard_exponent_elements(m: int, se: StandardExponents) -> frozenset[tuple
     )
 
 
+def _b0(cls):
+    """Enumerator of C_d x C_n resp. D_d x C_n: d | q-1 major, n | m minor."""
+    return lambda params, m_divs: (cls(d, n) for d in divisors(params.q - 1) for n in m_divs)
+
+
+def _skew(cls):
+    """Enumerator of a skew N2 family: w with 7w | m major, i = 1..6 minor."""
+    return lambda params, m_divs: (
+        cls(i, w) for w in m_divs if params.m % (7 * w) == 0 for i in range(1, 7)
+    )
+
+
+def _sigma_cm_genus(params: CurveParams, h: SigmaCm) -> GenusRecord:
+    if params.family is Family.SUZUKI:
+        return genus_suzuki.genus_sigma_cm_suzuki(params, h.se)
+    return genus_ree.genus_sigma_cm_ree(params, h.se)
+
+
+class DescriptorKind(NamedTuple):
+    """One cataloged subgroup family: everything the package knows of a kind.
+
+    The evaluators look the genus functions up on their modules at call
+    time, so whatever those module attributes hold is what runs.
+    """
+
+    name: str  # CLI and export name
+    cls: type  # the descriptor dataclass
+    fields: tuple[str, ...]  # attribute paths of the parameters, in export order
+    make: Callable[..., SubgroupDescriptor]  # descriptor from the parameters
+    family: Family | None  # the curve family that has the kind; None: both
+    # (params, divisors of m) -> the kind's descriptors on that curve, in order
+    enumerate: Callable[[CurveParams, list[int]], Iterable[SubgroupDescriptor]]
+    evaluate: Callable[[CurveParams, SubgroupDescriptor], GenusRecord]
+
+    def params(self, descriptor: SubgroupDescriptor) -> tuple[int, ...]:
+        return tuple(attrgetter(f)(descriptor) for f in self.fields)
+
+
+KINDS: tuple[DescriptorKind, ...] = (
+    DescriptorKind(
+        "sigma-cm", SigmaCm, ("se.n1", "se.n2", "se.a"),
+        lambda n1, n2, a: SigmaCm(StandardExponents(n1, n2, a)), None,
+        lambda params, m_divs: map(SigmaCm, enumerate_standard_exponents(params.m)),
+        _sigma_cm_genus,
+    ),
+    DescriptorKind(
+        "b0-cyclic", B0Cyclic, ("d", "n"), B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),
+        lambda params, h: genus_suzuki.genus_b0_cyclic(params, h.d, h.n),
+    ),
+    DescriptorKind(
+        "b0-dihedral", B0Dihedral, ("d", "n"), B0Dihedral, Family.SUZUKI, _b0(B0Dihedral),
+        lambda params, h: genus_suzuki.genus_b0_dihedral(params, h.d, h.n),
+    ),
+    DescriptorKind(
+        "psl28", Psl28, ("n",), Psl28, Family.REE,
+        lambda params, m_divs: map(Psl28, m_divs),
+        lambda params, h: genus_ree.genus_psl28(params, h.n),
+    ),
+    DescriptorKind(
+        "n2-nonskew", N2NonSkew, ("k_order", "n"), N2NonSkew, Family.REE,
+        lambda params, m_divs: (N2NonSkew(k, n) for k in N2_SUBGROUP_ORDERS for n in m_divs),
+        lambda params, h: genus_ree.genus_n2_nonskew(params, h.k_order, h.n),
+    ),
+    DescriptorKind(
+        "n2-skew-full", N2SkewFull, ("i", "w"), N2SkewFull, Family.REE, _skew(N2SkewFull),
+        lambda params, h: genus_ree.genus_n2_skew_full(params, h.i, h.w),
+    ),
+    DescriptorKind(
+        "n2-skew-cyclic", N2SkewCyclic, ("i", "w"), N2SkewCyclic, Family.REE,
+        _skew(N2SkewCyclic),
+        lambda params, h: genus_ree.genus_n2_skew_cyclic(params, h.i, h.w),
+    ),
+)
+
+KINDS_BY_NAME = {kind.name: kind for kind in KINDS}
+_KINDS_BY_CLASS = {kind.cls: kind for kind in KINDS}
+
+
+def kind_of(descriptor: SubgroupDescriptor) -> DescriptorKind:
+    """The KINDS entry of a descriptor's class."""
+    try:
+        return _KINDS_BY_CLASS[type(descriptor)]
+    except KeyError:
+        raise ValueError(f"unknown descriptor {descriptor!r}") from None
+
+
+def _enumerate(params: CurveParams, kinds) -> list[SubgroupDescriptor]:
+    m_divs = divisors(params.m)
+    return [d for kind in kinds for d in kind.enumerate(params, m_divs)]
+
+
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
-    """All cataloged descriptors for one curve, in deterministic order: the
-    Singer square first, then enumerate_non_singer_descriptors."""
-    out: list[SubgroupDescriptor] = [
-        SigmaCm(se) for se in enumerate_standard_exponents(params.m)
-    ]
-    out.extend(enumerate_non_singer_descriptors(params))
-    return out
+    """All cataloged descriptors for one curve, kind by kind in KINDS order:
+    the Singer square first, then enumerate_non_singer_descriptors."""
+    return _enumerate(params, (k for k in KINDS if k.family in (None, params.family)))
 
 
 def enumerate_non_singer_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
-    """The cataloged descriptors outside the Singer square, in deterministic order."""
-    out: list[SubgroupDescriptor] = []
-    m_divs = divisors(params.m)
-    if params.family is Family.SUZUKI:
-        for d in divisors(params.q - 1):
-            for n in m_divs:
-                out.append(B0Cyclic(d, n))
-        for d in divisors(params.q - 1):
-            for n in m_divs:
-                out.append(B0Dihedral(d, n))
-    else:
-        out.extend(Psl28(n) for n in m_divs)
-        for k_order in N2_SUBGROUP_ORDERS:
-            out.extend(N2NonSkew(k_order, n) for n in m_divs)
-        if seven_divides_m(params):
-            skew_ws = divisors(params.m // 7)
-            for w in skew_ws:
-                out.extend(N2SkewFull(i, w) for i in range(1, 7))
-            for w in skew_ws:
-                out.extend(N2SkewCyclic(i, w) for i in range(1, 7))
-    return out
+    """The cataloged descriptors outside the Singer square (the one kind both
+    families have), kind by kind in KINDS order."""
+    return _enumerate(params, (k for k in KINDS if k.family is params.family))
+
+
+# the evaluators reach the genus modules, which import this one, through
+# these module attributes; importing them last leaves no import-order cycle
+from . import genus_ree, genus_suzuki  # noqa: E402

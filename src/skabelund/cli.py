@@ -19,7 +19,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import StandardExponents
+from .catalog import KINDS_BY_NAME
 from .curves import Family, make_params
 from .oracle import SettingError, env_int
 from .spectrum import (
@@ -57,38 +57,21 @@ def _check_s_cap(family: Family, s: int, allow_large: bool) -> None:
 
 
 def _parse_descriptor(spec: str):
-    kind, _, raw = spec.partition(":")
+    name, _, raw = spec.partition(":")
     try:
         values = [int(v) for v in raw.split(",")] if raw else []
     except ValueError:
         raise SystemExit(f"malformed descriptor parameters in {spec!r}") from None
-    from . import catalog
-
-    try:
-        if kind == "sigma-cm":
-            n1, n2, a = values
-            return catalog.SigmaCm(StandardExponents(n1, n2, a))
-        if kind == "b0-cyclic":
-            d, n = values
-            return catalog.B0Cyclic(d, n)
-        if kind == "b0-dihedral":
-            d, n = values
-            return catalog.B0Dihedral(d, n)
-        if kind == "psl28":
-            (n,) = values
-            return catalog.Psl28(n)
-        if kind == "n2-nonskew":
-            k_order, n = values
-            return catalog.N2NonSkew(k_order, n)
-        if kind == "n2-skew-full":
-            i, w = values
-            return catalog.N2SkewFull(i, w)
-        if kind == "n2-skew-cyclic":
-            i, w = values
-            return catalog.N2SkewCyclic(i, w)
-    except ValueError as exc:
-        raise SystemExit(f"bad parameter count for {kind!r}: {exc}") from None
-    raise SystemExit(f"unknown descriptor kind {kind!r}")
+    kind = KINDS_BY_NAME.get(name)
+    if kind is None:
+        raise SystemExit(f"unknown descriptor kind {name!r}")
+    if len(values) != len(kind.fields):
+        names = ",".join(f.rpartition(".")[2] for f in kind.fields)
+        raise SystemExit(
+            f"bad parameter count for {name!r}: expected {len(kind.fields)} "
+            f"({names}), got {len(values)}"
+        )
+    return kind.make(*values)
 
 
 def _cmd_spectrum(args) -> int:

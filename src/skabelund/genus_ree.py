@@ -4,27 +4,27 @@ Families handled: subgroups of the Singer-cycle square Sigma_- x C_m,
 PSL(2,8) x C_n, the non-skew products K x C_n with K one of the six
 relevant subgroups of N2 (orders 168, 56, 24, 12, 8, 4), and - when
 7 | m - the skew subgroups H_{i,w} = <s1, s2, s3, r*tau^(i*w)> and
-H'_{i,w} = <r*tau^(i*w)> of the order-56 group crossed with C_m.
+H'_{i,w} = <r*tau^(i*w)> of the order-56 group crossed with C_m.  The
+skew closed forms give the numerator 2|H|(g-1) = ambient_degree - delta, and
+make_record checks that 2|H| divides it.
 """
 
 from __future__ import annotations
 
 import math
 
+from . import singer
 from .catalog import (
+    N2_SUBGROUP_ORDERS,
     GenusRecord,
     N2NonSkew,
     N2SkewCyclic,
     N2SkewFull,
-    NonIntegralGenusError,
     Psl28,
-    SigmaCm,
     StandardExponents,
     make_record,
-    subgroup_order_sigma,
 )
 from .curves import CurveParams, Family
-from .singer import delta_sigma_cm
 
 
 def _require_ree(params: CurveParams) -> None:
@@ -35,9 +35,7 @@ def _require_ree(params: CurveParams) -> None:
 def genus_sigma_cm_ree(params: CurveParams, se: StandardExponents) -> GenusRecord:
     """Quotient by the subgroup of Sigma_- x C_m with standard exponents se."""
     _require_ree(params)
-    delta = delta_sigma_cm(params, se)
-    order = subgroup_order_sigma(params.m, se)
-    return make_record(params, SigmaCm(se), order, delta)
+    return singer.sigma_cm_record(params, se)
 
 
 def _validate_n(params: CurveParams, n: int) -> None:
@@ -80,7 +78,8 @@ def genus_n2_nonskew(params: CurveParams, k_order: int, n: int) -> GenusRecord:
     elif k_order == 4:
         delta = 3 * n * (q + 1) + tau_part
     else:
-        raise ValueError(f"k_order={k_order} not one of 168, 56, 24, 12, 8, 4")
+        orders = ", ".join(map(str, N2_SUBGROUP_ORDERS))
+        raise ValueError(f"k_order={k_order} not one of {orders}")
     return make_record(params, N2NonSkew(k_order, n), k_order * n, delta)
 
 
@@ -104,15 +103,8 @@ def genus_n2_skew_full(params: CurveParams, i: int, w: int) -> GenusRecord:
     n = _validate_skew(params, i, w)
     q, m = params.q, params.m
     extra = 0 if n % 7 == 0 else 48 * m
-    numerator = ((q**3 + 1) * (q - n - 1) - 7 * n * (q + 1) - extra) * w
-    if numerator % (16 * m) != 0:
-        raise NonIntegralGenusError(f"skew full (i={i}, w={w}): non-integral genus")
-    genus = numerator // (16 * m) + 1
-    order = 56 * n
-    delta = params.ambient_degree - order * (2 * genus - 2)
-    record = make_record(params, N2SkewFull(i, w), order, delta)
-    assert record.genus == genus
-    return record
+    numerator = (q**3 + 1) * (q - n - 1) - 7 * n * (q + 1) - extra
+    return make_record(params, N2SkewFull(i, w), 56 * n, params.ambient_degree - numerator)
 
 
 def genus_n2_skew_cyclic(params: CurveParams, i: int, w: int) -> GenusRecord:
@@ -120,12 +112,5 @@ def genus_n2_skew_cyclic(params: CurveParams, i: int, w: int) -> GenusRecord:
     n = _validate_skew(params, i, w)
     q, m = params.q, params.m
     extra = 0 if n % 7 == 0 else 6 * m
-    numerator = ((q**3 + 1) * (q - n - 1) - extra) * w
-    if numerator % (2 * m) != 0:
-        raise NonIntegralGenusError(f"skew cyclic (i={i}, w={w}): non-integral genus")
-    genus = numerator // (2 * m) + 1
-    order = 7 * n
-    delta = params.ambient_degree - order * (2 * genus - 2)
-    record = make_record(params, N2SkewCyclic(i, w), order, delta)
-    assert record.genus == genus
-    return record
+    numerator = (q**3 + 1) * (q - n - 1) - extra
+    return make_record(params, N2SkewCyclic(i, w), 7 * n, params.ambient_degree - numerator)

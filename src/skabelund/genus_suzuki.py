@@ -2,23 +2,16 @@
 
 Two subgroup families are handled: subgroups of the Singer-cycle square
 Sigma_- x C_m (by standard exponents) and the cyclic/dihedral subgroups
-C_d x C_n, D_d x C_n of B0 x C_m with d | q-1 and n | m.
+C_d x C_n, D_d x C_n of B0 x C_m with d | q-1 and n | m.  The B0 closed
+forms give the numerator 2|H|(g-1) = ambient_degree - delta, and
+make_record checks that 2|H| divides it.
 """
 
 from __future__ import annotations
 
-from .catalog import (
-    B0Cyclic,
-    B0Dihedral,
-    GenusRecord,
-    NonIntegralGenusError,
-    SigmaCm,
-    StandardExponents,
-    make_record,
-    subgroup_order_sigma,
-)
+from . import singer
+from .catalog import B0Cyclic, B0Dihedral, GenusRecord, StandardExponents, make_record
 from .curves import CurveParams, Family
-from .singer import delta_sigma_cm
 
 
 def _require_suzuki(params: CurveParams) -> None:
@@ -29,9 +22,7 @@ def _require_suzuki(params: CurveParams) -> None:
 def genus_sigma_cm_suzuki(params: CurveParams, se: StandardExponents) -> GenusRecord:
     """Quotient by the subgroup of Sigma_- x C_m with standard exponents se."""
     _require_suzuki(params)
-    delta = delta_sigma_cm(params, se)
-    order = subgroup_order_sigma(params.m, se)
-    return make_record(params, SigmaCm(se), order, delta)
+    return singer.sigma_cm_record(params, se)
 
 
 def _validate_b0(params: CurveParams, d: int, n: int) -> None:
@@ -46,15 +37,8 @@ def genus_b0_cyclic(params: CurveParams, d: int, n: int) -> GenusRecord:
     _require_suzuki(params)
     _validate_b0(params, d, n)
     q = params.q
-    order = d * n
     numerator = (q**2 + 1) * (q - n - 1) - 2 * (d - 1) * n
-    if numerator % (2 * order) != 0:
-        raise NonIntegralGenusError(f"B0 cyclic (d={d}, n={n}): non-integral genus")
-    genus = numerator // (2 * order) + 1
-    delta = params.ambient_degree - order * (2 * genus - 2)
-    record = make_record(params, B0Cyclic(d, n), order, delta)
-    assert record.genus == genus
-    return record
+    return make_record(params, B0Cyclic(d, n), d * n, params.ambient_degree - numerator)
 
 
 def genus_b0_dihedral(params: CurveParams, d: int, n: int) -> GenusRecord:
@@ -62,12 +46,5 @@ def genus_b0_dihedral(params: CurveParams, d: int, n: int) -> GenusRecord:
     _require_suzuki(params)
     _validate_b0(params, d, n)
     q, q0, m = params.q, params.q0, params.m
-    order = 2 * d * n
     numerator = (q**2 + 1) * (q - n - 1) - d * m * (2 * q0 + 1) - 3 * d * n + 2 * n
-    if numerator % (2 * order) != 0:
-        raise NonIntegralGenusError(f"B0 dihedral (d={d}, n={n}): non-integral genus")
-    genus = numerator // (2 * order) + 1
-    delta = params.ambient_degree - order * (2 * genus - 2)
-    record = make_record(params, B0Dihedral(d, n), order, delta)
-    assert record.genus == genus
-    return record
+    return make_record(params, B0Dihedral(d, n), 2 * d * n, params.ambient_degree - numerator)

@@ -206,19 +206,20 @@ class SingerSquare(NamedTuple):
         ]
 
 
-def _class_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
+def sigma_cm_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
+    """Genus record of the subgroup with standard exponents se, either family."""
     order = subgroup_order_sigma(params.m, se)
     return make_record(params, SigmaCm(se), order, delta_sigma_cm(params, se))
 
 
 def evaluate_singer_square(params: CurveParams) -> SingerSquare:
     """Class tables of every (n1, n2); each class's record is evaluated once,
-    on one member, by delta_sigma_cm and make_record."""
+    on one member, by sigma_cm_record."""
     divs = divisors(params.m)
     blocks = tuple(singer_block(params, n1, n2) for n1 in divs for n2 in divs)
     class_records = tuple(
         {
-            key: _class_record(params, StandardExponents(b.n1, b.n2, c.a))
+            key: sigma_cm_record(params, StandardExponents(b.n1, b.n2, c.a))
             for key, c in b.classes.items()
         }
         for b in blocks

@@ -23,18 +23,15 @@ from dataclasses import dataclass, field
 
 from .arith import divisors, valuation
 from .catalog import (
-    B0Cyclic,
-    B0Dihedral,
+    KINDS,
+    KINDS_BY_NAME,
+    N2_SUBGROUP_ORDERS,
     GenusRecord,
-    N2NonSkew,
-    N2SkewCyclic,
-    N2SkewFull,
-    Psl28,
-    SigmaCm,
     StandardExponents,
     SubgroupDescriptor,
     enumerate_non_singer_descriptors,
     enumerate_standard_exponents,
+    kind_of,
     standard_exponent_blocks,
     standard_exponent_elements,
 )
@@ -46,7 +43,7 @@ from .genus_ree import (
     genus_psl28,
     genus_sigma_cm_ree,
 )
-from .genus_suzuki import genus_b0_cyclic, genus_b0_dihedral, genus_sigma_cm_suzuki
+from .genus_suzuki import genus_b0_cyclic, genus_b0_dihedral
 from .iota import census
 from .oracle import (
     count_congruence_solutions,
@@ -76,55 +73,24 @@ CSV_HEADER = (
 )
 
 
-DESCRIPTOR_KINDS = {
-    SigmaCm: "sigma-cm",
-    B0Cyclic: "b0-cyclic",
-    B0Dihedral: "b0-dihedral",
-    Psl28: "psl28",
-    N2NonSkew: "n2-nonskew",
-    N2SkewFull: "n2-skew-full",
-    N2SkewCyclic: "n2-skew-cyclic",
-}
+DESCRIPTOR_KINDS = {kind.cls: kind.name for kind in KINDS}
 
 
 def descriptor_kind(descriptor: SubgroupDescriptor) -> str:
-    return DESCRIPTOR_KINDS[type(descriptor)]
+    return kind_of(descriptor).name
 
 
 def descriptor_params(descriptor: SubgroupDescriptor) -> tuple[int | None, ...]:
     """The (param1, param2, param3) columns; unused slots are None."""
-    if isinstance(descriptor, SigmaCm):
-        return (descriptor.se.n1, descriptor.se.n2, descriptor.se.a)
-    if isinstance(descriptor, (B0Cyclic, B0Dihedral)):
-        return (descriptor.d, descriptor.n, None)
-    if isinstance(descriptor, Psl28):
-        return (descriptor.n, None, None)
-    if isinstance(descriptor, N2NonSkew):
-        return (descriptor.k_order, descriptor.n, None)
-    return (descriptor.i, descriptor.w, None)
+    params = kind_of(descriptor).params(descriptor)
+    return params + (None,) * (3 - len(params))
 
 
 def evaluate_descriptor(
     params: CurveParams, descriptor: SubgroupDescriptor
 ) -> GenusRecord:
     """Closed-form genus record for one descriptor."""
-    if isinstance(descriptor, SigmaCm):
-        if params.family is Family.SUZUKI:
-            return genus_sigma_cm_suzuki(params, descriptor.se)
-        return genus_sigma_cm_ree(params, descriptor.se)
-    if isinstance(descriptor, B0Cyclic):
-        return genus_b0_cyclic(params, descriptor.d, descriptor.n)
-    if isinstance(descriptor, B0Dihedral):
-        return genus_b0_dihedral(params, descriptor.d, descriptor.n)
-    if isinstance(descriptor, Psl28):
-        return genus_psl28(params, descriptor.n)
-    if isinstance(descriptor, N2NonSkew):
-        return genus_n2_nonskew(params, descriptor.k_order, descriptor.n)
-    if isinstance(descriptor, N2SkewFull):
-        return genus_n2_skew_full(params, descriptor.i, descriptor.w)
-    if isinstance(descriptor, N2SkewCyclic):
-        return genus_n2_skew_cyclic(params, descriptor.i, descriptor.w)
-    raise ValueError(f"unknown descriptor {descriptor!r}")
+    return kind_of(descriptor).evaluate(params, descriptor)
 
 
 @dataclass(frozen=True)
@@ -159,8 +125,8 @@ class SpectrumReport:
                 for a, r in pairs:
                     yield "sigma-cm", (n1, n2, a), r.order, r.delta, r.genus
         for r in self.other_records:
-            params = tuple(x for x in descriptor_params(r.descriptor) if x is not None)
-            yield descriptor_kind(r.descriptor), params, r.order, r.delta, r.genus
+            kind = kind_of(r.descriptor)
+            yield kind.name, kind.params(r.descriptor), r.order, r.delta, r.genus
 
 
 def _evaluate(
@@ -189,7 +155,7 @@ def compute_spectrum(
 ) -> SpectrumReport:
     """Evaluate every cataloged descriptor (optionally one kind only)."""
     params = make_params(family, s)
-    kinds = tuple(DESCRIPTOR_KINDS.values())
+    kinds = tuple(KINDS_BY_NAME)
     if family_filter is not None:
         if family_filter not in kinds:
             raise ValueError(f"unknown subgroup family {family_filter!r}")
@@ -245,7 +211,7 @@ def render_json(report: SpectrumReport) -> str:
         sort_keys=True,
         indent=1,
     )
-    kinds = {kind: json.dumps(kind) for kind in DESCRIPTOR_KINDS.values()}
+    kinds = {name: json.dumps(name) for name in KINDS_BY_NAME}
     records = []
     for kind, params, order, delta, genus in report.rows():
         items = ",\n    ".join(map(str, params))  # every kind has a parameter
@@ -495,7 +461,7 @@ def run_oracle_suite(
 def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
     checks = []
     bad = []
-    for tag in ("psl28", "n2_168", "n2_56", "n2_24", "n2_12", "n2_8", "n2_4"):
+    for tag in ("psl28", *(f"n2_{k_order}" for k_order in N2_SUBGROUP_ORDERS)):
         table = census(tag)
         realized = realize_census(tag)
         if dict(table.counts) != realized or sum(realized.values()) != table.group_order:
@@ -513,7 +479,7 @@ def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
         cosets: dict = {}  # coset sums of this n, shared by the seven groups
         if genus_psl28(params, n).delta != delta_census("psl28", params, n, cosets):
             bad.append(f"psl28 n={n}")
-        for k_order in (168, 56, 24, 12, 8, 4):
+        for k_order in N2_SUBGROUP_ORDERS:
             formula = genus_n2_nonskew(params, k_order, n).delta
             if formula != delta_census(f"n2_{k_order}", params, n, cosets):
                 bad.append(f"n2_{k_order} n={n}")

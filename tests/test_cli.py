@@ -1,5 +1,6 @@
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,10 @@ import pytest
 
 import skabelund
 
-from skabelund.cli import main
+from skabelund.catalog import KINDS_BY_NAME, enumerate_descriptors
+from skabelund.cli import _parse_descriptor, main
+from skabelund.curves import Family, make_params
+from skabelund.spectrum import descriptor_kind, descriptor_params
 
 
 def test_verify_tables_exit_code(capsys):
@@ -96,15 +100,6 @@ def test_s_cap_override_env(monkeypatch, capsys):
     assert "order=1 " in capsys.readouterr().out
 
 
-def test_bad_descriptor_kind():
-    with pytest.raises(SystemExit):
-        main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "weyl:1"])
-    with pytest.raises(SystemExit):
-        main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:1"])
-    with pytest.raises(SystemExit):
-        main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:a,b"])
-
-
 def run_cli(*args, **env):
     """The CLI in a fresh interpreter, as a shell would start it."""
     src = str(Path(skabelund.__file__).resolve().parents[1])
@@ -123,6 +118,57 @@ def assert_one_line_error(done, text):
     assert "Traceback" not in done.stderr
     assert done.stderr.strip().count("\n") == 0
     assert text in done.stderr
+
+
+def test_bad_descriptor_kind():
+    for spec, text in (
+        ("weyl:1", "unknown descriptor kind 'weyl'"),
+        ("sigma-cm:1", "bad parameter count for 'sigma-cm': expected 3 (n1,n2,a), got 1"),
+        ("sigma-cm:a,b", "malformed descriptor parameters in 'sigma-cm:a,b'"),
+    ):
+        done = run_cli("genus", "--family", "suzuki", "--s", "1", "--descriptor", spec)
+        assert_one_line_error(done, text)
+        assert done.returncode == 1 and done.stdout == ""
+
+
+def test_descriptor_text_round_trips_through_the_kind_table(capsys):
+    """kind:params text of every descriptor parses back to that descriptor,
+    and `genus` prints the same text for it."""
+    seen = set()
+    for family, s in ((Family.SUZUKI, 1), (Family.SUZUKI, 2), (Family.REE, 1), (Family.REE, 2)):
+        for descriptor in enumerate_descriptors(make_params(family, s)):
+            params = [x for x in descriptor_params(descriptor) if x is not None]
+            text = f"{descriptor_kind(descriptor)}:{','.join(map(str, params))}"
+            assert _parse_descriptor(text) == descriptor
+            assert main(["genus", "--family", family.value, "--s", str(s),
+                         "--descriptor", text]) == 0
+            assert f" descriptor={text} " in capsys.readouterr().out
+            seen.add(descriptor_kind(descriptor))
+    assert seen == set(KINDS_BY_NAME)
+
+
+@pytest.mark.parametrize(
+    "module",
+    sorted(m.name for m in pkgutil.walk_packages(skabelund.__path__, "skabelund.")),
+)
+def test_each_submodule_imports_first(module):
+    """The submodule is the first package code a fresh interpreter runs: the
+    package is stubbed, so its __init__ imports nothing beforehand."""
+    code = (
+        "import importlib, sys, types\n"
+        "package = types.ModuleType('skabelund')\n"
+        "package.__path__ = [sys.argv[1]]\n"
+        "sys.modules['skabelund'] = package\n"
+        "importlib.import_module(sys.argv[2])\n"
+        "importlib.import_module('skabelund.cli')\n"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, skabelund.__path__[0], module],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_out_of_range_descriptor_is_a_one_line_error():
