@@ -1,20 +1,32 @@
 """Pure-Python kernels for the brute-force oracle inner loops.
 
 The two counting kernels enumerate the fundamental domain of a subgroup of
-the Singer square as pairs (i, j) and count the pairs that satisfy a
-congruence.  They do so as a table join rather than as an (i, j) double
-loop: the shorter side of the domain is tabulated once (a set or Counter of
-its residues mod m), and the longer side is streamed past that table through
-C-level iterators (range progressions, ``map(operator.mod, ..., repeat(m))``,
-set and dict lookups).  Every pair is still compared; no gcd, valuation,
-CRT step or closed form enters, and memory stays bounded by the shorter
-side.
+the Singer square as pairs (i, j), 0 <= i < rows, 0 <= j < cols, and count
+the pairs with j*n2 = i*r (mod m) for some step r.  No gcd, valuation, CRT
+step or closed form enters.
 
-A domain with one column (n2 = m, the dominant shape in the Ree oracle)
-is the extreme of that rule: its only column residue is 0, so a row counts
-iff one of its images i*r is 0 mod m.  The shorter side is then the
-multiples of m below rows*r, tested against the progression i*r; with r
-folded to min(r, m-r) that is at most rows/2 items per step.
+One step, any shape: n2 divides m, so the column residues j*n2 are exactly
+the multiples of n2 below m, and row i has a column j with j*n2 = i*r
+(mod m) exactly when n2 | i*r, and then exactly one.  The count is the
+number of rows hit by r mod n2 in modulus n2: a row scan.  r is folded to
+min(r, n2-r) first (i*r and i*(n2-r) vanish together), and the scan tests
+the multiples of n2 below rows*r against the progression i*r, at most
+rows/2 items; a zero step hits every row without a scan.  The multiples
+are reduced a chunk at a time and each chunk is searched for zeros, so a
+scan holds at most _CHUNK residues and never a set of all rows.
+
+Several steps on one column (n2 = m, the dominant shape in the Ree oracle)
+put their hit rows into one set, so a row that several steps hit counts
+once.  Several steps on several columns are a table join: the shorter side
+of the domain is tabulated once (a Counter of row images, or a set of the
+column residues) and the longer side streamed past it through C-level
+iterators, so memory stays bounded by the shorter side.
+
+A caller that counts the same rows several times (the oracle suite checks
+each sampled subgroup twice, with the same steps) may pass one scans dict
+to every call: each row scan is then run once and its hit rows kept in the
+dict, keyed by (modulus, rows, folded step).  Its lifetime is the caller's;
+nothing here caches across calls on its own.
 
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
@@ -25,10 +37,12 @@ shift/mask operations instead of one operation per member.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import compress, repeat
-from operator import countOf, mod, not_
+from itertools import repeat
+from operator import countOf, mod
 
 BACKEND_NAME = "pure"
+
+_CHUNK = 1024  # multiples reduced per list in a row scan
 
 
 def _residues(start: int, step: int, count: int, m: int):
@@ -38,50 +52,71 @@ def _residues(start: int, step: int, count: int, m: int):
     return map(mod, range(start, start + count * step, step), repeat(m))
 
 
-def _vanishing_rows(m: int, rows: int, r: int):
-    """The rows i < rows with i*r = 0 (mod m), for r > 0, as a stream.
+def _vanishing_rows(
+    modulus: int, rows: int, r: int, scans: dict | None = None
+) -> tuple[int, ...]:
+    """The rows i < rows with i*r = 0 (mod modulus), for r > 0, ascending.
 
     i*r runs over the progression range(0, rows*r, r); its members that are
-    multiples of m are found among the multiples of m below rows*r, which
-    are ceil(rows*r/m) instead of rows.
+    multiples of modulus are found among the multiples of modulus below
+    rows*r, which are ceil(rows*r/modulus) instead of rows.  They are
+    reduced mod r _CHUNK at a time, and list.index finds the zeros of each
+    chunk.  With scans given, a scan of the same (modulus, rows, r) is
+    looked up there instead of run again, and a new scan is stored.
     """
-    multiples = range(0, rows * r, m)
-    hits = compress(multiples, map(not_, map(mod, multiples, repeat(r))))
-    return map(range(0, rows * r, r).index, hits)
+    key = (modulus, rows, r)
+    if scans is not None and key in scans:
+        return scans[key]
+    found = []
+    end = rows * r
+    span = _CHUNK * modulus
+    for start in range(0, end, span):
+        chunk = list(map(mod, range(start, min(start + span, end), modulus), repeat(r)))
+        k = -1
+        try:
+            while True:
+                k = chunk.index(0, k + 1)
+                found.append((start + k * modulus) // r)
+        except ValueError:
+            pass
+    hit = tuple(found)
+    if scans is not None:
+        scans[key] = hit
+    return hit
 
 
 def _pair_count(
-    m: int, rows: int, n2: int, steps, skip_rows: tuple[int, ...] = ()
+    m: int,
+    rows: int,
+    n2: int,
+    steps,
+    skip_rows: tuple[int, ...] = (),
+    scans: dict | None = None,
 ) -> int:
     """Number of pairs (i, j), 0 <= i < rows, 0 <= j < m/n2, i not in
     skip_rows, with j*n2 = i*r (mod m) for at least one r in steps.
 
-    One column (n2 = m, the dominant shape): its residue is 0, so row i
-    counts iff i*r = 0 (mod m) for some r.  i*r and i*(m-r) vanish
-    together, so r is folded to r' = min(r, m-r) and the multiples of m
-    below rows*r' are tested against the progression i*r': at most rows/2
-    items per step.  A zero step hits every row.  Several steps put their
-    hit rows into one set, so a row that several steps hit counts once.
+    One step or one column: a row has at most one such pair per step, and
+    on one column at most one in all, so the count is the number of rows,
+    outside skip_rows, that a row scan of some step mod n2 hits (see the
+    module docstring).  A zero step hits every row.
 
-    Otherwise the shorter side is tabulated.  Fewer rows: each row adds its
-    set of distinct images i*r mod m to a Counter, and the column residues
-    are looked up in it.  More rows: the rows' images are streamed, one
-    stream per step, and zipped so that each row's images arrive together;
-    the column residues, all distinct, are tabulated as a set and
-    intersected with each row's images, so a row counts each column residue
-    once, however many steps give it.
+    Several steps on several columns: the shorter side is tabulated.  Fewer
+    rows: each row adds its set of distinct images i*r mod m to a Counter,
+    and the column residues are looked up in it.  More rows: the rows'
+    images are streamed, one stream per step, and zipped so that each row's
+    images arrive together; the column residues, all distinct, are
+    tabulated as a set and intersected with each row's images, so a row
+    counts each column residue once, however many steps give it.
     """
     cols = m // n2
-    if cols == 1:
-        folded = {min(r, m - r) for r in steps}
+    if cols == 1 or len(steps) == 1:
+        folded = {min(r % n2, n2 - r % n2) for r in steps}
         if 0 in folded:
             return rows - len(skip_rows)
-        if len(folded) == 1 and not skip_rows:
-            (r,) = folded
-            return countOf(map(mod, range(0, rows * r, m), repeat(r)), 0)
         hit_rows: set[int] = set()
         for r in folded:
-            hit_rows.update(_vanishing_rows(m, rows, r))
+            hit_rows.update(_vanishing_rows(n2, rows, r, scans))
         return len(hit_rows.difference(skip_rows))
     column_residues = range(0, cols * n2, n2)  # j*n2 < m: already reduced
     if rows < cols:
@@ -99,7 +134,12 @@ def _pair_count(
 
 
 def sigma_cm_iota_counts(
-    m: int, n1: int, n2: int, a: int, q_powers: tuple[int, ...]
+    m: int,
+    n1: int,
+    n2: int,
+    a: int,
+    q_powers: tuple[int, ...],
+    scans: dict | None = None,
 ) -> tuple[int, int]:
     """Classify every non-identity element of the subgroup with standard
     exponents (n1, n2, a): return (pure tau-power count, count of elements
@@ -110,20 +150,24 @@ def sigma_cm_iota_counts(
     B = i*a + j*n2 (mod m).  B = A*q^d reads j*n2 = i*(n1*q^d - a), a pair
     count over the rows with A != 0.  The rows with A = 0 are found as the
     positions of the multiples of m in the progression i*n1; each holds a
-    pure tau power for every j except those with B = 0.
+    pure tau power for every j except those with B = 0.  scans is passed
+    to the row scans (see the module docstring).
     """
     rows, cols = m // n1, m // n2
-    tau_rows = tuple(_vanishing_rows(m, rows, n1))
+    tau_rows = _vanishing_rows(m, rows, n1)
     column_residues = range(0, cols * n2, n2)
     tau_count = sum(cols - countOf(column_residues, -i * a % m) for i in tau_rows)
     steps = {(n1 * qd - a) % m for qd in q_powers}
-    return tau_count, _pair_count(m, rows, n2, steps, tau_rows)
+    return tau_count, _pair_count(m, rows, n2, steps, tau_rows, scans)
 
 
-def congruence_count(m: int, n1: int, n2: int, rhs: int) -> int:
+def congruence_count(
+    m: int, n1: int, n2: int, rhs: int, scans: dict | None = None
+) -> int:
     """Count of pairs (i, j), 0 <= i < m/n1, 0 <= j < m/n2, with
-    j*n2 = i*rhs (mod m).  Includes (0, 0)."""
-    return _pair_count(m, m // n1, n2, (rhs % m,))
+    j*n2 = i*rhs (mod m).  Includes (0, 0).  One row scan (see the module
+    docstring), shared through scans when given."""
+    return _pair_count(m, m // n1, n2, (rhs,), (), scans)
 
 
 def _translate(mask: int, tx: int, ty: int, m: int, full: int, row_low) -> int:

@@ -4,19 +4,23 @@ Nothing in this module evaluates a closed-form different degree, and nothing
 in it takes a gcd, a valuation or a CRT step.  Deltas are sums of
 per-element weights over enumerated elements, congruence solutions are
 counted pair by pair, and subgroup lists come from set closure.  The pair
-counts run as table joins in the kernels (the shorter side of the
-fundamental domain tabulated, the longer side streamed past it), which
-compares the same pairs as a double loop without interpreting one; on a
-one-column domain (n2 = m) they stream the multiples of m that the
-progression i*r can reach, at most half as many items as rows.  Census
-sums add each distinct term once and multiply it by the number of elements
-that carry it: the weight of sigma*tau^k depends on the class of sigma and
-on k, not on which element of the class sigma is.  A census still weighs
-every element it adds: it binds a weigher of the iota layer once per class
-(ree_weigher, suzuki_weigher, sigma_weigher) and streams it over the
-elements with map.  The only shared code with the formula modules is the
-iota classification layer, which is exactly the point of contact the
-cross-checks are meant to pin.
+counts run in the kernels without interpreting a double loop: one step on
+any domain, or any steps on a one-column domain (n2 = m), is a row scan
+that streams the multiples of n2 the progression i*r can reach, at most
+half as many items as rows; several steps on several columns are a table
+join (the shorter side of the fundamental domain tabulated, the longer
+side streamed past it).  The singer-square delta check and the congruence
+check scan the same rows of a subgroup with the same steps, so the oracle
+suite passes one scans dict to both, and each row scan runs once per
+suite (see _kernels.pure).  Census sums add each distinct term once and
+multiply it by the number of elements that carry it: the weight of
+sigma*tau^k depends on the class of sigma and on k, not on which element
+of the class sigma is.  A census still weighs every element it adds: it
+binds a weigher of the iota layer once per class (ree_weigher,
+suzuki_weigher, sigma_weigher) and streams it over the elements with map.
+The only shared code with the formula modules is the iota classification
+layer, which is exactly the point of contact the cross-checks are meant to
+pin.
 
 A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
 affine part (a, b).  Right multiplication by an element moves each bucket
@@ -86,23 +90,29 @@ def max_elements_cap(override: int | None = None) -> int:
     """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS)."""
     if override is not None:
         return override
-    return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS)
+    return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, minimum=0)
 
 
 def max_closure_m(override: int | None = None) -> int:
     """Largest m for closure subgroup enumeration (env SKABELUND_MAX_CLOSURE_M)."""
     if override is not None:
         return override
-    return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M)
+    return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M, minimum=0)
 
 
 def delta_sigma_cm_bruteforce(
-    params: CurveParams, se: StandardExponents, max_elements: int | None = None
+    params: CurveParams,
+    se: StandardExponents,
+    max_elements: int | None = None,
+    scans: dict | None = None,
 ) -> int:
     """Different degree of a Singer-square subgroup by element enumeration.
 
     Every element is materialized as (sigma^n1 tau^a)^i (tau^n2)^j and its
     weight read off the iota classification; no closed form is involved.
+    A caller checking several subgroups of one curve may pass one scans
+    dict here and to count_congruence_solutions: the kernels then run each
+    row scan once (see _kernels.pure).
     """
     se.validate(params.m)
     order = subgroup_order_sigma(params.m, se)
@@ -110,7 +120,7 @@ def delta_sigma_cm_bruteforce(
     if order > cap:
         raise BruteForceCapError(f"|H|={order} exceeds brute-force cap {cap}")
     tau_count, special_count = _kernels.sigma_cm_iota_counts(
-        params.m, se.n1, se.n2, se.a, params.q_powers
+        params.m, se.n1, se.n2, se.a, params.q_powers, scans=scans
     )
     return tau_count * params.tau_iota + special_count * params.m
 
@@ -131,10 +141,15 @@ def delta_sigma_cm_direct(params: CurveParams, se: StandardExponents) -> int:
 
 
 def count_congruence_solutions(
-    params: CurveParams, se: StandardExponents, d: int, max_elements: int | None = None
+    params: CurveParams,
+    se: StandardExponents,
+    d: int,
+    max_elements: int | None = None,
+    scans: dict | None = None,
 ) -> int:
     """Number of pairs (i, j) in the fundamental domain of the subgroup with
-    j*n2 = i*(n1*q^d - a) (mod m), including (0, 0)."""
+    j*n2 = i*(n1*q^d - a) (mod m), including (0, 0).  scans as for
+    delta_sigma_cm_bruteforce."""
     se.validate(params.m)
     if not 0 <= d < len(params.q_powers):
         raise ValueError(f"d={d} out of range for {params.family.value}")
@@ -142,7 +157,7 @@ def count_congruence_solutions(
     if subgroup_order_sigma(params.m, se) > cap:
         raise BruteForceCapError(f"subgroup exceeds brute-force cap {cap}")
     rhs = (se.n1 * params.q_powers[d] - se.a) % params.m
-    return _kernels.congruence_count(params.m, se.n1, se.n2, rhs)
+    return _kernels.congruence_count(params.m, se.n1, se.n2, rhs, scans=scans)
 
 
 def enumerate_subgroups_bruteforce(

@@ -324,9 +324,15 @@ class OracleCheck:
     detail: str
 
 
+def _check_sample_limit(limit: int) -> None:
+    if limit < 1:
+        raise ValueError(f"sample limit must be at least 1, got {limit}")
+
+
 def sample_evenly(items: list, limit: int) -> list:
     """Deterministic sample: every k-th item so that at most ~limit survive,
-    always keeping the first and last."""
+    always keeping the first and last.  limit must be at least 1."""
+    _check_sample_limit(limit)
     if len(items) <= limit:
         return list(items)
     stride = max(1, len(items) // limit)
@@ -344,6 +350,7 @@ def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExpo
     picked indices (every stride-th, plus the last) are located block by
     block and only the picked triples are built.
     """
+    _check_sample_limit(limit)
     blocks = [
         (n1, n2, step)
         for n1, n2, step in standard_exponent_blocks(m)
@@ -375,17 +382,22 @@ def run_oracle_suite(
     max_elements: int | None = None,
     sample_limit: int = 60,
 ) -> list[OracleCheck]:
-    """Every oracle-vs-formula equivalence for one curve, within caps."""
+    """Every oracle-vs-formula equivalence for one curve, within caps.
+
+    sample_limit (at least 1) bounds the Singer-square subgroups checked.
+    """
     params = make_params(family, s)
     cap = max_elements_cap(max_elements)
     checks: list[OracleCheck] = []
 
     sampled = sample_standard_exponents(params.m, cap, sample_limit)
+    # row scans of this curve, shared by the delta and congruence checks
+    scans: dict = {}
 
     bad = []
     for se in sampled:
         formula = delta_sigma_cm(params, se)
-        brute = delta_sigma_cm_bruteforce(params, se, max_elements=cap)
+        brute = delta_sigma_cm_bruteforce(params, se, max_elements=cap, scans=scans)
         if formula != brute:
             bad.append(f"{se}: formula {formula} != brute force {brute}")
     checks.append(
@@ -401,7 +413,9 @@ def run_oracle_suite(
     bad = []
     for se in sampled:
         for d in range(len(params.q_powers)):
-            count = count_congruence_solutions(params, se, d, max_elements=cap)
+            count = count_congruence_solutions(
+                params, se, d, max_elements=cap, scans=scans
+            )
             x = se.n1 * params.q_powers[d] - se.a
             prod = 1
             for p, _e in params.m_factors:

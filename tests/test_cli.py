@@ -195,10 +195,25 @@ def test_zero_max_s_is_rejected(monkeypatch):
 
 
 def test_oracle_that_checks_nothing_exits_nonzero(capsys):
-    assert main(["oracle", "--family", "ree", "--s", "2", "--max-elements", "-5"]) == 1
+    assert main(["oracle", "--family", "ree", "--s", "2", "--max-elements", "0"]) == 1
     out = capsys.readouterr().out
     assert "PASS singer-square" not in out
     assert out.count("FAIL") == 3
+
+
+@pytest.mark.parametrize(
+    "args, env, text",
+    [
+        (("--max-elements", "-5"), {}, "--max-elements must be at least 0, got -5"),
+        ((), {"SKABELUND_MAX_ELEMENTS": "-1"}, "SKABELUND_MAX_ELEMENTS must be at least 0, got -1"),
+        ((), {"SKABELUND_MAX_CLOSURE_M": "-1"}, "SKABELUND_MAX_CLOSURE_M must be at least 0, got -1"),
+    ],
+    ids=["max-elements-flag", "max-elements-env", "max-closure-m-env"],
+)
+def test_negative_oracle_cap_is_a_one_line_error(args, env, text):
+    done = run_cli("oracle", "--family", "suzuki", "--s", "1", *args, **env)
+    assert_one_line_error(done, text)
+    assert done.returncode == 1 and done.stdout == ""
 
 
 @pytest.mark.parametrize(

@@ -1,16 +1,17 @@
 """Equality gate for the oracle's fast paths.
 
-The kernels count pairs as table joins, and the census sums add each
-distinct term once.  The references below are the nested-loop kernels and
-the per-element census loops those replaced, kept as the slow paths the
-fast ones must agree with: on every kernel call the oracle suite makes for
-Suzuki s <= 6 and Ree s <= 4, on random small cases (with a separate
-strategy for the one-column domains n2 = m, whose count streams the
-multiples of m), and on every census case for s <= 4.  Beyond that, the
-suite must reproduce the verdicts and details recorded in
-data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
-and for Ree s = 5 (the longest one-column domains within the caps) by the
-table-join oracle before the one-column count.
+The kernels count pairs as row scans and table joins, and the census sums
+add each distinct term once.  The references below are the nested-loop
+kernels and the per-element census loops those replaced, kept as the slow
+paths the fast ones must agree with: on every kernel call the oracle suite
+makes for Suzuki s <= 6 and Ree s <= 4, on random small cases (with
+separate strategies for the one-column domains n2 = m, for one step on
+several columns, and for calls that share one scans dict), and on every
+census case for s <= 4.  Row scans are shared within one oracle suite and
+by no later one.  Beyond that, the suite must reproduce the verdicts and
+details recorded in data/oracle_golden.json: by the nested-loop oracle for
+Suzuki s = 5 and 6, and for Ree s = 5 (the longest one-column domains
+within the caps) by the table-join oracle before the one-column count.
 """
 
 import json
@@ -198,8 +199,8 @@ def test_kernels_match_the_nested_loops_on_every_oracle_call(
     for name in REFERENCE_KERNELS:
         kernel = getattr(_kernels, name)
 
-        def recording(*args, _name=name, _kernel=kernel):
-            result = _kernel(*args)
+        def recording(*args, _name=name, _kernel=kernel, **kwargs):
+            result = _kernel(*args, **kwargs)
             calls.append((_name, args, result))
             return result
 
@@ -275,6 +276,101 @@ def test_one_column_kernels_match_the_nested_loops(case):
     assert pure.sigma_cm_iota_counts(m, n1, m, a, q_powers) == ref_sigma_cm_iota_counts(
         m, n1, m, a, q_powers
     )
+
+
+@st.composite
+def single_step_cases(draw):
+    """One step on several columns: congruence_count, and sigma_cm_iota_counts
+    with powers that all give the same step."""
+    m = draw(st.integers(2, 400))
+    n1 = draw(st.sampled_from(divisors(m)))
+    n2 = draw(st.sampled_from(divisors(m)[:-1]))  # n2 < m: several columns
+    a = draw(st.integers(-m, 2 * m))
+    rhs = draw(st.one_of(st.sampled_from([0, n2, m - n2, m // 2]), st.integers(-m, 2 * m)))
+    # powers that differ by multiples of m/n1 give the step n1*q - a each
+    base = draw(st.integers(0, 2 * m))
+    shifts = draw(st.lists(st.integers(0, 2 * n1), min_size=1, max_size=4))
+    return m, n1, n2, a, rhs, tuple(base + c * (m // n1) for c in shifts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(single_step_cases())
+@example((12, 1, 2, 5, 3, (1,)))  # rows 12 >= cols 6
+@example((12, 4, 2, 5, 9, (1, 4)))  # rows 3 < cols 6, one step
+@example((360, 3, 4, 7, 354, (2,)))  # rows 120 >= cols 90
+@example((360, 8, 3, 7, 100, (5, 50)))  # rows 45 < cols 120, one step
+def test_single_step_kernels_match_the_nested_loops_on_several_columns(case):
+    m, n1, n2, a, rhs, q_powers = case
+    assert len({(n1 * qd - a) % m for qd in q_powers}) == 1
+    assert pure.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
+    assert pure.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
+        m, n1, n2, a, q_powers
+    )
+
+
+@st.composite
+def shared_scan_calls(draw):
+    """Unrelated kernel calls, most on one m so that their scans meet."""
+    base = draw(st.integers(1, 400))
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        m = draw(st.one_of(st.just(base), st.integers(1, 400)))
+        n1 = draw(st.sampled_from(divisors(m)))
+        n2 = draw(st.sampled_from(divisors(m)))
+        if draw(st.booleans()):
+            rhs = draw(st.integers(-m, 2 * m))
+            calls.append(("congruence_count", (m, n1, n2, rhs)))
+        else:
+            a = draw(st.integers(-m, 2 * m))
+            q_powers = tuple(draw(st.lists(st.integers(0, 2 * m), min_size=1, max_size=6)))
+            calls.append(("sigma_cm_iota_counts", (m, n1, n2, a, q_powers)))
+    return calls
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_scan_calls())
+# same modulus and step, different rows: one-column scans of m = 12
+@example([("congruence_count", (12, 3, 12, 5)), ("congruence_count", (12, 1, 12, 5))])
+@example([("congruence_count", (12, 1, 12, 5)), ("congruence_count", (12, 3, 12, 5))])
+# a multi-column scan (modulus 4) met by a one-column scan of m = 4
+@example([("congruence_count", (12, 3, 4, 2)), ("sigma_cm_iota_counts", (4, 1, 4, 0, (2,)))])
+def test_kernels_sharing_one_scans_dict_match_the_nested_loops(calls):
+    scans: dict = {}
+    for name, args in calls:
+        got = getattr(pure, name)(*args, scans=scans)
+        assert got == REFERENCE_KERNELS[name](*args), (name, args)
+
+
+def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, default_caps):
+    """The delta and congruence checks of one suite share their row scans,
+    and a second suite scans as much as the first: no scan outlives a suite.
+    Work is counted as the multiples the kernels reduce."""
+    reduced = 0
+
+    def counting_mod(x, y):
+        nonlocal reduced
+        reduced += 1
+        return x % y
+
+    calls = []
+    for name in REFERENCE_KERNELS:
+        kernel = getattr(_kernels, name)
+
+        def recording(*args, _name=name, _kernel=kernel, **kwargs):
+            calls.append((_name, args))
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(_kernels, name, recording)
+    monkeypatch.setattr(pure, "mod", counting_mod)
+    per_suite = []
+    for _ in range(2):
+        reduced = 0
+        run_oracle_suite(Family.REE, 2)
+        per_suite.append(reduced)
+    reduced = 0
+    for name, args in calls[: len(calls) // 2]:  # the first suite's calls, unshared
+        getattr(pure, name)(*args)
+    assert 0 < per_suite[0] == per_suite[1] < reduced
 
 
 def test_kernels_count_coinciding_images_once():
@@ -427,6 +523,15 @@ def test_index_sample_matches_the_list_sample_on_any_cap(case):
     assert sample_standard_exponents(m, cap, limit) == sample_evenly(
         _filtered_triples(m, cap), limit
     )
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_sample_limit_below_one_is_rejected(limit):
+    message = f"sample limit must be at least 1, got {limit}"
+    with pytest.raises(ValueError, match=message):
+        run_oracle_suite(Family.REE, 2, sample_limit=limit)
+    with pytest.raises(ValueError, match=message):
+        sample_evenly([1, 2, 3], limit)
 
 
 @pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
