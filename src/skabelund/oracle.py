@@ -251,10 +251,11 @@ def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) ->
     Order-2 elements weigh q+1 on every k, order-6 elements 1, order-3 and
     order-9 elements their k=0 weight and 1 elsewhere.  Order-7 elements
     weigh 0 except at the special tau powers, the k != 0 with 7*k = 0 in
-    C_n, which weigh m each.
+    C_n, which weigh m each.  Those k are the j*n/7 for the j in 1..6 with
+    7 | j*n, so they are counted over the multiples of n below 7n.
     """
     if key[0] == 7:
-        return params.m * countOf(map(mod, range(7, 7 * n, 7), repeat(n)), 0)
+        return params.m * countOf(map(mod, range(n, 7 * n, n), repeat(7)), 0)
     try:
         klass = _REE_COSET_CLASSES[key]
     except KeyError:

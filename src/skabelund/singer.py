@@ -27,9 +27,10 @@ of each class.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from itertools import repeat
-from typing import NamedTuple
+from operator import mod
+from typing import NamedTuple, TypeVar
 
 from .arith import divisors, valuation
 from .catalog import (
@@ -41,6 +42,8 @@ from .catalog import (
     subgroup_order_sigma,
 )
 from .curves import CurveParams
+
+T = TypeVar("T")
 
 
 def delta_sigma_cm(params: CurveParams, se: StandardExponents) -> int:
@@ -184,25 +187,33 @@ class SingerSquare(NamedTuple):
         """Number of subgroups, summed over the class sizes."""
         return sum(c.count for b in self.blocks for c in b.classes.values())
 
-    def walk(self) -> Iterator[tuple[int, int, Iterator[tuple[int, GenusRecord]]]]:
-        """Per (n1, n2), in enumerate_standard_exponents order: (n1, n2, pairs),
-        where pairs yields (a, record of a's class) for each valid a in order."""
+    def walk(
+        self, text_of: Callable[[int, int, GenusRecord], T]
+    ) -> Iterator[tuple[int, int, range, Iterator[T]]]:
+        """Per (n1, n2), in enumerate_standard_exponents order: (n1, n2, values,
+        texts), where values is the range of valid a and texts yields, for
+        each a in order, text_of(n1, n2, record of a's class).
+
+        text_of is called once per class, not once per subgroup; a renderer
+        returns the fixed text of the class's rows, expand the record itself.
+        """
         for block, records in zip(self.blocks, self.class_records):
+            texts = {key: text_of(block.n1, block.n2, r) for key, r in records.items()}
             values = range(0, block.n2, block.step)
             # the class key of each a, one residue-table column per prime
             columns = [
-                [res.get(a % pe, 0) for a in values]
+                map(res.get, map(mod, values, repeat(pe)), repeat(0))
                 for pe, res in zip(block.moduli, block.residues)
             ]
-            keys = zip(*columns) if columns else repeat(())
-            yield block.n1, block.n2, zip(values, map(records.__getitem__, keys))
+            keys = zip(*columns) if columns else repeat((), len(values))
+            yield block.n1, block.n2, values, map(texts.__getitem__, keys)
 
     def expand(self) -> list[GenusRecord]:
         """One record per subgroup, in enumerate_standard_exponents order."""
         return [
             GenusRecord(SigmaCm(StandardExponents(n1, n2, a)), r.order, r.delta, r.genus)
-            for n1, n2, pairs in self.walk()
-            for a, r in pairs
+            for n1, n2, values, records in self.walk(lambda _n1, _n2, r: r)
+            for a, r in zip(values, records)
         ]
 
 

@@ -2,10 +2,13 @@
 
 The Singer square is evaluated once per nu-profile class (see singer.py),
 not once per subgroup: genus spectra, verify_tables and the CSV, JSON and
-table exports read the class tables alone.  The exports are rendered from
-SpectrumReport.rows(), which walks the tables in catalog order; per-subgroup
-GenusRecords are materialized only when SpectrumReport.records is read.
-Every other descriptor is evaluated on its own.
+table exports read the class tables alone.  Each renderer formats one text
+per class, the (before, after) of the row around the parameter a, and
+SingerSquare.walk yields the class text of every subgroup in catalog order,
+so a row is before + str(a) + after, joined without a Python frame per row.
+Per-subgroup GenusRecords are materialized only when SpectrumReport.records
+is read.  Every other descriptor is evaluated on its own and rendered by its
+renderer's per-record format.
 
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
@@ -18,8 +21,10 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 
 from .arith import divisors, valuation
 from .catalog import (
@@ -116,18 +121,6 @@ class SpectrumReport:
         singer = self.singer.count() if self.singer is not None else 0
         return singer + len(self.other_records)
 
-    def rows(self) -> Iterator[tuple[str, tuple[int, ...], int, int, int]]:
-        """(kind, params, order, delta, genus) per descriptor, in the order of
-        records, with params the used parameter slots; the Singer square is
-        walked from its class tables, so no record is built."""
-        if self.singer is not None:
-            for n1, n2, pairs in self.singer.walk():
-                for a, r in pairs:
-                    yield "sigma-cm", (n1, n2, a), r.order, r.delta, r.genus
-        for r in self.other_records:
-            kind = kind_of(r.descriptor)
-            yield kind.name, kind.params(r.descriptor), r.order, r.delta, r.genus
-
 
 def _evaluate(
     params: CurveParams, kinds
@@ -176,15 +169,53 @@ def compute_spectrum(
 # --- export ------------------------------------------------------------------
 
 
+def _singer_lines(
+    report: SpectrumReport, text_of: Callable[[int, int, GenusRecord], tuple[str, str]]
+) -> Iterator[str]:
+    """One line per Singer-square subgroup, in catalog order: before + str(a)
+    + after, with text_of(n1, n2, record) the (before, after) of a's class.
+
+    The texts are formatted once per class; str(a).join((before, after))
+    assembles each line in map, so no Python frame runs per subgroup.
+    """
+    if report.singer is None:
+        return iter(())
+    return chain.from_iterable(
+        map(str.join, map(str, values), texts)
+        for _, _, values, texts in report.singer.walk(text_of)
+    )
+
+
 def render_csv(report: SpectrumReport) -> str:
     p = report.params
     prefix = f"{p.family.value},{p.s},{p.q},{p.m},"
+
+    def singer_text(n1, n2, r):
+        return f"{prefix}sigma-cm,{n1},{n2},", f",{r.order},{r.delta},{r.genus}"
+
     lines = [CSV_HEADER]
-    for kind, params, order, delta, genus in report.rows():
+    lines.extend(_singer_lines(report, singer_text))
+    for r in report.other_records:
+        kind = kind_of(r.descriptor)
+        params = kind.params(r.descriptor)
         # three parameter columns, unused slots left empty
         cells = ",".join(map(str, params)) + "," * (3 - len(params))
-        lines.append(f"{prefix}{kind},{cells},{order},{delta},{genus}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"{prefix}{kind.name},{cells},{r.order},{r.delta},{r.genus}")
+    lines.append("")  # the final newline, without copying the text once more
+    return "\n".join(lines)
+
+
+_JSON_KINDS = {name: json.dumps(name) for name in KINDS_BY_NAME}
+_JSON_RECORD_TAIL = "\n   ]\n  }"
+
+
+def _json_record_head(kind: str, r: GenusRecord) -> str:
+    """A JSON record up to its first parameter (keys sorted, depth 2)."""
+    return (
+        f'  {{\n   "delta": {r.delta},\n   "genus": {r.genus},'
+        f'\n   "kind": {_JSON_KINDS[kind]},\n   "order": {r.order},'
+        f'\n   "params": [\n    '
+    )
 
 
 def render_json(report: SpectrumReport) -> str:
@@ -211,20 +242,19 @@ def render_json(report: SpectrumReport) -> str:
         sort_keys=True,
         indent=1,
     )
-    kinds = {name: json.dumps(name) for name in KINDS_BY_NAME}
-    records = []
-    for kind, params, order, delta, genus in report.rows():
-        items = ",\n    ".join(map(str, params))  # every kind has a parameter
-        records.append(
-            f'  {{\n   "delta": {delta},\n   "genus": {genus},'
-            f'\n   "kind": {kinds[kind]},\n   "order": {order},'
-            f'\n   "params": [\n    {items}\n   ]\n  }}'
-        )
-    if records:
-        head = head.replace(
-            '"records": []', '"records": [\n' + ",\n".join(records) + "\n ]", 1
-        )
-    return head + "\n"
+
+    def singer_text(n1, n2, r):
+        return _json_record_head("sigma-cm", r) + f"{n1},\n    {n2},\n    ", _JSON_RECORD_TAIL
+
+    records = list(_singer_lines(report, singer_text))
+    for r in report.other_records:
+        kind = kind_of(r.descriptor)
+        items = ",\n    ".join(map(str, kind.params(r.descriptor)))  # never empty
+        records.append(_json_record_head(kind.name, r) + items + _JSON_RECORD_TAIL)
+    if not records:
+        return head + "\n"
+    before, _, after = head.partition('"records": []')
+    return "".join((before, '"records": [\n', ",\n".join(records), "\n ]", after, "\n"))
 
 
 def render_table(report: SpectrumReport) -> str:
@@ -235,25 +265,68 @@ def render_table(report: SpectrumReport) -> str:
     )
     rows = [head, ""]
     rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
-    for kind, params, order, delta, genus in report.rows():
-        ps = ",".join(map(str, params))
-        rows.append(f"{kind:<16}{ps:<16}{order:>12}{delta:>16}{genus:>16}")
+
+    def singer_text(n1, n2, r):
+        return f"{'sigma-cm':<16}{n1},{n2},", f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
+
+    if report.singer is not None:
+        for n1, n2, values, texts in report.singer.walk(singer_text):
+            # the row is (before + str(a)).ljust(32) + after; "sigma-cm" fits
+            # its 16 columns, so before is 16 + len(f"{n1},{n2},") long
+            width = 16 - len(f"{n1},{n2},")
+            rows.extend(map(str.join, map(str.ljust, map(str, values), repeat(width)), texts))
+    for r in report.other_records:
+        kind = kind_of(r.descriptor)
+        ps = ",".join(map(str, kind.params(r.descriptor)))
+        rows.append(f"{kind.name:<16}{ps:<16}{r.order:>12}{r.delta:>16}{r.genus:>16}")
     rows.append("")
     rows.append("spectrum: " + ", ".join(str(g) for g in report.genera))
     return "\n".join(rows) + "\n"
 
 
+_RH_FIELDS = ("order", "genus", "delta")
+
+
+def _exact_record(entry) -> bool:
+    return type(entry) is dict and all(type(entry.get(k)) is int for k in _RH_FIELDS)
+
+
 def validate_export(text: str) -> dict:
-    """Parse a JSON export and re-check every record's Riemann-Hurwitz identity."""
+    """Parse a JSON export and re-check every record's Riemann-Hurwitz identity.
+
+    Every value the identity reads must be an exact int (a float or bool
+    would compare equal to one).  The types are checked on every record, the
+    identity once per distinct (order, genus, delta); a failure names the
+    first record that fails.  Any malformed document raises ValueError.
+    """
     doc = json.loads(text)
+    if type(doc) is not dict:
+        raise ValueError(f"export is a JSON {type(doc).__name__}, not an object")
     if doc.get("schema_version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    ambient = doc["ambient_degree"]
-    for entry in doc["records"]:
-        if ambient != entry["order"] * (2 * entry["genus"] - 2) + entry["delta"]:
-            raise ValueError(f"Riemann-Hurwitz identity fails for {entry}")
-    genera = sorted({entry["genus"] for entry in doc["records"]})
-    if genera != doc["genera"]:
+    missing = [k for k in ("ambient_degree", "genera", "records") if k not in doc]
+    if missing:
+        raise ValueError(f"export lacks {', '.join(map(repr, missing))}")
+    ambient, records = doc["ambient_degree"], doc["records"]
+    if type(ambient) is not int:
+        raise ValueError(f"ambient_degree {ambient!r} is not an integer")
+    if type(records) is not list:
+        raise ValueError(f"records is a JSON {type(records).__name__}, not an array")
+    try:
+        columns = [list(map(itemgetter(k), records)) for k in _RH_FIELDS]
+    except (KeyError, TypeError):
+        columns = None
+    # over all values: (1, 3, 1) and (1, 3.0, 1) are one element of a set
+    if columns is None or set(map(type, chain(*columns))) - {int}:
+        i, entry = next((i, e) for i, e in enumerate(records) if not _exact_record(e))
+        raise ValueError(f"record {i} has no integer order, genus and delta: {entry}")
+    distinct = set(zip(*columns))
+    bad = {t for t in distinct if ambient != t[0] * (2 * t[1] - 2) + t[2]}
+    if bad:
+        entry = next(e for e, t in zip(records, zip(*columns)) if t in bad)
+        raise ValueError(f"Riemann-Hurwitz identity fails for {entry}")
+    genera = sorted({genus for _, genus, _ in distinct})
+    if genera != doc["genera"] or set(map(type, doc["genera"])) - {int}:
         raise ValueError("genus spectrum does not match records")
     return doc
 

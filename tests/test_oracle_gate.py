@@ -7,15 +7,19 @@ paths the fast ones must agree with: on every kernel call the oracle suite
 makes for Suzuki s <= 6 and Ree s <= 4, on random small cases (with
 separate strategies for the one-column domains n2 = m, for one step on
 several columns, and for calls that share one scans dict), and on every
-census case for s <= 4.  Row scans are shared within one oracle suite and
-by no later one.  Beyond that, the suite must reproduce the verdicts and
-details recorded in data/oracle_golden.json: by the nested-loop oracle for
-Suzuki s = 5 and 6, and for Ree s = 5 (the longest one-column domains
-within the caps) by the table-join oracle before the one-column count.
+census case for s <= 4; the order-7 coset count against the n - 1
+multiples of 7 it replaced, for n < 3000 and every n | m for Ree s <= 6.
+Row scans are shared within one oracle suite and by no later one.  Beyond
+that, the suite must reproduce the verdicts and details recorded in
+data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
+and for Ree s = 5 (the longest one-column domains within the caps) by the
+table-join oracle before the one-column count.
 """
 
 import json
 import math
+from itertools import repeat
+from operator import countOf, mod
 from pathlib import Path
 
 import pytest
@@ -43,6 +47,7 @@ from skabelund.oracle import (
     _F8_LOG,
     F8_GENERATOR,
     _bit_positions,
+    _ree_coset_sum,
     _close_skew,
     delta_b0_census,
     delta_census,
@@ -419,6 +424,20 @@ def test_skew_census_matches_the_element_loop(s, default_caps):
                 assert delta_skew_census(params, variant, i, w) == ref_delta_skew_census(
                     params, variant, i, w
                 ), (variant, i, w)
+
+
+def ref_order7_special_powers(n):
+    """The k in 1..n-1 with 7*k = 0 in C_n, over the n-1 multiples of 7."""
+    return countOf(map(mod, range(7, 7 * n, 7), repeat(n)), 0)
+
+
+def test_order7_coset_count_matches_the_multiples_of_7():
+    ns = {(1, n) for n in range(1, 3000)}
+    ns |= {(s, n) for s in range(1, 7) for n in divisors(make_params(Family.REE, s).m)}
+    for s, n in sorted(ns):
+        params = make_params(Family.REE, s)
+        expected = params.m * ref_order7_special_powers(n)
+        assert _ree_coset_sum(params, (7, None), n) == expected, (s, n)
 
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skabelund.arith import divisors
 from skabelund.catalog import (
+    GenusRecord,
     SigmaCm,
     StandardExponents,
     enumerate_descriptors,
@@ -107,3 +108,24 @@ def test_reports_compare_and_hash_by_value():
     a, b = compute_spectrum(Family.REE, 2), compute_spectrum(Family.REE, 2)
     assert a == b and hash(a) == hash(b)
     assert a != compute_spectrum(Family.REE, 2, "sigma-cm")
+
+
+@pytest.mark.parametrize("family,s", [(Family.SUZUKI, 3), (Family.REE, 3)])
+def test_walk_formats_each_class_once(family, s):
+    square = evaluate_singer_square(make_params(family, s))
+    calls = []
+
+    def text_of(n1, n2, record):
+        calls.append((n1, n2, record))
+        return n1, n2, record
+
+    rows = []
+    for n1, n2, values, texts in square.walk(text_of):
+        for a, (t1, t2, r) in zip(values, texts, strict=True):
+            assert (t1, t2) == (n1, n2)
+            se = StandardExponents(n1, n2, a)
+            rows.append(GenusRecord(SigmaCm(se), r.order, r.delta, r.genus))
+    assert len(calls) == sum(len(b.classes) for b in square.blocks)
+    # expand() is gated against per-descriptor evaluation above
+    assert rows == square.expand()
+    assert len(rows) == square.count()

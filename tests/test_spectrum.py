@@ -283,3 +283,130 @@ def test_exports_of_a_kind_without_records():
     assert doc["records"] == [] and doc["genera"] == []
     assert '"records": [],' in render_json(report)
     assert render_csv(report) == CSV_HEADER + "\n"
+
+
+# --- exports past the reference renderers ------------------------------------
+
+EXPORT_GOLDEN = Path(__file__).resolve().parent / "data" / "export_golden.json"
+
+
+@pytest.mark.parametrize("s", [7, 8])
+def test_large_exports_match_recorded_hashes(s):
+    """Suzuki s=7 and 8 (45,184 and 133,856 records), past the per-record
+    reference gate, against hashes recorded from the per-row renderers."""
+    report = compute_spectrum(Family.SUZUKI, s)
+    digest = {
+        "records": report.record_count,
+        "csv_sha256": hashlib.sha256(render_csv(report).encode()).hexdigest(),
+        "json_sha256": hashlib.sha256(render_json(report).encode()).hexdigest(),
+    }
+    assert "records" not in report.__dict__
+    assert digest == json.loads(EXPORT_GOLDEN.read_text())[f"suzuki-{s}"]
+
+
+# --- validate_export on damaged documents ------------------------------------
+
+
+def one_line_value_error(text):
+    with pytest.raises(ValueError) as info:
+        validate_export(text)
+    assert "\n" not in str(info.value)
+    return str(info.value)
+
+
+@pytest.fixture(scope="module")
+def suzuki4_doc():
+    return json.loads(render_json(compute_spectrum(Family.SUZUKI, 4)))
+
+
+def largest_class(doc):
+    """Indices of the records sharing the most common (order, genus, delta)."""
+    members = {}
+    for i, r in enumerate(doc["records"]):
+        members.setdefault((r["order"], r["genus"], r["delta"]), []).append(i)
+    return max(members.values(), key=len)
+
+
+@pytest.mark.parametrize("where", [0, len, -1], ids=["first", "middle", "last"])
+def test_one_corrupted_member_of_a_class_is_caught(suzuki4_doc, where):
+    members = largest_class(suzuki4_doc)
+    assert len(members) > 100
+    i = members[len(members) // 2] if where is len else members[where]
+
+    broken = json.loads(json.dumps(suzuki4_doc))
+    broken["records"][i]["genus"] += 1
+    message = one_line_value_error(json.dumps(broken))
+    assert message == f"Riemann-Hurwitz identity fails for {broken['records'][i]}"
+
+    # a float equal to the genus passes the identity and hides in the set
+    broken = json.loads(json.dumps(suzuki4_doc))
+    broken["records"][i]["genus"] = float(broken["records"][i]["genus"])
+    assert f"record {i} " in one_line_value_error(json.dumps(broken))
+
+
+TINY = {
+    "schema_version": SCHEMA_VERSION,
+    "ambient_degree": 10,
+    "genera": [1],
+    "records": [{"kind": "x", "order": 1, "genus": 1, "delta": 10, "params": [1]}] * 3,
+}
+
+
+def tiny_with(i, key, value):
+    doc = json.loads(json.dumps(TINY))
+    doc["records"][i][key] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        # equal to the int they replace, so the identity and a set both pass
+        ("order", 1.0),
+        ("genus", 1.0),
+        ("delta", 10.0),
+        ("order", True),
+        ("genus", True),
+        # unequal to the int they replace
+        ("delta", True),
+        ("genus", "1"),
+        ("delta", None),
+        ("order", [1]),
+    ],
+)
+def test_non_integer_record_values_are_rejected(key, value):
+    validate_export(json.dumps(TINY))
+    for i in range(3):
+        message = one_line_value_error(tiny_with(i, key, value))
+        assert message.startswith(f"record {i} has no integer order, genus and delta")
+
+
+@pytest.mark.parametrize(
+    "key,value", [("ambient_degree", 10.0), ("genera", [1.0]), ("genera", [True])]
+)
+def test_non_integer_document_values_are_rejected(key, value):
+    doc = dict(TINY, **{key: value})
+    one_line_value_error(json.dumps(doc))
+
+
+@pytest.mark.parametrize("text", ["[]", "1", '"export"', "null", "[{}]"])
+def test_non_object_documents_are_rejected(text):
+    assert "not an object" in one_line_value_error(text)
+
+
+@pytest.mark.parametrize("key", ["ambient_degree", "genera", "records"])
+def test_missing_document_keys_are_rejected(key):
+    doc = {k: v for k, v in TINY.items() if k != key}
+    assert repr(key) in one_line_value_error(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ["order", "genus", "delta"])
+def test_missing_record_keys_are_rejected(key):
+    doc = json.loads(json.dumps(TINY))
+    del doc["records"][1][key]
+    assert one_line_value_error(json.dumps(doc)).startswith("record 1 ")
+
+
+@pytest.mark.parametrize("records", [{}, 3, None, [[1, 3, 10]], [7]])
+def test_malformed_record_lists_are_rejected(records):
+    one_line_value_error(json.dumps(dict(TINY, records=records)))
