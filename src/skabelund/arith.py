@@ -24,8 +24,10 @@ Factorization = tuple[tuple[int, int], ...]
 def is_prime(n: int) -> bool:
     """Deterministic primality by trial division (intended for n up to ~10^14).
 
-    Cached: valuation() re-validates its prime argument on every call, and a
-    spectrum run asks about the same handful of primes millions of times.
+    Cached: valuation() re-validates its prime argument on every call, and
+    its callers ask about the same few primes of m over and over: the
+    oracle's CRT-product check once per sampled subgroup, power and prime,
+    and singer_block once or twice per (n1, n2) block and prime.
     """
     if n < 2:
         return False

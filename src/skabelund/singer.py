@@ -10,7 +10,16 @@ nu_{d,l} = min(v_{p_l}(n1*q^d - a), v_{p_l}(n2)),
 
 where the d-th summand counts the subgroup elements sigma^A tau^B whose
 tau-exponent hits the d-th special power A*q^d, via a prime-by-prime
-congruence solution count.
+congruence solution count.  The product is one gcd:
+
+    prod_l p_l^nu_{d,l} = gcd(n1*q^d - a, n2),
+
+because every prime of n2 divides m, gcd(0, n2) = n2 plays the role of
+v_p(0) = infinity, and reducing q^d mod m shifts n1*q^d - a by a multiple
+of m, hence of n2, which leaves the gcd unchanged.  The oracle's
+congruence check (spectrum.run_oracle_suite) still forms the product prime by
+prime, so it checks the count against a formulation this module no longer
+shares.
 
 delta_sigma_cm evaluates this for one subgroup.  For a whole curve,
 evaluate_singer_square evaluates it once per nu-profile class instead, on
@@ -20,15 +29,17 @@ n1*n2/gcd(n1*n2, m) below n2) fall into a few classes that share one
 profile, one delta and one genus.  The classes are counted prime by prime:
 only the residues a = n1*q^d (mod p) can have a nonzero exponent, so at most
 one residue in p of each power is enumerated and every other residue is
-counted into the all-zero profile.  The primes are then combined by the
-Chinese remainder theorem into a multiset {profile: count}, with one member
-of each class.
+counted into the all-zero profile; the p-part p^nu_d of a residue r is
+gcd(n1*q^d - r, p^v_p(n2)).  The primes are then combined by the Chinese
+remainder theorem into a multiset {profile: count}, with one member of each
+class.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator
 from itertools import repeat
+from math import gcd
 from operator import mod
 from typing import NamedTuple, TypeVar
 
@@ -47,22 +58,22 @@ T = TypeVar("T")
 
 
 def delta_sigma_cm(params: CurveParams, se: StandardExponents) -> int:
-    """Different degree of the subgroup with standard exponents (n1, n2, a)."""
+    """Different degree of the subgroup with standard exponents (n1, n2, a).
+
+    The congruence count of the d-th special power is
+    m * gcd(n1*q^d - a, n2) / (n1*n2): the gcd is the product of the
+    p^nu_{d,l} of the closed form (see the module docstring).
+    """
     se.validate(params.m)
     m = params.m
     n1, n2, a = se.n1, se.n2, se.a
     n1n2 = n1 * n2
     total = (m // n2 - 1) * params.tau_iota
     for qd in params.q_powers:
-        # q^d may be reduced mod m: nu is capped by v_p(n2) <= v_p(m), and
-        # shifting n1*q^d - a by multiples of n1*m never changes the min
-        x = n1 * qd - a
-        prod = 1
-        for p, _e in params.m_factors:
-            nu = min(valuation(p, x), valuation(p, n2))
-            prod *= p ** int(nu)
-        count, rem = divmod(m * prod, n1n2)
-        assert rem == 0, f"congruence count {m * prod} not divisible by {n1n2}"
+        # q^d is reduced mod m; n2 | m, so the gcd is that of the unreduced power
+        part = gcd(n1 * qd - a, n2)
+        count, rem = divmod(m * part, n1n2)
+        assert rem == 0, f"congruence count {m * part} not divisible by {n1n2}"
         total += (count - 1) * m
     return total
 
@@ -91,18 +102,6 @@ class SingerBlock(NamedTuple):
     classes: dict[tuple[int, ...], ProfileClass]
 
 
-def _p_part(x: int, p: int, pe: int) -> int:
-    """p^min(v_p(x), e) for pe = p^e."""
-    x %= pe
-    if x == 0:
-        return pe
-    part = 1
-    while x % p == 0:
-        x //= p
-        part *= p
-    return part
-
-
 def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
     """The p-parts p^nu_d of the profiles over the residues a mod pe that are
     multiples of p^v_p(step).
@@ -110,9 +109,7 @@ def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
     Returns (residue -> profile index, count per profile, one residue per
     profile); index 0 is the all-zero profile.
     """
-    base = 1
-    while step % (base * p) == 0:
-        base *= p
+    base = p ** valuation(p, step)
     index = {(1,) * len(params.q_powers): 0}
     residue_ids: dict[int, int] = {}
     counts = [pe // base]
@@ -127,7 +124,7 @@ def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
         else:
             continue
         for r in hits:
-            profile = tuple(_p_part(n1 * qd - r, p, pe) for qd in params.q_powers)
+            profile = tuple(gcd(n1 * qd - r, pe) for qd in params.q_powers)
             i = index.setdefault(profile, len(index))
             if i == len(counts):
                 counts.append(0)
@@ -147,9 +144,7 @@ def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
     moduli = []
     residues = []
     for p, _e in params.m_factors:
-        pe = 1
-        while n2 % (pe * p) == 0:
-            pe *= p
+        pe = p ** valuation(p, n2)
         if pe == 1:
             continue
         residue_ids, counts, members = _prime_classes(params, n1, p, pe, step)

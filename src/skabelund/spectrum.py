@@ -489,6 +489,8 @@ def run_oracle_suite(
             count = count_congruence_solutions(
                 params, se, d, max_elements=cap, scans=scans
             )
+            # the product prime by prime, not the gcd delta_sigma_cm takes,
+            # so the count is checked against a formulation of its own
             x = se.n1 * params.q_powers[d] - se.a
             prod = 1
             for p, _e in params.m_factors:

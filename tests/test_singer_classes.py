@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skabelund.arith import divisors
+from skabelund import singer
+from skabelund.arith import divisors, is_prime, valuation
 from skabelund.catalog import (
     GenusRecord,
     SigmaCm,
@@ -61,6 +62,111 @@ def test_class_records_belong_to_their_class():
             assert class_key(block, cls.a) == key
             se = StandardExponents(block.n1, block.n2, cls.a)
             assert records[key] == evaluate_descriptor(params, SigmaCm(se))
+
+
+def delta_by_valuations(params, se):
+    """delta_sigma_cm with the congruence count formed prime by prime, as
+    prod_l p_l^min(v_{p_l}(n1*q^d - a), v_{p_l}(n2)): the reference for the
+    one-gcd-per-power evaluation."""
+    m, n1, n2, a = params.m, se.n1, se.n2, se.a
+    total = (m // n2 - 1) * params.tau_iota
+    for qd in params.q_powers:
+        x = n1 * qd - a
+        prod = 1
+        for p, _e in params.m_factors:
+            prod *= p ** int(min(valuation(p, x), valuation(p, n2)))
+        assert m * prod % (n1 * n2) == 0
+        total += (m * prod // (n1 * n2) - 1) * m
+    return total
+
+
+@pytest.mark.parametrize("family,s", WITHIN_CAPS, ids=lambda x: getattr(x, "value", x))
+def test_class_members_match_valuation_reference(family, s):
+    params = make_params(family, s)
+    square = evaluate_singer_square(params)
+    checked = 0
+    for block, records in zip(square.blocks, square.class_records):
+        for key, cls in block.classes.items():
+            se = StandardExponents(block.n1, block.n2, cls.a)
+            expected = delta_by_valuations(params, se)
+            assert delta_sigma_cm(params, se) == expected
+            assert records[key].delta == expected
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_every_triple_matches_valuation_reference(family, s):
+    params = make_params(family, s)
+    triples = list(enumerate_standard_exponents(params.m))
+    assert triples
+    for se in triples:
+        assert delta_sigma_cm(params, se) == delta_by_valuations(params, se)
+
+
+def test_indivisible_congruence_count_is_caught(monkeypatch):
+    # the count m*gcd/(n1*n2) is an integer for every valid triple; a wrong
+    # gcd must fail loudly instead of being floored into a plausible delta
+    params = make_params(Family.SUZUKI, 1)
+    m = params.m
+    monkeypatch.setattr(singer, "gcd", lambda x, n: 1)
+    with pytest.raises(AssertionError, match="not divisible"):
+        delta_sigma_cm(params, StandardExponents(m, m, 0))
+
+
+# the factorizations of m for Suzuki s <= 10 and Ree s <= 7
+CURVE_M_FACTORS = [
+    make_params(family, s).m_factors
+    for family, s_max in ((Family.SUZUKI, 10), (Family.REE, 7))
+    for s in range(1, s_max + 1)
+]
+
+
+@st.composite
+def divisor_of_curve_m(draw):
+    """(factorization of m, n2) with n2 | m for the m of one curve."""
+    factors = draw(st.sampled_from(CURVE_M_FACTORS))
+    n2 = 1
+    for p, e in factors:
+        n2 *= p ** draw(st.integers(min_value=0, max_value=e))
+    return factors, n2
+
+
+def around(n):
+    """0, values up to 10^40 in size of either sign, and multiples of n."""
+    return st.one_of(
+        st.just(0),
+        st.integers(min_value=-(10**40), max_value=10**40),
+        st.integers(min_value=-1000, max_value=1000),
+        st.integers(min_value=-(10**30), max_value=10**30).map(lambda k: k * n),
+        st.integers(min_value=-1000, max_value=1000).map(lambda k: k * n),
+    )
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_gcd_is_the_product_of_capped_valuations(data):
+    factors, n2 = data.draw(divisor_of_curve_m())
+    x = data.draw(around(n2))
+    prod = 1
+    for p, _e in factors:
+        prod *= p ** int(min(valuation(p, x), valuation(p, n2)))
+    assert math.gcd(x, n2) == prod
+
+
+PRIMES = [p for p in range(2, 200) if is_prime(p)] + sorted(
+    {p for factors in CURVE_M_FACTORS for p, _e in factors}
+)
+
+
+@given(st.data())
+@settings(max_examples=500)
+def test_gcd_with_a_prime_power_is_its_p_part(data):
+    p = data.draw(st.sampled_from(PRIMES))
+    e = data.draw(st.integers(min_value=1, max_value=6))
+    x = data.draw(around(p**e))
+    assert math.gcd(x, p**e) == p ** min(valuation(p, x), e)
 
 
 @st.composite
