@@ -14,16 +14,11 @@ equals m exactly when B = A*q^d mod m for some d in {0..3} (Suzuki) or
 {0..5} (Ree), and 0 otherwise; pure tau powers weigh q^2+1 resp. q^3+1.
 That case is served by iota_sigma_element, not by the order-class tables.
 
-A census adds one weight per element, so the oracle reads weights through
-weighers: ree_weigher and suzuki_weigher bind a (params, order class) pair,
-sigma_weigher binds a Singer exponent A, and each returns the function
-k -> weight.  The family check, the parameter unpacking and the class ladder
-run once, when the weigher is bound, not once per element.  The weights
-themselves still come from iota_ree, iota_suzuki and iota_sigma_element: an
-order class weighs sigma*tau^k the same for every k != 0 (mod m), so a class
-weigher reads its two weights from the per-element function at k = 0 and
-k = 1, and a Singer weigher shares the images A*q^d with
-iota_sigma_element.
+An order class weighs sigma*tau^k the same for every k != 0 (mod m), so
+the oracle's census sums read iota_ree and iota_suzuki only at k = 0 and
+k = 1 and multiply by element counts.  A Singer-cycle weight does depend on
+B, so sigma_weigher binds a Singer exponent A once and returns the function
+B -> weight, which shares the images A*q^d with iota_sigma_element.
 """
 
 from __future__ import annotations
@@ -129,53 +124,19 @@ def _singer_images(params: CurveParams, a_exp: int) -> set[int]:
     return {(a_exp * qd) % params.m for qd in params.q_powers}
 
 
-Weigher = Callable[[int], int]
-
-
-def _class_weigher(iota: Callable, params: CurveParams, order_class) -> Weigher:
-    """k -> iota(params, order_class, k), read from iota at k = 0 and k = 1.
-
-    Every curve has m > 1, so k = 1 is not a multiple of m.  For the tau
-    class k = 0 is the identity, which raises in iota and in the weigher.
-    """
-    m = params.m
-    elsewhere = iota(params, order_class, 1)
-    try:
-        at_zero = iota(params, order_class, 0)
-    except ValueError:
-        return _tau_weigher(m, elsewhere)
-
-    def weigh(k: int) -> int:
-        return at_zero if k % m == 0 else elsewhere
-
-    return weigh
-
-
-def _tau_weigher(m: int, weight: int) -> Weigher:
-    def weigh(k: int) -> int:
-        if k % m == 0:
-            raise ValueError("identity element has no ramification weight")
-        return weight
-
-    return weigh
-
-
-def suzuki_weigher(params: CurveParams, order_class: OrderClassSz) -> Weigher:
-    """k -> iota_suzuki(params, order_class, k), with the class bound once."""
-    return _class_weigher(iota_suzuki, params, order_class)
-
-
-def ree_weigher(params: CurveParams, order_class: OrderClassRee) -> Weigher:
-    """k -> iota_ree(params, order_class, k), with the class bound once."""
-    return _class_weigher(iota_ree, params, order_class)
-
-
-def sigma_weigher(params: CurveParams, a_exp: int) -> Weigher:
+def sigma_weigher(params: CurveParams, a_exp: int) -> Callable[[int], int]:
     """B -> iota_sigma_element(params, A, B), with the exponent A bound once."""
     m = params.m
     a_exp %= m
     if a_exp == 0:
-        return _tau_weigher(m, iota_sigma_element(params, 0, 1))
+        tau_weight = iota_sigma_element(params, 0, 1)
+
+        def weigh_tau(b_exp: int) -> int:
+            if b_exp % m == 0:
+                raise ValueError("identity element has no ramification weight")
+            return tau_weight
+
+        return weigh_tau
     images = _singer_images(params, a_exp)
 
     def weigh(b_exp: int) -> int:

@@ -15,12 +15,14 @@ suite passes one scans dict to both, and each row scan runs once per
 suite (see _kernels.pure).  Census sums add each distinct term once and
 multiply it by the number of elements that carry it: the weight of
 sigma*tau^k depends on the class of sigma and on k, not on which element
-of the class sigma is.  A census still weighs every element it adds: it
-binds a weigher of the iota layer once per class (ree_weigher,
-suzuki_weigher, sigma_weigher) and streams it over the elements with map.
-The only shared code with the formula modules is the iota classification
-layer, which is exactly the point of contact the cross-checks are meant to
-pin.
+of the class sigma is.  For an order class it depends on k only through
+whether k = 0 (mod m), so a C_n coset (n | m) or a bucket of tau exponents
+below m is weighed from two reads of iota_ree or iota_suzuki, at k = 0 and
+k = 1, without visiting its elements.  Only the Singer-cycle elements of a
+skew subgroup are weighed one by one, through a weigher of the iota layer
+bound once per exponent (sigma_weigher) and streamed with map.  The only
+shared code with the formula modules is the iota classification layer,
+which is exactly the point of contact the cross-checks are meant to pin.
 
 A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
 affine part (a, b).  Right multiplication by an element moves each bucket
@@ -54,9 +56,7 @@ from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
-    ree_weigher,
     sigma_weigher,
-    suzuki_weigher,
 )
 from .iota import census as census_table
 
@@ -175,59 +175,66 @@ def enumerate_subgroups_bruteforce(
     }
 
 
+def _class_weight_sum(
+    iota, params: CurveParams, order_class, at_zero: int, elsewhere: int
+) -> int:
+    """Weight sum of at_zero elements sigma*tau^k with k = 0 (mod m) and
+    elsewhere elements with k != 0 (mod m), sigma in order_class; iota is
+    iota_suzuki or iota_ree.
+
+    An order class weighs sigma*tau^k by whether k = 0 (mod m) only, so the
+    sum takes two reads of iota: at k = 1 (every curve has m > 1) and, when
+    at_zero is not 0, at k = 0.  For the tau class k = 0 is the identity,
+    which raises in iota.
+    """
+    total = elsewhere * iota(params, order_class, 1)
+    if at_zero:
+        total += at_zero * iota(params, order_class, 0)
+    return total
+
+
 def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
     """Different degree of C_d x C_n or D_d x C_n (Suzuki) by census summation.
 
     q-1 is odd, so the d-1 non-identity rotations all have odd order
     dividing q-1; the dihedral case adds d reflections, all involutions.
     Each rotation and each reflection carries the same C_n coset of weights,
-    so each coset is summed once and counted once per element.
+    sigma*tau^k for k in range(n).  Since n | m, k = 0 is the only k there
+    with k = 0 (mod m), so a coset weighs its k = 0 element once and its
+    k = 1 weight n-1 times (_class_weight_sum); the tau powers are the k != 0.
     """
     if params.family is not Family.SUZUKI:
         raise ValueError("delta_b0_census needs Suzuki parameters")
-    if (params.q - 1) % d != 0 or params.m % n != 0:
+    if d < 1 or n < 1 or (params.q - 1) % d != 0 or params.m % n != 0:
         raise ValueError(f"invalid divisors (d={d}, n={n})")
-    total = sum(map(suzuki_weigher(params, OrderClassSz.TAU), range(1, n)))
-    total += (d - 1) * sum(
-        map(suzuki_weigher(params, OrderClassSz.DIVIDES_Q_MINUS_1), range(n))
+    total = _class_weight_sum(iota_suzuki, params, OrderClassSz.TAU, 0, n - 1)
+    total += (d - 1) * _class_weight_sum(
+        iota_suzuki, params, OrderClassSz.DIVIDES_Q_MINUS_1, 1, n - 1
     )
     if dihedral:
-        total += d * sum(map(suzuki_weigher(params, OrderClassSz.ORDER2), range(n)))
+        total += d * _class_weight_sum(
+            iota_suzuki, params, OrderClassSz.ORDER2, 1, n - 1
+        )
     return total
 
 
-def delta_census(
-    group_tag: str, params: CurveParams, n: int, cosets: dict | None = None
-) -> int:
+def delta_census(group_tag: str, params: CurveParams, n: int) -> int:
     """Different degree of (Ree(3)-subgroup) x C_n by census summation.
 
     Each census entry contributes its count times the weight sum of one
     full C_n coset, sigma*tau^k for k in range(n) (see _ree_coset_sum); the
     tau-only coset (k != 0) is added once.
-
-    A coset sum depends on the element order and on n, not on the group, so
-    a caller checking several groups for one curve and one n may pass the
-    same dict as cosets: each sum is then computed by the first call that
-    needs it.  The dict must not be shared between curves or values of n.
     """
     if params.family is not Family.REE:
         raise ValueError("delta_census needs Ree parameters")
-    if params.m % n != 0:
+    if n < 1 or params.m % n != 0:
         raise ValueError(f"n={n} does not divide m={params.m}")
     cen = census_table(group_tag)
-    if cosets is None:
-        cosets = {}
-
-    def coset(order: int) -> int:
-        key = (order, cen.order3_central if order == 3 else None)
-        if key not in cosets:
-            cosets[key] = _ree_coset_sum(params, key, n)
-        return cosets[key]
-
-    total = coset(1)
+    total = _ree_coset_sum(params, (1, None), n)
     for order, count in cen.counts:
         if order != 1:
-            total += count * coset(order)
+            key = (order, cen.order3_central if order == 3 else None)
+            total += count * _ree_coset_sum(params, key, n)
     return total
 
 
@@ -244,15 +251,16 @@ _REE_COSET_CLASSES = {
 
 
 def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) -> int:
-    """Weight sum of sigma*tau^k over k in range(n), for sigma of the order
-    and centrality in key (see _REE_COSET_CLASSES); for the tau powers the
-    sum runs over k != 0.
+    """Weight sum of sigma*tau^k over k in range(n), n | m, for sigma of the
+    order and centrality in key (see _REE_COSET_CLASSES); for the tau powers
+    the sum runs over k != 0.
 
-    Order-2 elements weigh q+1 on every k, order-6 elements 1, order-3 and
-    order-9 elements their k=0 weight and 1 elsewhere.  Order-7 elements
-    weigh 0 except at the special tau powers, the k != 0 with 7*k = 0 in
-    C_n, which weigh m each.  Those k are the j*n/7 for the j in 1..6 with
-    7 | j*n, so they are counted over the multiples of n below 7n.
+    For every order but 7 the coset is the k = 0 element plus n-1 elements
+    with k != 0 (mod m), weighed from two reads of iota_ree
+    (_class_weight_sum).  Order-7 elements weigh 0 except at the special
+    tau powers, the k != 0 with 7*k = 0 in C_n, which weigh m each.  Those
+    k are the j*n/7 for the j in 1..6 with 7 | j*n, so they are counted
+    over the multiples of n below 7n.
     """
     if key[0] == 7:
         return params.m * countOf(map(mod, range(n, 7 * n, n), repeat(7)), 0)
@@ -260,8 +268,8 @@ def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) ->
         klass = _REE_COSET_CLASSES[key]
     except KeyError:
         raise ValueError(f"unexpected (order, central) {key} in census") from None
-    first = 1 if klass is OrderClassRee.TAU else 0
-    return sum(map(ree_weigher(params, klass), range(first, n)))
+    at_zero = 0 if klass is OrderClassRee.TAU else 1
+    return _class_weight_sum(iota_ree, params, klass, at_zero, n - 1)
 
 
 # --- F8 arithmetic and the skew-subgroup element oracle ---------------------
@@ -386,7 +394,9 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     such element onto r^c without touching e.  The weight of a*x+b paired
     with tau^e therefore depends on (a, whether b = 0, e) only.  Buckets of
     the closure (_close_skew) with the same a, the same "b = 0" and the same
-    bits are counted together, and the weights of their e are summed once.
+    bits are counted together, and the weights of their e are summed once:
+    for a = 1 from two reads of iota_ree (the e are in range(m), so only
+    bit 0 has e = 0 mod m), for a != 1 by streaming sigma_weigher over the e.
     """
     m = params.m
     buckets = _close_skew(m, _skew_generators(params, variant, i, w))
@@ -401,11 +411,13 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     for (a, translated, bits), count in terms.items():
         if a != 1:
             weigher = sigma_weigher(params, (_F8_LOG[a] * (m // 7)) % m)
-        elif translated:
-            weigher = ree_weigher(params, OrderClassRee.ORDER2)
+            total += count * sum(map(weigher, _bit_positions(bits)))
         else:
-            weigher = ree_weigher(params, OrderClassRee.TAU)
-        total += count * sum(map(weigher, _bit_positions(bits)))
+            klass = OrderClassRee.ORDER2 if translated else OrderClassRee.TAU
+            at_zero = bits & 1  # bit e stands for tau^e, e in range(m)
+            total += count * _class_weight_sum(
+                iota_ree, params, klass, at_zero, bits.bit_count() - at_zero
+            )
     return total
 
 

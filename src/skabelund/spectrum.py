@@ -565,12 +565,11 @@ def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
 
     bad = []
     for n in divisors(params.m):
-        cosets: dict = {}  # coset sums of this n, shared by the seven groups
-        if genus_psl28(params, n).delta != delta_census("psl28", params, n, cosets):
+        if genus_psl28(params, n).delta != delta_census("psl28", params, n):
             bad.append(f"psl28 n={n}")
         for k_order in N2_SUBGROUP_ORDERS:
             formula = genus_n2_nonskew(params, k_order, n).delta
-            if formula != delta_census(f"n2_{k_order}", params, n, cosets):
+            if formula != delta_census(f"n2_{k_order}", params, n):
                 bad.append(f"n2_{k_order} n={n}")
     checks.append(
         OracleCheck(

@@ -11,6 +11,7 @@ from skabelund.iota import census
 from skabelund.oracle import (
     BruteForceCapError,
     count_congruence_solutions,
+    delta_b0_census,
     delta_census,
     delta_sigma_cm_bruteforce,
     delta_sigma_cm_direct,
@@ -108,6 +109,25 @@ def test_delta_census_values():
         delta_census("n2_7", R1, 1)
     with pytest.raises(ValueError):
         delta_census("psl28", S1, 1)
+
+
+@pytest.mark.parametrize(
+    "census_sum, args, message",
+    [
+        (delta_census, ("psl28", R1, -1), "n=-1 does not divide m=19"),
+        (delta_census, ("n2_168", R1, -19), "n=-19 does not divide m=19"),
+        (delta_census, ("n2_4", R1, 0), "n=0 does not divide m=19"),
+        (delta_b0_census, (S1, -7, 5, False), r"invalid divisors \(d=-7, n=5\)"),
+        (delta_b0_census, (S1, 0, 5, True), r"invalid divisors \(d=0, n=5\)"),
+        (delta_b0_census, (S1, 7, -5, False), r"invalid divisors \(d=7, n=-5\)"),
+        (delta_b0_census, (S1, -1, -1, True), r"invalid divisors \(d=-1, n=-1\)"),
+        (delta_b0_census, (S1, 1, 0, False), r"invalid divisors \(d=1, n=0\)"),
+    ],
+)
+def test_census_sums_reject_sizes_below_one(census_sum, args, message):
+    # a negative divisor of m or q-1 still divides it: m % -n == 0
+    with pytest.raises(ValueError, match=message):
+        census_sum(*args)
 
 
 def test_f8_multiplication_table():

@@ -1,19 +1,23 @@
 """Equality gate for the oracle's fast paths.
 
 The kernels count pairs as row scans and table joins, and the census sums
-add each distinct term once.  The references below are the nested-loop
-kernels and the per-element census loops those replaced, kept as the slow
-paths the fast ones must agree with: on every kernel call the oracle suite
-makes for Suzuki s <= 6 and Ree s <= 4, on random small cases (with
-separate strategies for the one-column domains n2 = m, for one step on
-several columns, and for calls that share one scans dict), and on every
-census case for s <= 4; the order-7 coset count against the n - 1
-multiples of 7 it replaced, for n < 3000 and every n | m for Ree s <= 6.
-Row scans are shared within one oracle suite and by no later one.  Beyond
-that, the suite must reproduce the verdicts and details recorded in
-data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
-and for Ree s = 5 (the longest one-column domains within the caps) by the
-table-join oracle before the one-column count.
+weigh a whole coset or bucket of an order class from two reads of iota.
+The references below are the nested-loop kernels and the per-element
+census loops those replaced, kept as the slow paths the fast ones must
+agree with: on every kernel call the oracle suite makes for Suzuki s <= 6
+and Ree s <= 4, on random small cases (with separate strategies for the
+one-column domains n2 = m, for one step on several columns, and for calls
+that share one scans dict), and on every census case for s <= 4; the
+order-7 coset count against the n - 1 multiples of 7 it replaced, for
+n < 3000 and every n | m for Ree s <= 6.  The premise of the two reads is
+checked directly: for s <= 4 every order class weighs each k in range(2m)
+as k = 0 when k = 0 (mod m) and as k = 1 otherwise.  Row scans are shared
+within one oracle suite and by no later one.  Beyond that, the suite must
+reproduce the verdicts and details recorded in data/oracle_golden.json: by
+the nested-loop oracle for Suzuki s = 5 and 6, for Ree s = 5 (the longest
+one-column domains within the caps) by the table-join oracle before the
+one-column count, and for Ree s = 7 (m = 37*387631, the most divisors and
+the longest cosets) by the oracle that weighed each census element.
 """
 
 import json
@@ -26,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skabelund import _kernels
+from skabelund import _kernels, oracle
 from skabelund._kernels import pure
 from skabelund.arith import divisors
 from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
@@ -39,9 +43,7 @@ from skabelund.iota import (
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
-    ree_weigher,
     sigma_weigher,
-    suzuki_weigher,
 )
 from skabelund.oracle import (
     _F8_LOG,
@@ -166,16 +168,16 @@ def ref_materialize_skew_subgroup(params, variant, i, w):
     return seen
 
 
-def ref_delta_skew_census(params, variant, i, w):
+def ref_delta_skew_census(params, variant, i, w, iota=iota_ree):
     m = params.m
     total = 0
     for a, b, e in ref_materialize_skew_subgroup(params, variant, i, w):
         if a == 1:
             if b == 0:
                 if e != 0:
-                    total += iota_ree(params, OrderClassRee.TAU, e)
+                    total += iota(params, OrderClassRee.TAU, e)
             else:
-                total += iota_ree(params, OrderClassRee.ORDER2, e)
+                total += iota(params, OrderClassRee.ORDER2, e)
         else:
             total += iota_sigma_element(params, (_F8_LOG[a] * (m // 7)) % m, e)
     return total
@@ -404,11 +406,8 @@ def test_ree_census_matches_the_element_loops(s):
     params = make_params(Family.REE, s)
     tags = ("psl28", "n2_168", "n2_56", "n2_24", "n2_12", "n2_8", "n2_4")
     for n in divisors(params.m):
-        shared: dict = {}
         for tag in tags:
-            expected = ref_delta_census(tag, params, n)
-            assert delta_census(tag, params, n) == expected, (tag, n)
-            assert delta_census(tag, params, n, shared) == expected, (tag, n)
+            assert delta_census(tag, params, n) == ref_delta_census(tag, params, n), (tag, n)
 
 
 @pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
@@ -424,6 +423,30 @@ def test_skew_census_matches_the_element_loop(s, default_caps):
                 assert delta_skew_census(params, variant, i, w) == ref_delta_skew_census(
                     params, variant, i, w
                 ), (variant, i, w)
+
+
+def _raised_at_zero(params, order_class, k):
+    """iota_ree plus 10^6 where k = 0 (mod m): two distinct values for every
+    order class, the involutions included."""
+    weight = iota_ree(params, order_class, k)
+    return weight + 10**6 if k % params.m == 0 else weight
+
+
+@pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
+def test_skew_census_weighs_each_bucket_at_k_0_and_elsewhere(s, monkeypatch, default_caps):
+    """Ree involutions weigh q+1 at every k, so the real weights cannot tell
+    how a bucket's tau^0 element is weighed; with a stand-in iota that can,
+    the census must still equal the element loop."""
+    params = make_params(Family.REE, s)
+    monkeypatch.setattr(oracle, "iota_ree", _raised_at_zero)
+    cap = max_elements_cap()
+    for w in divisors(params.m // 7):
+        if 56 * (params.m // (7 * w)) > cap:
+            continue
+        for variant in ("full", "cyclic"):
+            assert delta_skew_census(params, variant, 1, w) == ref_delta_skew_census(
+                params, variant, 1, w, iota=_raised_at_zero
+            ), (variant, w)
 
 
 def ref_order7_special_powers(n):
@@ -444,7 +467,7 @@ GOLDEN = Path(__file__).resolve().parent / "data" / "oracle_golden.json"
 
 
 @pytest.mark.parametrize(
-    "curve", ["suzuki-5", "suzuki-6", "ree-5", "ree-6", "suzuki-7", "suzuki-8"]
+    "curve", ["suzuki-5", "suzuki-6", "ree-5", "ree-6", "ree-7", "suzuki-7", "suzuki-8"]
 )
 def test_oracle_reproduces_the_recorded_verdicts(curve, default_caps):
     family, s = curve.split("-")
@@ -469,23 +492,26 @@ def _weight_or_error(fn, *args):
 @pytest.mark.parametrize(
     "family, s", WEIGHER_CURVES, ids=[f"{f.value}-{s}" for f, s in WEIGHER_CURVES]
 )
-def test_class_weighers_match_the_iota_functions(family, s):
+def test_order_class_weights_take_two_values(family, s):
+    """The census sums read an order class at k = 0 and k = 1 only: every k
+    weighs as k = 0 when k = 0 (mod m) and as k = 1 otherwise, and raises
+    where those reads raise (the identity, the Singer-cycle classes)."""
     params = make_params(family, s)
     if family is Family.SUZUKI:
-        iota, bind, classes = iota_suzuki, suzuki_weigher, OrderClassSz
+        iota, classes = iota_suzuki, OrderClassSz
+        singer = OrderClassSz.DIVIDES_Q_MINUS_2Q0_PLUS_1
     else:
-        iota, bind, classes = iota_ree, ree_weigher, OrderClassRee
+        iota, classes = iota_ree, OrderClassRee
+        singer = OrderClassRee.DIVIDES_Q_MINUS_3Q0_PLUS_1
+    raising = set()
     for klass in classes:
-        try:
-            weigher = bind(params, klass)
-        except ValueError as exc:  # Singer-cycle classes have no class weight
-            with pytest.raises(ValueError, match=str(exc)):
-                iota(params, klass, 1)
-            continue
+        at_zero = _weight_or_error(iota, params, klass, 0)
+        elsewhere = _weight_or_error(iota, params, klass, 1)
         for k in range(2 * params.m):
-            assert _weight_or_error(weigher, k) == _weight_or_error(
-                iota, params, klass, k
-            ), (klass, k)
+            expected = at_zero if k % params.m == 0 else elsewhere
+            assert _weight_or_error(iota, params, klass, k) == expected, (klass, k)
+        raising |= {(klass, k) for k, w in ((0, at_zero), (1, elsewhere)) if type(w) is tuple}
+    assert raising == {(classes.TAU, 0), (singer, 0), (singer, 1)}
 
 
 @pytest.mark.parametrize(
