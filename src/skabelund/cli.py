@@ -21,13 +21,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import KINDS_BY_NAME
+from .catalog import KINDS_BY_NAME, kind_of
 from .curves import Family, make_params
 from .oracle import SettingError, env_int
 from .spectrum import (
     compute_spectrum,
-    descriptor_kind,
-    descriptor_params,
     evaluate_descriptor,
     render_csv,
     render_json,
@@ -126,10 +124,11 @@ def _cmd_genus(args) -> int:
         record = evaluate_descriptor(params, descriptor)
     except ValueError as exc:
         raise SystemExit(f"invalid descriptor {args.descriptor!r}: {exc}") from None
-    ps = ",".join(str(x) for x in descriptor_params(descriptor) if x is not None)
+    kind = kind_of(descriptor)
+    ps = ",".join(map(str, kind.params(descriptor)))
     print(
         f"family={params.family.value} s={params.s} q={params.q} m={params.m} "
-        f"descriptor={descriptor_kind(descriptor)}:{ps} "
+        f"descriptor={kind.name}:{ps} "
         f"order={record.order} delta={record.delta} genus={record.genus}"
     )
     return 0

@@ -17,14 +17,13 @@ That case is served by iota_sigma_element, not by the order-class tables.
 An order class weighs sigma*tau^k the same for every k != 0 (mod m), so
 the oracle's census sums read iota_ree and iota_suzuki only at k = 0 and
 k = 1 and multiply by element counts.  A Singer-cycle weight does depend on
-B, so sigma_weigher binds a Singer exponent A once and returns the function
-B -> weight, which shares the images A*q^d with iota_sigma_element.
+B, but only through whether B is one of the images A*q^d mod m, so the
+oracle counts the B among singer_images, the set iota_sigma_element reads.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass
 
 from .curves import CurveParams, Family
@@ -116,33 +115,13 @@ def iota_sigma_element(params: CurveParams, a_exp: int, b_exp: int) -> int:
         raise ValueError("identity element has no ramification weight")
     if a_exp == 0:
         return params.tau_iota
-    return m if b_exp in _singer_images(params, a_exp) else 0
+    return m if b_exp in singer_images(params, a_exp) else 0
 
 
-def _singer_images(params: CurveParams, a_exp: int) -> set[int]:
-    """The B at which sigma^A tau^B (A != 0 mod m) weighs m: the A*q^d mod m."""
+def singer_images(params: CurveParams, a_exp: int) -> set[int]:
+    """The B in range(m) at which sigma^A tau^B (A != 0 mod m) weighs m: the
+    A*q^d mod m."""
     return {(a_exp * qd) % params.m for qd in params.q_powers}
-
-
-def sigma_weigher(params: CurveParams, a_exp: int) -> Callable[[int], int]:
-    """B -> iota_sigma_element(params, A, B), with the exponent A bound once."""
-    m = params.m
-    a_exp %= m
-    if a_exp == 0:
-        tau_weight = iota_sigma_element(params, 0, 1)
-
-        def weigh_tau(b_exp: int) -> int:
-            if b_exp % m == 0:
-                raise ValueError("identity element has no ramification weight")
-            return tau_weight
-
-        return weigh_tau
-    images = _singer_images(params, a_exp)
-
-    def weigh(b_exp: int) -> int:
-        return m if b_exp % m in images else 0
-
-    return weigh
 
 
 @dataclass(frozen=True)

@@ -18,11 +18,12 @@ sigma*tau^k depends on the class of sigma and on k, not on which element
 of the class sigma is.  For an order class it depends on k only through
 whether k = 0 (mod m), so a C_n coset (n | m) or a bucket of tau exponents
 below m is weighed from two reads of iota_ree or iota_suzuki, at k = 0 and
-k = 1, without visiting its elements.  Only the Singer-cycle elements of a
-skew subgroup are weighed one by one, through a weigher of the iota layer
-bound once per exponent (sigma_weigher) and streamed with map.  The only
-shared code with the formula modules is the iota classification layer,
-which is exactly the point of contact the cross-checks are meant to pin.
+k = 1, without visiting its elements.  A Singer-cycle element sigma^A tau^B
+of a skew subgroup weighs m exactly when B is one of the images A*q^d mod m
+(iota.singer_images), so a bucket of them is weighed as m times the number
+of its tau exponents among those images.  The only shared code with the
+formula modules is the iota classification layer, which is exactly the
+point of contact the cross-checks are meant to pin.
 
 A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
 affine part (a, b).  Right multiplication by an element moves each bucket
@@ -56,7 +57,7 @@ from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
-    sigma_weigher,
+    singer_images,
 )
 from .iota import census as census_table
 
@@ -392,11 +393,11 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     order-7-bearing elements a*x+b (a = g^c != 1) reduce to the Singer-square
     weight of sigma^(c*m/7) tau^e: conjugation by a translation moves any
     such element onto r^c without touching e.  The weight of a*x+b paired
-    with tau^e therefore depends on (a, whether b = 0, e) only.  Buckets of
-    the closure (_close_skew) with the same a, the same "b = 0" and the same
-    bits are counted together, and the weights of their e are summed once:
-    for a = 1 from two reads of iota_ree (the e are in range(m), so only
-    bit 0 has e = 0 mod m), for a != 1 by streaming sigma_weigher over the e.
+    with tau^e therefore depends on (a, whether b = 0, e) only.  Each bucket
+    of the closure (_close_skew) is weighed from its bits without visiting
+    its e: for a = 1 from two reads of iota_ree (the e are in range(m), so
+    only bit 0 has e = 0 mod m), for a != 1 as m per e among the
+    singer_images of c*m/7, with a = g^c.
     """
     m = params.m
     buckets = _close_skew(m, _skew_generators(params, variant, i, w))
@@ -406,16 +407,18 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
         f"closure produced {order} elements, expected {expected_order}"
     )
     buckets[1, 0] &= ~1  # the identity has no weight
+    # bit B set at each image B of sigma^(c*m/7), c = 1..6
+    image_masks = {
+        c: sum(1 << b for b in singer_images(params, c * (m // 7))) for c in range(1, 7)
+    }
     total = 0
-    terms = Counter((a, b != 0, bits) for (a, b), bits in buckets.items())
-    for (a, translated, bits), count in terms.items():
+    for (a, b), bits in buckets.items():
         if a != 1:
-            weigher = sigma_weigher(params, (_F8_LOG[a] * (m // 7)) % m)
-            total += count * sum(map(weigher, _bit_positions(bits)))
+            total += m * (bits & image_masks[_F8_LOG[a]]).bit_count()
         else:
-            klass = OrderClassRee.ORDER2 if translated else OrderClassRee.TAU
+            klass = OrderClassRee.ORDER2 if b else OrderClassRee.TAU
             at_zero = bits & 1  # bit e stands for tau^e, e in range(m)
-            total += count * _class_weight_sum(
+            total += _class_weight_sum(
                 iota_ree, params, klass, at_zero, bits.bit_count() - at_zero
             )
     return total

@@ -2,13 +2,17 @@
 
 The Singer square is evaluated once per nu-profile class (see singer.py),
 not once per subgroup: genus spectra, verify_tables and the CSV, JSON and
-table exports read the class tables alone.  Each renderer formats one text
-per class, the (before, after) of the row around the parameter a, and
-SingerSquare.walk yields the class text of every subgroup in catalog order,
-so a row is before + str(a) + after, joined without a Python frame per row.
-Per-subgroup GenusRecords are materialized only when SpectrumReport.records
-is read.  Every other descriptor is evaluated on its own and rendered by its
-renderer's per-record format.
+table exports read the class tables alone.  Per-subgroup GenusRecords are
+materialized only when SpectrumReport.records is read.  Every other
+descriptor is evaluated on its own.
+
+Each renderer has one row template, text_of(kind, lead, record) ->
+(before, after), with lead the descriptor's parameters before the last one:
+every row, of any kind, is before + str(last) + after.  _runs yields the
+rows in catalog order as runs of (values of the last parameter, texts):
+one run per Singer block, whose texts SingerSquare.walk formats once per
+class, so its rows are joined without a Python frame per row, and one run
+of one row per other record.
 
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
@@ -21,16 +25,16 @@ from __future__ import annotations
 
 import functools
 import json
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import itemgetter
 
 from .arith import divisors, valuation
 from .catalog import (
-    KINDS,
     KINDS_BY_NAME,
     N2_SUBGROUP_ORDERS,
+    DescriptorKind,
     GenusRecord,
     StandardExponents,
     SubgroupDescriptor,
@@ -77,18 +81,8 @@ CSV_HEADER = (
     "family,s,q,m,descriptor_kind,param1,param2,param3,subgroup_order,delta,genus"
 )
 
-
-DESCRIPTOR_KINDS = {kind.cls: kind.name for kind in KINDS}
-
-
-def descriptor_kind(descriptor: SubgroupDescriptor) -> str:
-    return kind_of(descriptor).name
-
-
-def descriptor_params(descriptor: SubgroupDescriptor) -> tuple[int | None, ...]:
-    """The (param1, param2, param3) columns; unused slots are None."""
-    params = kind_of(descriptor).params(descriptor)
-    return params + (None,) * (3 - len(params))
+# the one kind evaluated by class tables rather than descriptor by descriptor
+_SINGER_KIND = KINDS_BY_NAME["sigma-cm"]
 
 
 def evaluate_descriptor(
@@ -127,11 +121,11 @@ def _evaluate(
 ) -> tuple[SingerSquare | None, tuple[GenusRecord, ...]]:
     """Singer-square class tables (if sigma-cm is among kinds) and the records
     of every other descriptor of the given kinds."""
-    singer = evaluate_singer_square(params) if "sigma-cm" in kinds else None
+    singer = evaluate_singer_square(params) if _SINGER_KIND.name in kinds else None
     others = tuple(
         evaluate_descriptor(params, d)
         for d in enumerate_non_singer_descriptors(params)
-        if descriptor_kind(d) in kinds
+        if kind_of(d).name in kinds
     )
     return singer, others
 
@@ -154,8 +148,8 @@ def compute_spectrum(
             raise ValueError(f"unknown subgroup family {family_filter!r}")
         kinds = (family_filter,)
     singer, others = _evaluate(params, kinds)
-    covered = ("sigma-cm",) if singer is not None else ()
-    covered += tuple(dict.fromkeys(descriptor_kind(r.descriptor) for r in others))
+    covered = (_SINGER_KIND.name,) if singer is not None else ()
+    covered += tuple(dict.fromkeys(kind_of(r.descriptor).name for r in others))
     return SpectrumReport(
         params=params,
         genera=tuple(sorted(_genera(singer, others))),
@@ -169,20 +163,35 @@ def compute_spectrum(
 # --- export ------------------------------------------------------------------
 
 
-def _singer_lines(
-    report: SpectrumReport, text_of: Callable[[int, int, GenusRecord], tuple[str, str]]
-) -> Iterator[str]:
-    """One line per Singer-square subgroup, in catalog order: before + str(a)
-    + after, with text_of(n1, n2, record) the (before, after) of a's class.
+RowText = Callable[[DescriptorKind, Sequence[int], GenusRecord], tuple[str, str]]
 
-    The texts are formatted once per class; str(a).join((before, after))
-    assembles each line in map, so no Python frame runs per subgroup.
+
+def _runs(
+    report: SpectrumReport, text_of: RowText
+) -> Iterator[tuple[Sequence[int], Iterator[tuple[str, str]]]]:
+    """The rows in catalog order, as runs of (values, texts): the row of the
+    i-th value v writes str(v) between the (before, after) of the i-th text.
+    text_of(kind, lead, record) gives the text of a row whose descriptor has
+    the parameters (*lead, v).
+
+    Each Singer block is one run over the valid a, its texts formatted once
+    per class by SingerSquare.walk; every other record is a run of one row.
     """
-    if report.singer is None:
-        return iter(())
+    if report.singer is not None:
+        walk = report.singer.walk(lambda n1, n2, r: text_of(_SINGER_KIND, (n1, n2), r))
+        for _, _, values, texts in walk:
+            yield values, texts
+    for r in report.other_records:
+        kind = kind_of(r.descriptor)
+        *lead, last = kind.params(r.descriptor)
+        yield (last,), (text_of(kind, lead, r),)
+
+
+def _lines(report: SpectrumReport, text_of: RowText) -> Iterator[str]:
+    """before + str(v) + after per row of _runs; str(v).join((before, after))
+    assembles each row in map, so no Python frame runs per row."""
     return chain.from_iterable(
-        map(str.join, map(str, values), texts)
-        for _, _, values, texts in report.singer.walk(text_of)
+        map(str.join, map(str, values), texts) for values, texts in _runs(report, text_of)
     )
 
 
@@ -190,32 +199,17 @@ def render_csv(report: SpectrumReport) -> str:
     p = report.params
     prefix = f"{p.family.value},{p.s},{p.q},{p.m},"
 
-    def singer_text(n1, n2, r):
-        return f"{prefix}sigma-cm,{n1},{n2},", f",{r.order},{r.delta},{r.genus}"
-
-    lines = [CSV_HEADER]
-    lines.extend(_singer_lines(report, singer_text))
-    for r in report.other_records:
-        kind = kind_of(r.descriptor)
-        params = kind.params(r.descriptor)
+    def text_of(kind, lead, r):
         # three parameter columns, unused slots left empty
-        cells = ",".join(map(str, params)) + "," * (3 - len(params))
-        lines.append(f"{prefix}{kind.name},{cells},{r.order},{r.delta},{r.genus}")
-    lines.append("")  # the final newline, without copying the text once more
+        before = prefix + kind.name + "," + "".join(f"{x}," for x in lead)
+        return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}"
+
+    lines = [CSV_HEADER, *_lines(report, text_of), ""]  # "": the final newline
     return "\n".join(lines)
 
 
 _JSON_KINDS = {name: json.dumps(name) for name in KINDS_BY_NAME}
 _JSON_RECORD_TAIL = "\n   ]\n  }"
-
-
-def _json_record_head(kind: str, r: GenusRecord) -> str:
-    """A JSON record up to its first parameter (keys sorted, depth 2)."""
-    return (
-        f'  {{\n   "delta": {r.delta},\n   "genus": {r.genus},'
-        f'\n   "kind": {_JSON_KINDS[kind]},\n   "order": {r.order},'
-        f'\n   "params": [\n    '
-    )
 
 
 def render_json(report: SpectrumReport) -> str:
@@ -243,14 +237,15 @@ def render_json(report: SpectrumReport) -> str:
         indent=1,
     )
 
-    def singer_text(n1, n2, r):
-        return _json_record_head("sigma-cm", r) + f"{n1},\n    {n2},\n    ", _JSON_RECORD_TAIL
+    def text_of(kind, lead, r):
+        before = (
+            f'  {{\n   "delta": {r.delta},\n   "genus": {r.genus},'
+            f'\n   "kind": {_JSON_KINDS[kind.name]},\n   "order": {r.order},'
+            f'\n   "params": [\n    '
+        )
+        return before + "".join(f"{x},\n    " for x in lead), _JSON_RECORD_TAIL
 
-    records = list(_singer_lines(report, singer_text))
-    for r in report.other_records:
-        kind = kind_of(r.descriptor)
-        items = ",\n    ".join(map(str, kind.params(r.descriptor)))  # never empty
-        records.append(_json_record_head(kind.name, r) + items + _JSON_RECORD_TAIL)
+    records = list(_lines(report, text_of))
     if not records:
         return head + "\n"
     before, _, after = head.partition('"records": []')
@@ -266,19 +261,16 @@ def render_table(report: SpectrumReport) -> str:
     rows = [head, ""]
     rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
 
-    def singer_text(n1, n2, r):
-        return f"{'sigma-cm':<16}{n1},{n2},", f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
+    def text_of(kind, lead, r):
+        # every kind name fits its 16 columns
+        before = f"{kind.name:<16}" + "".join(f"{x}," for x in lead)
+        return before, f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
 
-    if report.singer is not None:
-        for n1, n2, values, texts in report.singer.walk(singer_text):
-            # the row is (before + str(a)).ljust(32) + after; "sigma-cm" fits
-            # its 16 columns, so before is 16 + len(f"{n1},{n2},") long
-            width = 16 - len(f"{n1},{n2},")
-            rows.extend(map(str.join, map(str.ljust, map(str, values), repeat(width)), texts))
-    for r in report.other_records:
-        kind = kind_of(r.descriptor)
-        ps = ",".join(map(str, kind.params(r.descriptor)))
-        rows.append(f"{kind.name:<16}{ps:<16}{r.order:>12}{r.delta:>16}{r.genus:>16}")
+    rows.extend(
+        (before + str(v)).ljust(32) + after
+        for values, texts in _runs(report, text_of)
+        for v, (before, after) in zip(values, texts)
+    )
     rows.append("")
     rows.append("spectrum: " + ", ".join(str(g) for g in report.genera))
     return "\n".join(rows) + "\n"
@@ -444,9 +436,16 @@ def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExpo
     return picked
 
 
-def _none_within(cap: int, cases: list) -> str:
-    """Explains a check that covered no case; such a check fails."""
-    return "" if cases else f" (none within the element cap {cap})"
+def _verdict(
+    name: str, bad: list[str], summary: str, cases: Sequence = (), cap: int | None = None
+) -> OracleCheck:
+    """FAIL naming every bad case, else PASS with the summary.  A check whose
+    cases are capped (cap given) fails too when the cap left it no case."""
+    if bad:
+        return OracleCheck(name, False, "; ".join(bad))
+    if cap is not None and not cases:
+        return OracleCheck(name, False, f"{summary} (none within the element cap {cap})")
+    return OracleCheck(name, True, summary)
 
 
 def run_oracle_suite(
@@ -474,12 +473,12 @@ def run_oracle_suite(
         if formula != brute:
             bad.append(f"{se}: formula {formula} != brute force {brute}")
     checks.append(
-        OracleCheck(
+        _verdict(
             "singer-square delta: closed form vs element enumeration",
-            bool(sampled) and not bad,
-            f"{len(sampled)} subgroups checked{_none_within(cap, sampled)}"
-            if not bad
-            else "; ".join(bad),
+            bad,
+            f"{len(sampled)} subgroups checked",
+            sampled,
+            cap,
         )
     )
 
@@ -498,13 +497,12 @@ def run_oracle_suite(
             if count * se.n1 * se.n2 != params.m * prod:
                 bad.append(f"{se} d={d}: {count} vs {params.m * prod}")
     checks.append(
-        OracleCheck(
+        _verdict(
             "congruence solution count: literal loop vs CRT product",
-            bool(sampled) and not bad,
-            f"{len(sampled)} subgroups x {len(params.q_powers)} powers"
-            f"{_none_within(cap, sampled)}"
-            if not bad
-            else "; ".join(bad),
+            bad,
+            f"{len(sampled)} subgroups x {len(params.q_powers)} powers",
+            sampled,
+            cap,
         )
     )
 
@@ -512,12 +510,14 @@ def run_oracle_suite(
         subgroups = enumerate_subgroups_bruteforce(params.m)
         triples = enumerate_standard_exponents(params.m)
         generated = {standard_exponent_elements(params.m, se) for se in triples}
+        summary = f"{len(subgroups)} subgroups of C_{params.m} x C_{params.m}"
         ok = generated == subgroups and len(generated) == len(triples)
+        # a failed enumeration names no case: its detail is the summary too
         checks.append(
-            OracleCheck(
+            _verdict(
                 "subgroup enumeration: standard exponents vs closure",
-                ok,
-                f"{len(subgroups)} subgroups of C_{params.m} x C_{params.m}",
+                [] if ok else [summary],
+                summary,
             )
         )
 
@@ -534,34 +534,25 @@ def run_oracle_suite(
                 ):
                     bad.append(f"dihedral d={d} n={n}")
         checks.append(
-            OracleCheck(
-                "B0 products: closed form vs census summation",
-                not bad,
-                "all divisor pairs" if not bad else "; ".join(bad),
-            )
+            _verdict("B0 products: closed form vs census summation", bad, "all divisor pairs")
         )
     else:
         checks.extend(_ree_census_checks(params))
         if seven_divides_m(params):
-            checks.extend(_skew_checks(params, cap))
+            checks.append(_skew_check(params, cap))
     return checks
 
 
 def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
-    checks = []
     bad = []
     for tag in ("psl28", *(f"n2_{k_order}" for k_order in N2_SUBGROUP_ORDERS)):
         table = census(tag)
         realized = realize_census(tag)
         if dict(table.counts) != realized or sum(realized.values()) != table.group_order:
             bad.append(f"{tag}: table {dict(table.counts)} vs realized {realized}")
-    checks.append(
-        OracleCheck(
-            "order censuses: tables vs permutation realizations",
-            not bad,
-            "7 groups realized" if not bad else "; ".join(bad),
-        )
-    )
+    checks = [
+        _verdict("order censuses: tables vs permutation realizations", bad, "7 groups realized")
+    ]
 
     bad = []
     for n in divisors(params.m):
@@ -572,17 +563,12 @@ def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
             if formula != delta_census(f"n2_{k_order}", params, n):
                 bad.append(f"n2_{k_order} n={n}")
     checks.append(
-        OracleCheck(
-            "PSL(2,8)/N2 products: closed form vs census summation",
-            not bad,
-            "all divisors of m" if not bad else "; ".join(bad),
-        )
+        _verdict("PSL(2,8)/N2 products: closed form vs census summation", bad, "all divisors of m")
     )
     return checks
 
 
-def _skew_checks(params: CurveParams, cap: int) -> list[OracleCheck]:
-    checks = []
+def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
     bad = []
     pairs = [
         (i, w)
@@ -605,11 +591,10 @@ def _skew_checks(params: CurveParams, cap: int) -> list[OracleCheck]:
             bad.append(f"cyclic-reduction i={i} w={w}")
         if full.genus != genus_n2_skew_full(params, 1, w).genus:
             bad.append(f"i-dependence i={i} w={w}")
-    checks.append(
-        OracleCheck(
-            "skew subgroups: closed forms vs element-level census and reduction",
-            bool(pairs) and not bad,
-            f"{len(pairs)} (i, w) pairs{_none_within(cap, pairs)}" if not bad else "; ".join(bad),
-        )
+    return _verdict(
+        "skew subgroups: closed forms vs element-level census and reduction",
+        bad,
+        f"{len(pairs)} (i, w) pairs",
+        pairs,
+        cap,
     )
-    return checks

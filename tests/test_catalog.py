@@ -12,12 +12,12 @@ from skabelund.catalog import (
     StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
+    kind_of,
     standard_exponent_elements,
     standard_exponent_step,
     subgroup_order_sigma,
 )
 from skabelund.curves import Family, make_params
-from skabelund.spectrum import descriptor_kind
 
 
 def test_standard_exponents_m5():
@@ -128,7 +128,7 @@ def test_suzuki_descriptor_enumeration():
 def test_ree_descriptor_enumeration_no_skew():
     params = make_params(Family.REE, 1)
     descriptors = enumerate_descriptors(params)
-    kinds = [descriptor_kind(d) for d in descriptors]
+    kinds = [kind_of(d).name for d in descriptors]
     assert kinds.count("sigma-cm") == 22
     assert kinds.count("psl28") == 2
     assert kinds.count("n2-nonskew") == 12

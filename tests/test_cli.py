@@ -9,10 +9,9 @@ import pytest
 
 import skabelund
 
-from skabelund.catalog import KINDS_BY_NAME, enumerate_descriptors
+from skabelund.catalog import KINDS_BY_NAME, enumerate_descriptors, kind_of
 from skabelund.cli import _parse_descriptor, main
 from skabelund.curves import Family, make_params
-from skabelund.spectrum import descriptor_kind, descriptor_params
 
 
 def test_verify_tables_exit_code(capsys):
@@ -137,13 +136,13 @@ def test_descriptor_text_round_trips_through_the_kind_table(capsys):
     seen = set()
     for family, s in ((Family.SUZUKI, 1), (Family.SUZUKI, 2), (Family.REE, 1), (Family.REE, 2)):
         for descriptor in enumerate_descriptors(make_params(family, s)):
-            params = [x for x in descriptor_params(descriptor) if x is not None]
-            text = f"{descriptor_kind(descriptor)}:{','.join(map(str, params))}"
+            kind = kind_of(descriptor)
+            text = f"{kind.name}:{','.join(map(str, kind.params(descriptor)))}"
             assert _parse_descriptor(text) == descriptor
             assert main(["genus", "--family", family.value, "--s", str(s),
                          "--descriptor", text]) == 0
             assert f" descriptor={text} " in capsys.readouterr().out
-            seen.add(descriptor_kind(descriptor))
+            seen.add(kind.name)
     assert seen == set(KINDS_BY_NAME)
 
 

@@ -4,14 +4,19 @@ from pathlib import Path
 
 import pytest
 
+from skabelund import spectrum
+from skabelund.catalog import (
+    KINDS_BY_NAME,
+    StandardExponents,
+    enumerate_standard_exponents,
+    kind_of,
+)
 from skabelund.curves import Family
+from skabelund.oracle import realize_census
 from skabelund.spectrum import (
     CSV_HEADER,
-    DESCRIPTOR_KINDS,
     SCHEMA_VERSION,
     compute_spectrum,
-    descriptor_kind,
-    descriptor_params,
     render_csv,
     render_json,
     render_table,
@@ -40,7 +45,7 @@ def test_ree_s1_spectrum_contents():
 def test_family_filter():
     report = compute_spectrum(Family.SUZUKI, 1, "sigma-cm")
     assert len(report.records) == 8
-    assert all(descriptor_kind(r.descriptor) == "sigma-cm" for r in report.records)
+    assert all(kind_of(r.descriptor).name == "sigma-cm" for r in report.records)
     with pytest.raises(ValueError):
         compute_spectrum(Family.SUZUKI, 1, "frobenius")
 
@@ -143,6 +148,98 @@ def test_oracle_check_that_covers_nothing_fails():
         assert "none within the element cap -5" in checks[name].detail
 
 
+def _off_by_one(target, hit):
+    """target's result plus one on the calls whose arguments satisfy hit."""
+    original = getattr(spectrum, target)
+    return lambda *args, **kw: original(*args, **kw) + bool(hit(*args, **kw))
+
+
+def _drop_last(m):
+    return enumerate_standard_exponents(m)[:-1]
+
+
+def _one_more_involution(tag):
+    realized = realize_census(tag)
+    return {**realized, 2: realized[2] + 1} if tag == "n2_8" else realized
+
+
+SE_1_5_0 = StandardExponents(1, 5, 0)
+# (curve, check name, spectrum attribute, broken replacement, FAIL detail)
+BROKEN_CHECKS = [
+    (
+        (Family.SUZUKI, 1),
+        "singer-square delta: closed form vs element enumeration",
+        "delta_sigma_cm",
+        lambda: _off_by_one("delta_sigma_cm", lambda params, se: se == SE_1_5_0),
+        "StandardExponents(n1=1, n2=5, a=0): formula 1 != brute force 0",
+    ),
+    (
+        (Family.SUZUKI, 1),
+        "congruence solution count: literal loop vs CRT product",
+        "count_congruence_solutions",
+        lambda: _off_by_one(
+            "count_congruence_solutions", lambda params, se, d, **_: (se, d) == (SE_1_5_0, 2)
+        ),
+        "StandardExponents(n1=1, n2=5, a=0) d=2: 2 vs 5",
+    ),
+    (
+        (Family.SUZUKI, 1),
+        "subgroup enumeration: standard exponents vs closure",
+        "enumerate_standard_exponents",
+        lambda: _drop_last,
+        "8 subgroups of C_5 x C_5",
+    ),
+    (
+        (Family.SUZUKI, 1),
+        "B0 products: closed form vs census summation",
+        "delta_b0_census",
+        lambda: _off_by_one(
+            "delta_b0_census", lambda params, d, n, dihedral: (d, n, dihedral) == (1, 5, True)
+        ),
+        "dihedral d=1 n=5",
+    ),
+    (
+        (Family.REE, 2),
+        "order censuses: tables vs permutation realizations",
+        "realize_census",
+        lambda: _one_more_involution,
+        "n2_8: table {1: 1, 2: 7} vs realized {1: 1, 2: 8}",
+    ),
+    (
+        (Family.REE, 2),
+        "PSL(2,8)/N2 products: closed form vs census summation",
+        "delta_census",
+        lambda: _off_by_one("delta_census", lambda tag, params, n: (tag, n) == ("n2_56", 7)),
+        "n2_56 n=7",
+    ),
+    (
+        (Family.REE, 2),
+        "skew subgroups: closed forms vs element-level census and reduction",
+        "delta_skew_census",
+        lambda: _off_by_one(
+            "delta_skew_census", lambda params, variant, i, w: (variant, i, w) == ("cyclic", 3, 1)
+        ),
+        "cyclic i=3 w=1",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "curve, name, target, broken, detail", BROKEN_CHECKS, ids=[c[2] for c in BROKEN_CHECKS]
+)
+def test_each_oracle_check_fails_naming_its_broken_case(
+    curve, name, target, broken, detail, monkeypatch
+):
+    """One broken input per check: that check, and no other, fails, and its
+    detail names the broken case."""
+    for setting in ("SKABELUND_MAX_ELEMENTS", "SKABELUND_MAX_CLOSURE_M"):
+        monkeypatch.delenv(setting, raising=False)
+    monkeypatch.setattr(spectrum, target, broken())
+    checks = {c.name: c for c in run_oracle_suite(*curve)}
+    assert (checks[name].ok, checks[name].detail) == (False, detail)
+    assert all(c.ok for c in checks.values() if c.name != name)
+
+
 GOLDEN = Path(__file__).resolve().parents[1] / "pipebench" / "golden.json"
 
 
@@ -167,17 +264,27 @@ def test_exports_match_golden_hashes(family, s):
 # replaced; they read report.records and encode JSON with json.dumps.
 
 
+def kind_name(record):
+    return kind_of(record.descriptor).name
+
+
+def padded_params(record):
+    """The (param1, param2, param3) columns; unused slots are None."""
+    params = kind_of(record.descriptor).params(record.descriptor)
+    return params + (None,) * (3 - len(params))
+
+
 def reference_csv(report):
     p = report.params
     lines = [CSV_HEADER]
     for record in report.records:
-        p1, p2, p3 = descriptor_params(record.descriptor)
+        p1, p2, p3 = padded_params(record)
         cells = [
             p.family.value,
             p.s,
             p.q,
             p.m,
-            descriptor_kind(record.descriptor),
+            kind_name(record),
             p1,
             p2,
             p3,
@@ -203,8 +310,8 @@ def reference_json(report):
         "genera": list(report.genera),
         "records": [
             {
-                "kind": descriptor_kind(r.descriptor),
-                "params": [x for x in descriptor_params(r.descriptor) if x is not None],
+                "kind": kind_name(r),
+                "params": [x for x in padded_params(r) if x is not None],
                 "order": r.order,
                 "delta": r.delta,
                 "genus": r.genus,
@@ -224,9 +331,9 @@ def reference_table(report):
     rows = [head, ""]
     rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
     for r in report.records:
-        ps = ",".join(str(x) for x in descriptor_params(r.descriptor) if x is not None)
+        ps = ",".join(str(x) for x in padded_params(r) if x is not None)
         rows.append(
-            f"{descriptor_kind(r.descriptor):<16}{ps:<16}"
+            f"{kind_name(r):<16}{ps:<16}"
             f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
         )
     rows.append("")
@@ -270,7 +377,7 @@ def test_streamed_exports_equal_per_record_exports(family, s):
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-@pytest.mark.parametrize("kind", list(DESCRIPTOR_KINDS.values()))
+@pytest.mark.parametrize("kind", list(KINDS_BY_NAME))
 @pytest.mark.parametrize("s", [1, 2])
 def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s):
     assert_exports_match_reference(compute_spectrum(family, s, kind))
