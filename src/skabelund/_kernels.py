@@ -1,26 +1,29 @@
-"""Pure-Python kernels for the brute-force oracle inner loops.
+"""The brute-force oracle's inner loops, in pure Python.
+
+Callers look the kernels up on this module at call time.
 
 The two counting kernels enumerate the fundamental domain of a subgroup of
 the Singer square as pairs (i, j), 0 <= i < rows, 0 <= j < cols, and count
 the pairs with j*n2 = i*r (mod m) for some step r.  No gcd, valuation, CRT
 step or closed form enters.
 
-One step, any shape: n2 divides m, so the column residues j*n2 are exactly
-the multiples of n2 below m, and row i has a column j with j*n2 = i*r
-(mod m) exactly when n2 | i*r, and then exactly one.  The count is the
-number of rows hit by r mod n2 in modulus n2: a row scan.  r is folded to
-min(r, n2-r) first (i*r and i*(n2-r) vanish together), and the scan tests
-the multiples of n2 below rows*r against the progression i*r, at most
-rows/2 items; a zero step hits every row without a scan.  The multiples
-are reduced a chunk at a time and each chunk is searched for zeros, so a
-scan holds at most _CHUNK residues and never a set of all rows.
+Every count is made of row scans.  n2 divides m, so the column residues
+j*n2 are exactly the multiples of n2 below m, and row i has a column j
+with j*n2 = i*r (mod m) exactly when n2 | i*r, and then exactly one: the
+pair (i, i*r mod m).  The rows a step hits are the rows hit by r mod n2
+in modulus n2: a row scan.  r is folded to min(r, n2-r) first (i*r and
+i*(n2-r) vanish together), and the scan tests the multiples of n2 below
+rows*r against the progression i*r, at most rows/2 items; a zero step hits
+every row without a scan.  The multiples are reduced a chunk at a time and
+each chunk is searched for zeros, so a scan holds at most _CHUNK residues
+and never a set of all rows.
 
-Several steps on one column (n2 = m, the dominant shape in the Ree oracle)
-put their hit rows into one set, so a row that several steps hit counts
-once.  Several steps on several columns are a table join: the shorter side
-of the domain is tabulated once (a Counter of row images, or a set of the
-column residues) and the longer side streamed past it through C-level
-iterators, so memory stays bounded by the shorter side.
+One step, or one column (n2 = m, the dominant shape in the Ree oracle),
+gives each row at most one pair, so the count is the number of rows some
+step hits.  Several steps on several columns may give one row several
+pairs, so the pairs (i, i*r mod m) of every step's hit rows, with the
+unfolded r, are collected and counted once each; memory is bounded by the
+distinct pairs found, at most |H|, which the oracle's element cap limits.
 
 A caller that counts the same rows several times (the oracle suite checks
 each sampled subgroup twice, with the same steps) may pass one scans dict
@@ -36,20 +39,17 @@ shift/mask operations instead of one operation per member.
 
 from __future__ import annotations
 
-from collections import Counter
+import sys
 from itertools import repeat
 from operator import countOf, mod
-
-BACKEND_NAME = "pure"
 
 _CHUNK = 1024  # multiples reduced per list in a row scan
 
 
-def _residues(start: int, step: int, count: int, m: int):
-    """(start + i*step) mod m for i in range(count), as a C-level stream."""
-    if step == 0:
-        return repeat(start % m, count)
-    return map(mod, range(start, start + count * step, step), repeat(m))
+def available_backends() -> dict[str, object]:
+    """{"pure": this module}.  Kept only because pipebench reads it; this
+    module holds the only kernel set."""
+    return {"pure": sys.modules[__name__]}
 
 
 def _vanishing_rows(
@@ -96,21 +96,14 @@ def _pair_count(
     """Number of pairs (i, j), 0 <= i < rows, 0 <= j < m/n2, i not in
     skip_rows, with j*n2 = i*r (mod m) for at least one r in steps.
 
-    One step or one column: a row has at most one such pair per step, and
-    on one column at most one in all, so the count is the number of rows,
-    outside skip_rows, that a row scan of some step mod n2 hits (see the
-    module docstring).  A zero step hits every row.
-
-    Several steps on several columns: the shorter side is tabulated.  Fewer
-    rows: each row adds its set of distinct images i*r mod m to a Counter,
-    and the column residues are looked up in it.  More rows: the rows'
-    images are streamed, one stream per step, and zipped so that each row's
-    images arrive together; the column residues, all distinct, are
-    tabulated as a set and intersected with each row's images, so a row
-    counts each column residue once, however many steps give it.
+    Each step's row scan mod n2 gives its hit rows (see the module
+    docstring); a zero step hits every row.  One step or one column: a row
+    has at most one such pair, so the count is the number of hit rows
+    outside skip_rows.  Several steps on several columns: the pair of row i
+    under step r is (i, i*r mod m), and the distinct pairs over every
+    step's hit rows outside skip_rows are counted, at most |H| of them.
     """
-    cols = m // n2
-    if cols == 1 or len(steps) == 1:
+    if m // n2 == 1 or len(steps) == 1:
         folded = {min(r % n2, n2 - r % n2) for r in steps}
         if 0 in folded:
             return rows - len(skip_rows)
@@ -118,19 +111,13 @@ def _pair_count(
         for r in folded:
             hit_rows.update(_vanishing_rows(n2, rows, r, scans))
         return len(hit_rows.difference(skip_rows))
-    column_residues = range(0, cols * n2, n2)  # j*n2 < m: already reduced
-    if rows < cols:
-        table: Counter[int] = Counter()
-        for i in range(rows):
-            if i not in skip_rows:
-                table.update({i * r % m for r in steps})
-        return sum(map(table.get, column_residues, repeat(0)))
-    columns = set(column_residues)
-    images = [_residues(0, r, rows, m) for r in steps]
-    hits = sum(map(len, map(columns.intersection, zip(*images))))
-    for i in skip_rows:
-        hits -= len(columns.intersection({i * r % m for r in steps}))
-    return hits
+    skip = set(skip_rows)
+    pairs: set[tuple[int, int]] = set()
+    for r in steps:
+        folded = min(r % n2, n2 - r % n2)
+        hit = range(rows) if folded == 0 else _vanishing_rows(n2, rows, folded, scans)
+        pairs.update((i, i * r % m) for i in hit if i not in skip)
+    return len(pairs)
 
 
 def sigma_cm_iota_counts(

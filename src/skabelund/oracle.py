@@ -4,15 +4,15 @@ Nothing in this module evaluates a closed-form different degree, and nothing
 in it takes a gcd, a valuation or a CRT step.  Deltas are sums of
 per-element weights over enumerated elements, congruence solutions are
 counted pair by pair, and subgroup lists come from set closure.  The pair
-counts run in the kernels without interpreting a double loop: one step on
-any domain, or any steps on a one-column domain (n2 = m), is a row scan
-that streams the multiples of n2 the progression i*r can reach, at most
-half as many items as rows; several steps on several columns are a table
-join (the shorter side of the fundamental domain tabulated, the longer
-side streamed past it).  The singer-square delta check and the congruence
-check scan the same rows of a subgroup with the same steps, so the oracle
-suite passes one scans dict to both, and each row scan runs once per
-suite (see _kernels.pure).  Census sums add each distinct term once and
+counts run in the kernels without interpreting a double loop: each step's
+hit rows come from a row scan that streams the multiples of n2 the
+progression i*r can reach, at most half as many items as rows; one step,
+or a one-column domain (n2 = m), counts the hit rows, and several steps on
+several columns count the distinct pairs (i, i*r mod m) of the hit rows.
+The singer-square delta check and the congruence check scan the same rows
+of a subgroup with the same steps, so the oracle suite passes one scans
+dict to both, and each row scan runs once per suite (see _kernels).
+Census sums add each distinct term once and
 multiply it by the number of elements that carry it: the weight of
 sigma*tau^k depends on the class of sigma and on k, not on which element
 of the class sigma is.  For an order class it depends on k only through
@@ -94,10 +94,8 @@ def max_elements_cap(override: int | None = None) -> int:
     return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, minimum=0)
 
 
-def max_closure_m(override: int | None = None) -> int:
+def max_closure_m() -> int:
     """Largest m for closure subgroup enumeration (env SKABELUND_MAX_CLOSURE_M)."""
-    if override is not None:
-        return override
     return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M, minimum=0)
 
 
@@ -113,7 +111,7 @@ def delta_sigma_cm_bruteforce(
     weight read off the iota classification; no closed form is involved.
     A caller checking several subgroups of one curve may pass one scans
     dict here and to count_congruence_solutions: the kernels then run each
-    row scan once (see _kernels.pure).
+    row scan once (see _kernels).
     """
     se.validate(params.m)
     order = subgroup_order_sigma(params.m, se)
@@ -161,13 +159,11 @@ def count_congruence_solutions(
     return _kernels.congruence_count(params.m, se.n1, se.n2, rhs, scans=scans)
 
 
-def enumerate_subgroups_bruteforce(
-    m: int, cap: int | None = None
-) -> set[frozenset[tuple[int, int]]]:
+def enumerate_subgroups_bruteforce(m: int) -> set[frozenset[tuple[int, int]]]:
     """All subgroups of C_m x C_m as element sets, found by set closure."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
-    limit = max_closure_m(cap)
+    limit = max_closure_m()
     if m > limit:
         raise BruteForceCapError(f"m={m} exceeds closure cap {limit}")
     return {

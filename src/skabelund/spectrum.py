@@ -389,6 +389,9 @@ class OracleCheck:
     detail: str
 
 
+SAMPLE_LIMIT = 60  # about this many Singer-square subgroups per oracle suite
+
+
 def _check_sample_limit(limit: int) -> None:
     if limit < 1:
         raise ValueError(f"sample limit must be at least 1, got {limit}")
@@ -448,21 +451,22 @@ def _verdict(
     return OracleCheck(name, True, summary)
 
 
+def _tally(what: str, cases: list) -> str:
+    return f"{what}: {len(cases)}" + (f", first {cases[0]}" if cases else "")
+
+
 def run_oracle_suite(
-    family: Family,
-    s: int,
-    max_elements: int | None = None,
-    sample_limit: int = 60,
+    family: Family, s: int, max_elements: int | None = None
 ) -> list[OracleCheck]:
     """Every oracle-vs-formula equivalence for one curve, within caps.
 
-    sample_limit (at least 1) bounds the Singer-square subgroups checked.
+    About SAMPLE_LIMIT Singer-square subgroups are checked.
     """
     params = make_params(family, s)
     cap = max_elements_cap(max_elements)
     checks: list[OracleCheck] = []
 
-    sampled = sample_standard_exponents(params.m, cap, sample_limit)
+    sampled = sample_standard_exponents(params.m, cap, SAMPLE_LIMIT)
     # row scans of this curve, shared by the delta and congruence checks
     scans: dict = {}
 
@@ -508,16 +512,27 @@ def run_oracle_suite(
 
     if params.m <= max_closure_m():
         subgroups = enumerate_subgroups_bruteforce(params.m)
-        triples = enumerate_standard_exponents(params.m)
-        generated = {standard_exponent_elements(params.m, se) for se in triples}
-        summary = f"{len(subgroups)} subgroups of C_{params.m} x C_{params.m}"
-        ok = generated == subgroups and len(generated) == len(triples)
-        # a failed enumeration names no case: its detail is the summary too
+        generated: set = set()
+        extra, repeats = [], []
+        for se in enumerate_standard_exponents(params.m):
+            elements = standard_exponent_elements(params.m, se)
+            if elements in generated:
+                repeats.append(se)
+            elif elements not in subgroups:
+                extra.append(se)
+            generated.add(elements)
+        # missing subgroups are named by order, the smallest first
+        missing = [f"of order {n}" for n in sorted(map(len, subgroups - generated))]
+        tallies = [
+            _tally("closure subgroups no triple generates", missing),
+            _tally("generated sets not closure subgroups", extra),
+            _tally("triples repeating an earlier subgroup", repeats),
+        ]
         checks.append(
             _verdict(
                 "subgroup enumeration: standard exponents vs closure",
-                [] if ok else [summary],
-                summary,
+                tallies if missing or extra or repeats else [],
+                f"{len(subgroups)} subgroups of C_{params.m} x C_{params.m}",
             )
         )
 

@@ -1,6 +1,6 @@
 """Equality gate for the oracle's fast paths.
 
-The kernels count pairs as row scans and table joins, and the census sums
+The kernels count pairs by row scans, and the census sums
 weigh a whole coset or bucket of an order class from two reads of iota.
 The references below are the nested-loop kernels and the per-element
 census loops those replaced, kept as the slow paths the fast ones must
@@ -31,7 +31,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund import _kernels, oracle
-from skabelund._kernels import pure
 from skabelund.arith import divisors
 from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
 from skabelund.cli import DEFAULT_MAX_S
@@ -238,8 +237,8 @@ def kernel_cases(draw):
 @given(kernel_cases())
 def test_kernels_match_the_nested_loops_on_small_cases(case):
     m, n1, n2, a, rhs, q_powers = case
-    assert pure.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
-    assert pure.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
+    assert _kernels.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
+    assert _kernels.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
         m, n1, n2, a, q_powers
     )
 
@@ -279,8 +278,8 @@ def one_column_cases(draw):
 def test_one_column_kernels_match_the_nested_loops(case):
     m, n1, a, rhs, q_powers = case
     for r in (rhs, -rhs, m - rhs):
-        assert pure.congruence_count(m, n1, m, r) == ref_congruence_count(m, n1, m, r)
-    assert pure.sigma_cm_iota_counts(m, n1, m, a, q_powers) == ref_sigma_cm_iota_counts(
+        assert _kernels.congruence_count(m, n1, m, r) == ref_congruence_count(m, n1, m, r)
+    assert _kernels.sigma_cm_iota_counts(m, n1, m, a, q_powers) == ref_sigma_cm_iota_counts(
         m, n1, m, a, q_powers
     )
 
@@ -309,8 +308,8 @@ def single_step_cases(draw):
 def test_single_step_kernels_match_the_nested_loops_on_several_columns(case):
     m, n1, n2, a, rhs, q_powers = case
     assert len({(n1 * qd - a) % m for qd in q_powers}) == 1
-    assert pure.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
-    assert pure.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
+    assert _kernels.congruence_count(m, n1, n2, rhs) == ref_congruence_count(m, n1, n2, rhs)
+    assert _kernels.sigma_cm_iota_counts(m, n1, n2, a, q_powers) == ref_sigma_cm_iota_counts(
         m, n1, n2, a, q_powers
     )
 
@@ -344,7 +343,7 @@ def shared_scan_calls(draw):
 def test_kernels_sharing_one_scans_dict_match_the_nested_loops(calls):
     scans: dict = {}
     for name, args in calls:
-        got = getattr(pure, name)(*args, scans=scans)
+        got = getattr(_kernels, name)(*args, scans=scans)
         assert got == REFERENCE_KERNELS[name](*args), (name, args)
 
 
@@ -360,15 +359,15 @@ def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, def
         return x % y
 
     calls = []
-    for name in REFERENCE_KERNELS:
-        kernel = getattr(_kernels, name)
+    kernels = {name: getattr(_kernels, name) for name in REFERENCE_KERNELS}
+    for name, kernel in kernels.items():
 
         def recording(*args, _name=name, _kernel=kernel, **kwargs):
             calls.append((_name, args))
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, name, recording)
-    monkeypatch.setattr(pure, "mod", counting_mod)
+    monkeypatch.setattr(_kernels, "mod", counting_mod)
     per_suite = []
     for _ in range(2):
         reduced = 0
@@ -376,18 +375,18 @@ def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, def
         per_suite.append(reduced)
     reduced = 0
     for name, args in calls[: len(calls) // 2]:  # the first suite's calls, unshared
-        getattr(pure, name)(*args)
+        kernels[name](*args)
     assert 0 < per_suite[0] == per_suite[1] < reduced
 
 
 def test_kernels_count_coinciding_images_once():
     # m = 12, a = 0: the element (i, j) is sigma^i tau^j
     # powers 1, 13, 25 are all 1 mod 12: one image, the diagonal j = i != 0
-    assert pure.sigma_cm_iota_counts(12, 1, 1, 0, (1, 13, 25)) == (11, 11)
+    assert _kernels.sigma_cm_iota_counts(12, 1, 1, 0, (1, 13, 25)) == (11, 11)
     # powers 1 and 7: images i and 7i coincide exactly for even i
-    assert pure.sigma_cm_iota_counts(12, 1, 1, 0, (1, 7)) == (11, 6 * 2 + 5)
+    assert _kernels.sigma_cm_iota_counts(12, 1, 1, 0, (1, 7)) == (11, 6 * 2 + 5)
     # fewer rows than columns, A = 2i: images 2i and 8i coincide for i = 2, 4
-    assert pure.sigma_cm_iota_counts(12, 2, 1, 0, (1, 4)) == (11, 2 + 1 + 2 + 1 + 2)
+    assert _kernels.sigma_cm_iota_counts(12, 2, 1, 0, (1, 4)) == (11, 2 + 1 + 2 + 1 + 2)
 
 
 @pytest.mark.parametrize("s", range(1, 5))
@@ -571,7 +570,7 @@ def test_index_sample_matches_the_list_sample_on_any_cap(case):
 def test_sample_limit_below_one_is_rejected(limit):
     message = f"sample limit must be at least 1, got {limit}"
     with pytest.raises(ValueError, match=message):
-        run_oracle_suite(Family.REE, 2, sample_limit=limit)
+        sample_standard_exponents(make_params(Family.REE, 2).m, max_elements_cap(), limit)
     with pytest.raises(ValueError, match=message):
         sample_evenly([1, 2, 3], limit)
 

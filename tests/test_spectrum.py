@@ -10,6 +10,7 @@ from skabelund.catalog import (
     StandardExponents,
     enumerate_standard_exponents,
     kind_of,
+    standard_exponent_elements,
 )
 from skabelund.curves import Family
 from skabelund.oracle import realize_census
@@ -158,6 +159,14 @@ def _drop_last(m):
     return enumerate_standard_exponents(m)[:-1]
 
 
+def _repeated_and_cut(m, se):
+    """(1, 5, 1) generates what (1, 5, 0) does; (5, 1, 0) loses its identity."""
+    if se == StandardExponents(1, 5, 1):
+        se = SE_1_5_0
+    elements = standard_exponent_elements(m, se)
+    return elements - {(0, 0)} if se == StandardExponents(5, 1, 0) else elements
+
+
 def _one_more_involution(tag):
     realized = realize_census(tag)
     return {**realized, 2: realized[2] + 1} if tag == "n2_8" else realized
@@ -187,7 +196,18 @@ BROKEN_CHECKS = [
         "subgroup enumeration: standard exponents vs closure",
         "enumerate_standard_exponents",
         lambda: _drop_last,
-        "8 subgroups of C_5 x C_5",
+        "closure subgroups no triple generates: 1, first of order 1; "
+        "generated sets not closure subgroups: 0; "
+        "triples repeating an earlier subgroup: 0",
+    ),
+    (
+        (Family.SUZUKI, 1),
+        "subgroup enumeration: standard exponents vs closure",
+        "standard_exponent_elements",
+        lambda: _repeated_and_cut,
+        "closure subgroups no triple generates: 2, first of order 5; "
+        "generated sets not closure subgroups: 1, first StandardExponents(n1=5, n2=1, a=0); "
+        "triples repeating an earlier subgroup: 1, first StandardExponents(n1=1, n2=5, a=1)",
     ),
     (
         (Family.SUZUKI, 1),
