@@ -12,11 +12,17 @@ j*n2 are exactly the multiples of n2 below m, and row i has a column j
 with j*n2 = i*r (mod m) exactly when n2 | i*r, and then exactly one: the
 pair (i, i*r mod m).  The rows a step hits are the rows hit by r mod n2
 in modulus n2: a row scan.  r is folded to min(r, n2-r) first (i*r and
-i*(n2-r) vanish together), and the scan tests the multiples of n2 below
-rows*r against the progression i*r, at most rows/2 items; a zero step hits
-every row without a scan.  The multiples are reduced a chunk at a time and
-each chunk is searched for zeros, so a scan holds at most _CHUNK residues
-and never a set of all rows.
+i*(n2-r) vanish together); a zero step hits every row.
+
+A row scan finds its least positive hit and nothing else.  The rows i with
+modulus | i*r are closed under subtraction, so they are the multiples of
+the least positive one, i0; modulus is itself such a row, so i0 divides
+modulus.  The scan lists the divisors of modulus by trial division up to
+its square root, in ascending order, and i0 is the first divisor d with
+d*r = 0 (mod modulus); the hit rows are range(0, rows, i0), which is row 0
+alone when i0 >= rows.  The divisors come from this trial division, not
+from the arith module that factors m, so the oracle does not lean on the
+code it checks.
 
 One step, or one column (n2 = m, the dominant shape in the Ree oracle),
 gives each row at most one pair, so the count is the number of rows some
@@ -28,8 +34,9 @@ distinct pairs found, at most |H|, which the oracle's element cap limits.
 A caller that counts the same rows several times (the oracle suite checks
 each sampled subgroup twice, with the same steps) may pass one scans dict
 to every call: each row scan is then run once and its hit rows kept in the
-dict, keyed by (modulus, rows, folded step).  Its lifetime is the caller's;
-nothing here caches across calls on its own.
+dict, keyed by (modulus, rows, folded step), and each modulus's divisor
+list is built once and kept under the key (modulus,).  Its lifetime is the
+caller's; nothing here caches across calls on its own.
 
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
@@ -40,10 +47,8 @@ shift/mask operations instead of one operation per member.
 from __future__ import annotations
 
 import sys
-from itertools import repeat
-from operator import countOf, mod
-
-_CHUNK = 1024  # multiples reduced per list in a row scan
+from math import isqrt
+from operator import countOf
 
 
 def available_backends() -> dict[str, object]:
@@ -52,36 +57,31 @@ def available_backends() -> dict[str, object]:
     return {"pure": sys.modules[__name__]}
 
 
-def _vanishing_rows(
-    modulus: int, rows: int, r: int, scans: dict | None = None
-) -> tuple[int, ...]:
-    """The rows i < rows with i*r = 0 (mod modulus), for r > 0, ascending.
+def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n >= 1, ascending, by trial division up to isqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
-    i*r runs over the progression range(0, rows*r, r); its members that are
-    multiples of modulus are found among the multiples of modulus below
-    rows*r, which are ceil(rows*r/modulus) instead of rows.  They are
-    reduced mod r _CHUNK at a time, and list.index finds the zeros of each
-    chunk.  With scans given, a scan of the same (modulus, rows, r) is
-    looked up there instead of run again, and a new scan is stored.
+
+def _vanishing_rows(modulus: int, rows: int, r: int, scans: dict | None = None) -> range:
+    """The rows i < rows with i*r = 0 (mod modulus), ascending.
+
+    They are the multiples below rows of the least positive such i, the
+    first divisor d of modulus with d*r = 0 (mod modulus); see the module
+    docstring.  With scans given, a scan of the same (modulus, rows, r) is
+    looked up there instead of run again, the divisors of modulus are built
+    once under the key (modulus,), and a new scan is stored.
     """
     key = (modulus, rows, r)
-    if scans is not None and key in scans:
+    if scans is None:
+        scans = {}
+    elif key in scans:
         return scans[key]
-    found = []
-    end = rows * r
-    span = _CHUNK * modulus
-    for start in range(0, end, span):
-        chunk = list(map(mod, range(start, min(start + span, end), modulus), repeat(r)))
-        k = -1
-        try:
-            while True:
-                k = chunk.index(0, k + 1)
-                found.append((start + k * modulus) // r)
-        except ValueError:
-            pass
-    hit = tuple(found)
-    if scans is not None:
-        scans[key] = hit
+    divisors = scans.get((modulus,))
+    if divisors is None:
+        divisors = scans[(modulus,)] = _divisors(modulus)
+    least = next(d for d in divisors if d * r % modulus == 0)
+    hit = scans[key] = range(0, rows, least)
     return hit
 
 
@@ -115,7 +115,7 @@ def _pair_count(
     pairs: set[tuple[int, int]] = set()
     for r in steps:
         folded = min(r % n2, n2 - r % n2)
-        hit = range(rows) if folded == 0 else _vanishing_rows(n2, rows, folded, scans)
+        hit = _vanishing_rows(n2, rows, folded, scans)
         pairs.update((i, i * r % m) for i in hit if i not in skip)
     return len(pairs)
 
@@ -138,10 +138,13 @@ def sigma_cm_iota_counts(
     count over the rows with A != 0.  The rows with A = 0 are found as the
     positions of the multiples of m in the progression i*n1; each holds a
     pure tau power for every j except those with B = 0.  scans is passed
-    to the row scans (see the module docstring).
+    to the row scans (see the module docstring); without it the scans of
+    this call still share one divisor list per modulus.
     """
+    if scans is None:
+        scans = {}
     rows, cols = m // n1, m // n2
-    tau_rows = _vanishing_rows(m, rows, n1)
+    tau_rows = _vanishing_rows(m, rows, n1, scans)
     column_residues = range(0, cols * n2, n2)
     tau_count = sum(cols - countOf(column_residues, -i * a % m) for i in tau_rows)
     steps = {(n1 * qd - a) % m for qd in q_powers}

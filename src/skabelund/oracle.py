@@ -5,13 +5,13 @@ in it takes a gcd, a valuation or a CRT step.  Deltas are sums of
 per-element weights over enumerated elements, congruence solutions are
 counted pair by pair, and subgroup lists come from set closure.  The pair
 counts run in the kernels without interpreting a double loop: each step's
-hit rows come from a row scan that streams the multiples of n2 the
-progression i*r can reach, at most half as many items as rows; one step,
-or a one-column domain (n2 = m), counts the hit rows, and several steps on
-several columns count the distinct pairs (i, i*r mod m) of the hit rows.
-The singer-square delta check and the congruence check scan the same rows
-of a subgroup with the same steps, so the oracle suite passes one scans
-dict to both, and each row scan runs once per suite (see _kernels).
+hit rows are the multiples of the least row i with n2 | i*r, found among
+the divisors of n2 by trial division; one step, or a one-column domain
+(n2 = m), counts the hit rows, and several steps on several columns count
+the distinct pairs (i, i*r mod m) of the hit rows.  The singer-square
+delta check and the congruence check scan the same rows of a subgroup with
+the same steps, so the oracle suite passes one scans dict to both, and
+each row scan and divisor list is made once per suite (see _kernels).
 Census sums add each distinct term once and
 multiply it by the number of elements that carry it: the weight of
 sigma*tau^k depends on the class of sigma and on k, not on which element
@@ -107,11 +107,14 @@ def delta_sigma_cm_bruteforce(
 ) -> int:
     """Different degree of a Singer-square subgroup by element enumeration.
 
-    Every element is materialized as (sigma^n1 tau^a)^i (tau^n2)^j and its
-    weight read off the iota classification; no closed form is involved.
-    A caller checking several subgroups of one curve may pass one scans
-    dict here and to count_congruence_solutions: the kernels then run each
-    row scan once (see _kernels).
+    The elements are (sigma^n1 tau^a)^i (tau^n2)^j over the fundamental
+    domain, weighed by the iota classification: tau_iota for each pure tau
+    power, m for each sigma^A tau^B (A != 0) with B = A*q^d, 0 for the
+    rest.  The kernels count the first two kinds by row scans, without
+    visiting each element; no closed form is involved.  A caller checking
+    several subgroups of one curve may pass one scans dict here and to
+    count_congruence_solutions: the kernels then run each row scan once
+    (see _kernels).
     """
     se.validate(params.m)
     order = subgroup_order_sigma(params.m, se)

@@ -7,17 +7,24 @@ census loops those replaced, kept as the slow paths the fast ones must
 agree with: on every kernel call the oracle suite makes for Suzuki s <= 6
 and Ree s <= 4, on random small cases (with separate strategies for the
 one-column domains n2 = m, for one step on several columns, and for calls
-that share one scans dict), and on every census case for s <= 4; the
-order-7 coset count against the n - 1 multiples of 7 it replaced, for
+that share one scans dict), and on every census case for s <= 4.  A row
+scan, which finds its least positive hit among the divisors of its
+modulus, must list the rows i < rows with i*r = 0 (mod modulus) by that
+definition on random moduli up to 2000 (primes, prime powers, highly
+composite values) and 2310, with and without a shared scans dict, and must
+match the multiples scan it replaced (ref_vanishing_rows) on every scan
+the oracle suite makes for Suzuki s <= 6 and Ree s <= 5.  The order-7 coset
+count is checked against the n - 1 multiples of 7 it replaced, for
 n < 3000 and every n | m for Ree s <= 6.  The premise of the two reads is
 checked directly: for s <= 4 every order class weighs each k in range(2m)
-as k = 0 when k = 0 (mod m) and as k = 1 otherwise.  Row scans are shared
-within one oracle suite and by no later one.  Beyond that, the suite must
-reproduce the verdicts and details recorded in data/oracle_golden.json: by
-the nested-loop oracle for Suzuki s = 5 and 6, for Ree s = 5 (the longest
-one-column domains within the caps) by the table-join oracle before the
-one-column count, and for Ree s = 7 (m = 37*387631, the most divisors and
-the longest cosets) by the oracle that weighed each census element.
+as k = 0 when k = 0 (mod m) and as k = 1 otherwise.  Row scans and divisor
+lists are shared within one oracle suite and by no later one.  Beyond that,
+the suite must reproduce the verdicts and details recorded in
+data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
+for Ree s = 5 (the longest one-column domains within the caps) by the
+table-join oracle before the one-column count, and for Ree s = 7
+(m = 37*387631, the most divisors and the longest cosets) by the oracle
+that weighed each census element.
 """
 
 import json
@@ -31,7 +38,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund import _kernels, oracle
-from skabelund.arith import divisors
+from skabelund.arith import divisors, is_prime
 from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
 from skabelund.cli import DEFAULT_MAX_S
 from skabelund.curves import CurveParams, Family, make_params
@@ -350,13 +357,23 @@ def test_kernels_sharing_one_scans_dict_match_the_nested_loops(calls):
 def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, default_caps):
     """The delta and congruence checks of one suite share their row scans,
     and a second suite scans as much as the first: no scan outlives a suite.
-    Work is counted as the multiples the kernels reduce."""
-    reduced = 0
+    Work is counted as the divisor lists the kernels build plus the
+    divisors they test as candidates for a scan's least hit."""
+    work = 0
 
-    def counting_mod(x, y):
-        nonlocal reduced
-        reduced += 1
-        return x % y
+    class CountedDivisors(tuple):
+        def __iter__(self):
+            nonlocal work
+            for d in super().__iter__():
+                work += 1
+                yield d
+
+    build = _kernels._divisors
+
+    def counting_divisors(n):
+        nonlocal work
+        work += 1
+        return CountedDivisors(build(n))
 
     calls = []
     kernels = {name: getattr(_kernels, name) for name in REFERENCE_KERNELS}
@@ -367,16 +384,96 @@ def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, def
             return _kernel(*args, **kwargs)
 
         monkeypatch.setattr(_kernels, name, recording)
-    monkeypatch.setattr(_kernels, "mod", counting_mod)
+    monkeypatch.setattr(_kernels, "_divisors", counting_divisors)
     per_suite = []
     for _ in range(2):
-        reduced = 0
+        work = 0
         run_oracle_suite(Family.REE, 2)
-        per_suite.append(reduced)
-    reduced = 0
+        per_suite.append(work)
+    work = 0
     for name, args in calls[: len(calls) // 2]:  # the first suite's calls, unshared
         kernels[name](*args)
-    assert 0 < per_suite[0] == per_suite[1] < reduced
+    assert 0 < per_suite[0] == per_suite[1] < work
+
+
+# --- the row scan against its definition --------------------------------------
+
+
+def ref_vanishing_rows(modulus, rows, r):
+    """The multiples scan the least-hit search replaced: the multiples of
+    modulus below rows*r, reduced mod r 1024 at a time, each zero a hit."""
+    found = []
+    end = rows * r
+    span = 1024 * modulus
+    for start in range(0, end, span):
+        chunk = list(map(mod, range(start, min(start + span, end), modulus), repeat(r)))
+        k = -1
+        try:
+            while True:
+                k = chunk.index(0, k + 1)
+                found.append((start + k * modulus) // r)
+        except ValueError:
+            pass
+    return tuple(found)
+
+
+PRIMES = [p for p in range(2, 2001) if is_prime(p)]
+PRIME_POWERS = sorted({p**k for p in PRIMES for k in range(2, 11) if p**k <= 2000})
+# highly composite numbers, a prime power of 2 and a primorial
+MANY_DIVISORS = [360, 720, 840, 1024, 1260, 1680, 2310]
+
+
+@st.composite
+def row_scans(draw):
+    modulus = draw(
+        st.one_of(
+            st.sampled_from(PRIMES),
+            st.sampled_from(PRIME_POWERS),
+            st.sampled_from(MANY_DIVISORS),
+            st.integers(2, 2000),
+        )
+    )
+    return modulus, draw(st.integers(1, modulus)), draw(st.integers(0, modulus - 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(row_scans(), min_size=1, max_size=6))
+@example([(1999, 1999, 1998)])  # a prime: row 0 only
+@example([(720, 720, 360), (720, 7, 360), (720, 720, 1)])  # one modulus, several scans
+@example([(1024, 1024, 512), (1024, 1000, 768)])
+@example([(2310, 2310, 1155), (2310, 1, 1)])
+@example([(12, 12, 0)])  # a zero step: every row
+def test_row_scan_matches_its_definition(scans):
+    shared: dict = {}
+    for modulus, rows, r in scans:
+        expected = tuple(i for i in range(rows) if i * r % modulus == 0)
+        assert tuple(_kernels._vanishing_rows(modulus, rows, r)) == expected
+        assert tuple(_kernels._vanishing_rows(modulus, rows, r, shared)) == expected
+
+
+SCAN_CURVES = [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 6)]
+
+
+@pytest.mark.parametrize(
+    "family, s", SCAN_CURVES, ids=[f"{f.value}-{s}" for f, s in SCAN_CURVES]
+)
+def test_row_scan_matches_the_multiples_scan_on_every_oracle_scan(
+    family, s, monkeypatch, default_caps
+):
+    scans = set()
+    scan = _kernels._vanishing_rows
+
+    def recording(modulus, rows, r, *args):
+        scans.add((modulus, rows, r))
+        return scan(modulus, rows, r, *args)
+
+    monkeypatch.setattr(_kernels, "_vanishing_rows", recording)
+    run_oracle_suite(family, s)
+    assert scans
+    for modulus, rows, r in scans:
+        # the multiples scan took no zero step: its callers counted every row
+        expected = ref_vanishing_rows(modulus, rows, r) if r else tuple(range(rows))
+        assert tuple(scan(modulus, rows, r)) == expected, (modulus, rows, r)
 
 
 def test_kernels_count_coinciding_images_once():
