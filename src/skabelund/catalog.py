@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import NamedTuple, Union
 
@@ -32,8 +31,7 @@ from .curves import CurveParams, Family
 N2_SUBGROUP_ORDERS = (168, 56, 24, 12, 8, 4)
 
 
-@dataclass(frozen=True, order=True)
-class StandardExponents:
+class StandardExponents(NamedTuple):
     n1: int
     n2: int
     a: int
@@ -49,54 +47,74 @@ class StandardExponents:
             raise ValueError(f"n1*n2 must divide a*m for {self}")
 
 
-@dataclass(frozen=True)
-class SigmaCm:
+def _same_kind_eq(self, other) -> bool:
+    return type(other) is type(self) and tuple.__eq__(self, other)
+
+
+def _same_kind_ne(self, other) -> bool:
+    return type(other) is not type(self) or tuple.__ne__(self, other)
+
+
+def _kind_hash(self) -> int:
+    return hash((type(self), *self))
+
+
+def _descriptor(cls):
+    """Compare and hash a descriptor class's tuples within their kind only:
+    B0Cyclic(3, 5) differs from B0Dihedral(3, 5) and from the plain tuple
+    (3, 5), although all three hold equal fields."""
+    cls.__eq__, cls.__ne__, cls.__hash__ = _same_kind_eq, _same_kind_ne, _kind_hash
+    return cls
+
+
+@_descriptor
+class SigmaCm(NamedTuple):
     """Subgroup of the Singer-cycle square Sigma_- x C_m, by standard exponents."""
 
     se: StandardExponents
 
 
-@dataclass(frozen=True)
-class B0Cyclic:
+@_descriptor
+class B0Cyclic(NamedTuple):
     """C_d x C_n inside B0 x C_m (Suzuki), d | q-1 and n | m."""
 
     d: int
     n: int
 
 
-@dataclass(frozen=True)
-class B0Dihedral:
+@_descriptor
+class B0Dihedral(NamedTuple):
     """D_d x C_n inside B0 x C_m (Suzuki), order 2*d*n."""
 
     d: int
     n: int
 
 
-@dataclass(frozen=True)
-class Psl28:
+@_descriptor
+class Psl28(NamedTuple):
     """PSL(2,8) x C_n (Ree), n | m."""
 
     n: int
 
 
-@dataclass(frozen=True)
-class N2NonSkew:
+@_descriptor
+class N2NonSkew(NamedTuple):
     """K x C_n with K a subgroup of N2 of order 168, 56, 24, 12, 8 or 4 (Ree)."""
 
     k_order: int
     n: int
 
 
-@dataclass(frozen=True)
-class N2SkewFull:
+@_descriptor
+class N2SkewFull(NamedTuple):
     """<s1, s2, s3, r*tau^(i*w)> of order 56*m/(7w), requires 7w | m (Ree)."""
 
     i: int
     w: int
 
 
-@dataclass(frozen=True)
-class N2SkewCyclic:
+@_descriptor
+class N2SkewCyclic(NamedTuple):
     """<r*tau^(i*w)> of order 7*m/(7w), requires 7w | m (Ree)."""
 
     i: int
@@ -108,8 +126,7 @@ SubgroupDescriptor = Union[
 ]
 
 
-@dataclass(frozen=True)
-class GenusRecord:
+class GenusRecord(NamedTuple):
     """One quotient curve: subgroup descriptor, |H|, different degree, genus."""
 
     descriptor: SubgroupDescriptor
@@ -230,7 +247,7 @@ class DescriptorKind(NamedTuple):
     """
 
     name: str  # CLI and export name
-    cls: type  # the descriptor dataclass
+    cls: type  # the descriptor class
     fields: tuple[str, ...]  # attribute paths of the parameters, in export order
     make: Callable[..., SubgroupDescriptor]  # descriptor from the parameters
     family: Family | None  # the curve family that has the kind; None: both

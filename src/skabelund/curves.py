@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import Factorization, factorize, mod_pow
 
@@ -23,15 +23,7 @@ class Family(enum.Enum):
     REE = "ree"
 
 
-@dataclass(frozen=True)
-class CurveParams:
-    """Validated parameter tuple of one Skabelund curve.
-
-    ambient_degree is 2g-2 of the curve itself, i.e. the left-hand side
-    (q^2+1)(q-2) (Suzuki) or (q^3+1)(q-2) (Ree) of the Riemann-Hurwitz
-    identity ambient_degree = |H|*(2*g_H - 2) + delta_H.
-    """
-
+class _CurveFields(NamedTuple):
     family: Family
     s: int
     q0: int
@@ -41,6 +33,16 @@ class CurveParams:
     ambient_degree: int
     q_powers: tuple[int, ...]  # q^d mod m for d = 0 .. field_exponent - 1
     aut_order: int  # |Sz(q)|*m resp. |Ree(q)|*m
+
+
+class CurveParams(_CurveFields):
+    """Validated parameter tuple of one Skabelund curve, with a __dict__ that
+    caches m_factors.
+
+    ambient_degree is 2g-2 of the curve itself, i.e. the left-hand side
+    (q^2+1)(q-2) (Suzuki) or (q^3+1)(q-2) (Ree) of the Riemann-Hurwitz
+    identity ambient_degree = |H|*(2*g_H - 2) + delta_H.
+    """
 
     @property
     def tau_iota(self) -> int:

@@ -24,7 +24,7 @@ oracle counts the B among singer_images, the set iota_sigma_element reads.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import CurveParams, Family
 
@@ -124,8 +124,7 @@ def singer_images(params: CurveParams, a_exp: int) -> set[int]:
     return {(a_exp * qd) % params.m for qd in params.q_powers}
 
 
-@dataclass(frozen=True)
-class OrderCensus:
+class OrderCensus(NamedTuple):
     """Element counts by exact order; order3_central tags the order-3 entries."""
 
     group_order: int

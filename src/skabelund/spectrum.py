@@ -26,9 +26,9 @@ from __future__ import annotations
 import functools
 import json
 from collections.abc import Callable, Iterator, Sequence
-from dataclasses import dataclass, field
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 from .arith import divisors, valuation
 from .catalog import (
@@ -92,15 +92,26 @@ def evaluate_descriptor(
     return kind_of(descriptor).evaluate(params, descriptor)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class _SpectrumFields(NamedTuple):
     params: CurveParams
     genera: tuple[int, ...]  # sorted, deduplicated
     families_covered: tuple[str, ...]
     completeness_note: str
-    # class tables hold dicts: compared, but left out of the hash
-    singer: SingerSquare | None = field(default=None, repr=False, hash=False)
-    other_records: tuple[GenusRecord, ...] = field(default=(), repr=False)
+    singer: SingerSquare | None = None
+    other_records: tuple[GenusRecord, ...] = ()
+
+
+class SpectrumReport(_SpectrumFields):
+    """A curve's genus spectrum; a tuple of its fields, with a __dict__ that
+    caches records.  repr shows the first four fields only, and hash leaves
+    out singer, whose class tables hold dicts (equality compares them)."""
+
+    def __hash__(self) -> int:
+        return hash(self[:4] + self[5:])
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:4], self))
+        return f"SpectrumReport({shown})"
 
     @functools.cached_property
     def records(self) -> tuple[GenusRecord, ...]:
@@ -326,8 +337,7 @@ def validate_export(text: str) -> dict:
 # --- reference tables --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReferenceTable:
+class ReferenceTable(NamedTuple):
     source_table: int
     family: Family
     s: int
@@ -351,8 +361,7 @@ REFERENCE_TABLES: tuple[ReferenceTable, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TableCheck:
+class TableCheck(NamedTuple):
     table: ReferenceTable
     missing: tuple[int, ...]
     nearest: tuple[int, ...]  # closest computed genus per missing value
@@ -382,8 +391,7 @@ def verify_tables(
 # --- oracle suite ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OracleCheck:
+class OracleCheck(NamedTuple):
     name: str
     ok: bool
     detail: str
