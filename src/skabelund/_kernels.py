@@ -99,19 +99,14 @@ def _pair_count(
     Each step's row scan mod n2 gives its hit rows (see the module
     docstring); a zero step hits every row.  One step or one column: a row
     has at most one such pair, so the count is the number of hit rows
-    outside skip_rows; one folded step's hit rows are one range, counted
-    by its length, and several steps' are merged in a set.  Several steps
-    on several columns: the pair of row i under step r is (i, i*r mod m),
-    and the distinct pairs over every step's hit rows outside skip_rows are
-    counted, at most |H| of them.
+    outside skip_rows.  Several steps on several columns: the pair of row i
+    under step r is (i, i*r mod m), and the distinct pairs over every
+    step's hit rows outside skip_rows are counted, at most |H| of them.
     """
     if m // n2 == 1 or len(steps) == 1:
         folded = {min(r % n2, n2 - r % n2) for r in steps}
         if 0 in folded:
             return rows - len(skip_rows)
-        if len(folded) == 1:
-            hit = _vanishing_rows(n2, rows, folded.pop(), scans)
-            return len(hit) - sum(i in hit for i in skip_rows)
         hit_rows: set[int] = set()
         for r in folded:
             hit_rows.update(_vanishing_rows(n2, rows, r, scans))

@@ -23,6 +23,11 @@ class Family(enum.Enum):
     REE = "ree"
 
 
+def read_only(self, name: str, *value) -> None:
+    """__setattr__ and __delattr__ of a tuple class whose __dict__ only caches."""
+    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+
 class _CurveFields(NamedTuple):
     family: Family
     s: int
@@ -43,6 +48,8 @@ class CurveParams(_CurveFields):
     (q^2+1)(q-2) (Suzuki) or (q^3+1)(q-2) (Ree) of the Riemann-Hurwitz
     identity ambient_degree = |H|*(2*g_H - 2) + delta_H.
     """
+
+    __setattr__ = __delattr__ = read_only
 
     @property
     def tau_iota(self) -> int:

@@ -200,14 +200,8 @@ class SingerSquare(NamedTuple):
                 map(res.get, map(mod, values, repeat(pe)), repeat(0))
                 for pe, res in zip(block.moduli, block.residues)
             ]
-            if len(columns) > 1:
-                rows = map(texts.__getitem__, zip(*columns))
-            elif columns:
-                # one prime: key the texts by its residue-table index itself
-                rows = map({i: t for (i,), t in texts.items()}.__getitem__, columns[0])
-            else:
-                rows = repeat(texts[()], len(values))  # n2 = 1: one class
-            yield block.n1, block.n2, values, rows
+            keys = zip(*columns) if columns else repeat((), len(values))
+            yield block.n1, block.n2, values, map(texts.__getitem__, keys)
 
     def expand(self) -> list[GenusRecord]:
         """One record per subgroup, in enumerate_standard_exponents order."""

@@ -44,7 +44,7 @@ from .catalog import (
     standard_exponent_blocks,
     standard_exponent_elements,
 )
-from .curves import CurveParams, Family, make_params, seven_divides_m
+from .curves import CurveParams, Family, make_params, read_only, seven_divides_m
 from .genus_ree import (
     genus_n2_nonskew,
     genus_n2_skew_cyclic,
@@ -105,6 +105,8 @@ class SpectrumReport(_SpectrumFields):
     """A curve's genus spectrum; a tuple of its fields, with a __dict__ that
     caches records.  repr shows the first four fields only, and hash leaves
     out singer, whose class tables hold dicts (equality compares them)."""
+
+    __setattr__ = __delattr__ = read_only
 
     def __hash__(self) -> int:
         return hash(self[:4] + self[5:])

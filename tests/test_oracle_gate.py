@@ -321,13 +321,6 @@ def test_single_step_kernels_match_the_nested_loops_on_several_columns(case):
     )
 
 
-def test_one_step_count_at_ree_s7_size_matches_the_nested_loops():
-    """One column, one step, rows = m = 37 * 387631: 387,631 hit rows,
-    counted as the length of one range."""
-    m, rhs = 37 * 387631, 18 * 387631
-    assert _kernels.congruence_count(m, 1, m, rhs) == ref_congruence_count(m, 1, m, rhs)
-
-
 @st.composite
 def shared_scan_calls(draw):
     """Unrelated kernel calls, most on one m so that their scans meet."""

@@ -117,6 +117,21 @@ def test_every_field_of_every_public_class_is_read_only():
                 delattr(instance, name)
 
 
+@pytest.mark.parametrize("cached", ["m_factors", "records"])
+def test_cached_values_and_new_names_cannot_be_assigned(cached):
+    """CurveParams and SpectrumReport keep a __dict__ for their cached
+    values; neither that cache nor a name that is not a field can be set."""
+    instance = [x for x in _instances() if cached in dir(type(x))][0]
+    value = getattr(instance, cached)
+    for name in (cached, "not_a_field"):
+        with pytest.raises(AttributeError):
+            setattr(instance, name, ())
+        assert not hasattr(instance, "not_a_field")
+    with pytest.raises(AttributeError):
+        delattr(instance, cached)
+    assert getattr(instance, cached) is value
+
+
 def test_repr_text_is_unchanged():
     params = make_params(Family.SUZUKI, 1)
     se = StandardExponents(1, 5, 1)
