@@ -23,7 +23,7 @@ import sys
 
 from .catalog import KINDS_BY_NAME, kind_of
 from .curves import Family, make_params
-from .oracle import SettingError, env_int
+from .settings import SettingError, env_int
 from .spectrum import (
     compute_spectrum,
     evaluate_descriptor,

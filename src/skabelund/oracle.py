@@ -42,7 +42,6 @@ once per process.
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from functools import cache
 from itertools import compress, repeat
@@ -60,43 +59,11 @@ from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     singer_images,
 )
 from .iota import census as census_table
-
-DEFAULT_MAX_ELEMENTS = 400_000
-DEFAULT_MAX_CLOSURE_M = 60
+from .settings import max_closure_m, max_elements_cap
 
 
 class BruteForceCapError(ValueError):
     """Raised when an oracle run would exceed the configured brute-force cap."""
-
-
-class SettingError(ValueError):
-    """Raised when an environment setting does not hold a valid value."""
-
-
-def env_int(name: str, default: int, minimum: int | None = None) -> int:
-    """Integer value of environment variable name, or default when unset."""
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
-    if minimum is not None and value < minimum:
-        raise SettingError(f"{name} must be at least {minimum}, got {value}")
-    return value
-
-
-def max_elements_cap(override: int | None = None) -> int:
-    """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS)."""
-    if override is not None:
-        return override
-    return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, minimum=0)
-
-
-def max_closure_m() -> int:
-    """Largest m for closure subgroup enumeration (env SKABELUND_MAX_CLOSURE_M)."""
-    return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M, minimum=0)
 
 
 def delta_sigma_cm_bruteforce(

@@ -1,0 +1,43 @@
+"""Integer settings read from the environment, and the oracle caps they set.
+
+The CLI reads SKABELUND_MAX_S through env_int; the oracle reads its two
+brute-force caps through max_elements_cap and max_closure_m.  A value that
+is not an integer, or is below its minimum, raises SettingError.
+"""
+
+from __future__ import annotations
+
+import os
+
+DEFAULT_MAX_ELEMENTS = 400_000
+DEFAULT_MAX_CLOSURE_M = 60
+
+
+class SettingError(ValueError):
+    """Raised when an environment setting does not hold a valid value."""
+
+
+def env_int(name: str, default: int, minimum: int | None = None) -> int:
+    """Integer value of environment variable name, or default when unset."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        raise SettingError(f"{name} must be an integer, got {raw!r}") from None
+    if minimum is not None and value < minimum:
+        raise SettingError(f"{name} must be at least {minimum}, got {value}")
+    return value
+
+
+def max_elements_cap(override: int | None = None) -> int:
+    """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS)."""
+    if override is not None:
+        return override
+    return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, minimum=0)
+
+
+def max_closure_m() -> int:
+    """Largest m for closure subgroup enumeration (env SKABELUND_MAX_CLOSURE_M)."""
+    return env_int("SKABELUND_MAX_CLOSURE_M", DEFAULT_MAX_CLOSURE_M, minimum=0)

@@ -19,6 +19,11 @@ genus spectrum is sorted and deduplicated, and both export formats (CSV and
 JSON) are byte-stable across runs.  Reference genus tables are embedded as
 data and verified by set membership - the published tables list only the
 values that were new at the time, so computed spectra are supersets.
+
+The oracle suite lives in suite.py and the environment settings and oracle
+caps in settings.py.  run_oracle_suite here imports the suite on its first
+call, so computing, exporting and verifying spectra never loads the
+brute-force oracle (oracle.py, _kernels.py, iota.py).
 """
 
 from __future__ import annotations
@@ -28,44 +33,23 @@ import json
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import divisors, valuation
 from .catalog import (
     KINDS_BY_NAME,
-    N2_SUBGROUP_ORDERS,
     DescriptorKind,
     GenusRecord,
-    StandardExponents,
     SubgroupDescriptor,
     enumerate_non_singer_descriptors,
-    enumerate_standard_exponents,
     kind_of,
-    standard_exponent_blocks,
-    standard_exponent_elements,
 )
-from .curves import CurveParams, Family, make_params, read_only, seven_divides_m
-from .genus_ree import (
-    genus_n2_nonskew,
-    genus_n2_skew_cyclic,
-    genus_n2_skew_full,
-    genus_psl28,
-    genus_sigma_cm_ree,
-)
-from .genus_suzuki import genus_b0_cyclic, genus_b0_dihedral
-from .iota import census
-from .oracle import (
-    count_congruence_solutions,
-    delta_b0_census,
-    delta_census,
-    delta_sigma_cm_bruteforce,
-    delta_skew_census,
-    enumerate_subgroups_bruteforce,
-    max_closure_m,
-    max_elements_cap,
-    realize_census,
-)
-from .singer import SingerSquare, delta_sigma_cm, evaluate_singer_square
+from .curves import CurveParams, Family, make_params, read_only
+
+# delta_sigma_cm is not called here; pipebench's tracer test reads this binding
+from .singer import SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
+
+if TYPE_CHECKING:
+    from .suite import OracleCheck
 
 SCHEMA_VERSION = 1
 
@@ -393,233 +377,10 @@ def verify_tables(
 # --- oracle suite ------------------------------------------------------------
 
 
-class OracleCheck(NamedTuple):
-    name: str
-    ok: bool
-    detail: str
-
-
-SAMPLE_LIMIT = 60  # about this many Singer-square subgroups per oracle suite
-
-
-def _check_sample_limit(limit: int) -> None:
-    if limit < 1:
-        raise ValueError(f"sample limit must be at least 1, got {limit}")
-
-
-def sample_evenly(items: list, limit: int) -> list:
-    """Deterministic sample: every k-th item so that at most ~limit survive,
-    always keeping the first and last.  limit must be at least 1."""
-    _check_sample_limit(limit)
-    if len(items) <= limit:
-        return list(items)
-    stride = max(1, len(items) // limit)
-    picked = items[::stride]
-    if items[-1] != picked[-1]:
-        picked.append(items[-1])
-    return picked
-
-
-def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExponents]:
-    """sample_evenly(triples, limit) over the standard-exponent triples of
-    order <= cap, in enumerate_standard_exponents order, without listing them.
-
-    Each (n1, n2) block is a run of n2/step triples of one order, so the
-    picked indices (every stride-th, plus the last) are located block by
-    block and only the picked triples are built.
-    """
-    _check_sample_limit(limit)
-    blocks = [
-        (n1, n2, step)
-        for n1, n2, step in standard_exponent_blocks(m)
-        if m * m // (n1 * n2) <= cap
-    ]
-    total = sum(n2 // step for _, n2, step in blocks)
-    stride = max(1, total // limit) if total > limit else 1
-    picked = []
-    start = 0  # index of the block's first triple
-    for n1, n2, step in blocks:
-        size = n2 // step
-        first = -start % stride  # offset of the block's first picked triple
-        picked.extend(StandardExponents(n1, n2, j * step) for j in range(first, size, stride))
-        start += size
-    if (total - 1) % stride:
-        n1, n2, step = blocks[-1]
-        picked.append(StandardExponents(n1, n2, n2 - step))
-    return picked
-
-
-def _verdict(
-    name: str, bad: list[str], summary: str, cases: Sequence = (), cap: int | None = None
-) -> OracleCheck:
-    """FAIL naming every bad case, else PASS with the summary.  A check whose
-    cases are capped (cap given) fails too when the cap left it no case."""
-    if bad:
-        return OracleCheck(name, False, "; ".join(bad))
-    if cap is not None and not cases:
-        return OracleCheck(name, False, f"{summary} (none within the element cap {cap})")
-    return OracleCheck(name, True, summary)
-
-
-def _tally(what: str, cases: list) -> str:
-    return f"{what}: {len(cases)}" + (f", first {cases[0]}" if cases else "")
-
-
 def run_oracle_suite(
     family: Family, s: int, max_elements: int | None = None
 ) -> list[OracleCheck]:
-    """Every oracle-vs-formula equivalence for one curve, within caps.
+    """suite.run_oracle_suite; the suite and the oracle load on the first call."""
+    from .suite import run_oracle_suite
 
-    About SAMPLE_LIMIT Singer-square subgroups are checked.
-    """
-    params = make_params(family, s)
-    cap = max_elements_cap(max_elements)
-    checks: list[OracleCheck] = []
-
-    sampled = sample_standard_exponents(params.m, cap, SAMPLE_LIMIT)
-    # row scans of this curve, shared by the delta and congruence checks
-    scans: dict = {}
-
-    bad = []
-    for se in sampled:
-        formula = delta_sigma_cm(params, se)
-        brute = delta_sigma_cm_bruteforce(params, se, max_elements=cap, scans=scans)
-        if formula != brute:
-            bad.append(f"{se}: formula {formula} != brute force {brute}")
-    checks.append(
-        _verdict(
-            "singer-square delta: closed form vs element enumeration",
-            bad,
-            f"{len(sampled)} subgroups checked",
-            sampled,
-            cap,
-        )
-    )
-
-    bad = []
-    for se in sampled:
-        for d in range(len(params.q_powers)):
-            count = count_congruence_solutions(
-                params, se, d, max_elements=cap, scans=scans
-            )
-            # the product prime by prime, not the gcd delta_sigma_cm takes,
-            # so the count is checked against a formulation of its own
-            x = se.n1 * params.q_powers[d] - se.a
-            prod = 1
-            for p, _e in params.m_factors:
-                prod *= p ** int(min(valuation(p, x), valuation(p, se.n2)))
-            if count * se.n1 * se.n2 != params.m * prod:
-                bad.append(f"{se} d={d}: {count} vs {params.m * prod}")
-    checks.append(
-        _verdict(
-            "congruence solution count: literal loop vs CRT product",
-            bad,
-            f"{len(sampled)} subgroups x {len(params.q_powers)} powers",
-            sampled,
-            cap,
-        )
-    )
-
-    if params.m <= max_closure_m():
-        subgroups = enumerate_subgroups_bruteforce(params.m)
-        generated: set = set()
-        extra, repeats = [], []
-        for se in enumerate_standard_exponents(params.m):
-            elements = standard_exponent_elements(params.m, se)
-            if elements in generated:
-                repeats.append(se)
-            elif elements not in subgroups:
-                extra.append(se)
-            generated.add(elements)
-        # missing subgroups are named by order, the smallest first
-        missing = [f"of order {n}" for n in sorted(map(len, subgroups - generated))]
-        tallies = [
-            _tally("closure subgroups no triple generates", missing),
-            _tally("generated sets not closure subgroups", extra),
-            _tally("triples repeating an earlier subgroup", repeats),
-        ]
-        checks.append(
-            _verdict(
-                "subgroup enumeration: standard exponents vs closure",
-                tallies if missing or extra or repeats else [],
-                f"{len(subgroups)} subgroups of C_{params.m} x C_{params.m}",
-            )
-        )
-
-    if family is Family.SUZUKI:
-        bad = []
-        for d in divisors(params.q - 1):
-            for n in divisors(params.m):
-                if genus_b0_cyclic(params, d, n).delta != delta_b0_census(
-                    params, d, n, dihedral=False
-                ):
-                    bad.append(f"cyclic d={d} n={n}")
-                if genus_b0_dihedral(params, d, n).delta != delta_b0_census(
-                    params, d, n, dihedral=True
-                ):
-                    bad.append(f"dihedral d={d} n={n}")
-        checks.append(
-            _verdict("B0 products: closed form vs census summation", bad, "all divisor pairs")
-        )
-    else:
-        checks.extend(_ree_census_checks(params))
-        if seven_divides_m(params):
-            checks.append(_skew_check(params, cap))
-    return checks
-
-
-def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
-    bad = []
-    for tag in ("psl28", *(f"n2_{k_order}" for k_order in N2_SUBGROUP_ORDERS)):
-        table = census(tag)
-        realized = realize_census(tag)
-        if dict(table.counts) != realized or sum(realized.values()) != table.group_order:
-            bad.append(f"{tag}: table {dict(table.counts)} vs realized {realized}")
-    checks = [
-        _verdict("order censuses: tables vs permutation realizations", bad, "7 groups realized")
-    ]
-
-    bad = []
-    for n in divisors(params.m):
-        if genus_psl28(params, n).delta != delta_census("psl28", params, n):
-            bad.append(f"psl28 n={n}")
-        for k_order in N2_SUBGROUP_ORDERS:
-            formula = genus_n2_nonskew(params, k_order, n).delta
-            if formula != delta_census(f"n2_{k_order}", params, n):
-                bad.append(f"n2_{k_order} n={n}")
-    checks.append(
-        _verdict("PSL(2,8)/N2 products: closed form vs census summation", bad, "all divisors of m")
-    )
-    return checks
-
-
-def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
-    bad = []
-    pairs = [
-        (i, w)
-        for w in divisors(params.m // 7)
-        for i in range(1, 7)
-        if 56 * (params.m // (7 * w)) <= cap
-    ]
-    for i, w in pairs:
-        full = genus_n2_skew_full(params, i, w)
-        cyclic = genus_n2_skew_cyclic(params, i, w)
-        if full.delta != delta_skew_census(params, "full", i, w):
-            bad.append(f"full i={i} w={w}")
-        if cyclic.delta != delta_skew_census(params, "cyclic", i, w):
-            bad.append(f"cyclic i={i} w={w}")
-        n1 = params.m // 7
-        reduced = genus_sigma_cm_ree(
-            params, StandardExponents(n1, 7 * w, (i * w) % (7 * w))
-        )
-        if (cyclic.genus, cyclic.delta) != (reduced.genus, reduced.delta):
-            bad.append(f"cyclic-reduction i={i} w={w}")
-        if full.genus != genus_n2_skew_full(params, 1, w).genus:
-            bad.append(f"i-dependence i={i} w={w}")
-    return _verdict(
-        "skew subgroups: closed forms vs element-level census and reduction",
-        bad,
-        f"{len(pairs)} (i, w) pairs",
-        pairs,
-        cap,
-    )
+    return run_oracle_suite(family, s, max_elements)

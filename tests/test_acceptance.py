@@ -34,7 +34,9 @@ from skabelund.oracle import (
     realize_census,
 )
 from skabelund.singer import delta_sigma_cm
-from skabelund.spectrum import evaluate_descriptor, sample_evenly
+from skabelund.spectrum import evaluate_descriptor
+
+from sampling import sample_evenly
 
 MAX_ELEMENTS = 400_000
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,11 +10,13 @@ from skabelund.catalog import (
     B0Dihedral,
     N2SkewCyclic,
     N2SkewFull,
+    NonIntegralGenusError,
     SigmaCm,
     StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
     kind_of,
+    make_record,
     standard_exponent_elements,
     standard_exponent_step,
     subgroup_order_sigma,
@@ -145,3 +149,19 @@ def test_ree_descriptor_enumeration_with_skew():
     assert {d.w for d in full} == {1, 31}
     assert {d.i for d in full} == set(range(1, 7))
     assert len(full) == len(cyclic) == 12
+
+
+@pytest.mark.parametrize(
+    "order, delta, message",
+    [
+        (1, 1, "2|H|=2 does not divide ambient-delta=389"),
+        (1, 394, "negative genus -1"),
+        (1, -2, "invalid order/delta pair (1, -2)"),
+        (11, 368, "invalid order/delta pair (11, 368)"),  # 11 does not divide |Aut|
+    ],
+    ids=["odd-numerator", "negative-genus", "negative-delta", "order-not-dividing-aut"],
+)
+def test_make_record_rejects_a_bad_order_delta_pair(order, delta, message):
+    params = make_params(Family.SUZUKI, 1)  # ambient_degree 390, |Aut| 2^6 5^2 7 13
+    with pytest.raises(NonIntegralGenusError, match=re.escape(message)):
+        make_record(params, B0Cyclic(1, 1), order, delta)

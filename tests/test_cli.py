@@ -187,6 +187,14 @@ def test_non_integer_setting_is_a_one_line_error(name):
     assert_one_line_error(done, f"{name} must be an integer, got 'lots'")
 
 
+def test_oracle_runs_in_a_fresh_process():
+    # the suite and the oracle load on the oracle command's first call
+    done = run_cli("oracle", "--family", "ree", "--s", "2")
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 5 and all(line.startswith("PASS ") for line in lines), lines
+
+
 def test_zero_max_s_is_rejected(monkeypatch):
     monkeypatch.setenv("SKABELUND_MAX_S", "0")
     with pytest.raises(SystemExit, match="SKABELUND_MAX_S must be at least 1, got 0"):

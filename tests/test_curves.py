@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
+from skabelund import curves
 from skabelund.curves import Family, ambient_genus, make_params, seven_divides_m
 
 
@@ -35,6 +37,18 @@ def test_rejects_s_below_one():
         make_params(Family.SUZUKI, 0)
     with pytest.raises(ValueError):
         make_params(Family.REE, -2)
+
+
+def test_m_sharing_a_factor_with_q_minus_1_is_loud(monkeypatch):
+    monkeypatch.setattr(curves, "math", SimpleNamespace(gcd=lambda a, b: 7))
+    with pytest.raises(ArithmeticError, match=r"gcd\(m, q-1\) != 1 for s=1"):
+        make_params(Family.SUZUKI, 1)
+
+
+def test_q_of_the_wrong_order_mod_m_is_loud(monkeypatch):
+    monkeypatch.setattr(curves, "mod_pow", lambda base, exponent, modulus: 2)
+    with pytest.raises(ArithmeticError, match="q does not have order dividing 6 mod m"):
+        make_params(Family.REE, 1)
 
 
 @pytest.mark.parametrize("family,s", [(f, s) for f in Family for s in range(1, 8)])

@@ -139,7 +139,7 @@ def test_sigma_cm_oracle_equivalence_prime_square_m():
     # m = 2107 = 7^2 * 43: the only supported m where a prime enters m
     # squared alongside a second prime, stressing the nu = 2 case of the
     # per-prime congruence counting
-    from skabelund.spectrum import sample_evenly
+    from sampling import sample_evenly
 
     r3 = make_params(Family.REE, 3)
     assert r3.m_factors == ((7, 2), (43, 1))

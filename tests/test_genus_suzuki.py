@@ -113,5 +113,8 @@ def test_nu_with_exact_zero_argument():
 
 
 def test_non_integral_genus_is_loud():
-    with pytest.raises((NonIntegralGenusError, ValueError)):
-        genus_b0_cyclic(S1, 7, 0)
+    # q = 9 passes the B0 checks (1 | q-1, 5 | m) but is not a Suzuki q, so
+    # the closed form's 2|H|(g-1) = (q^2+1)(q-n-1) = 246 is no multiple of 10
+    message = r"2\|H\|=10 does not divide ambient-delta=246"
+    with pytest.raises(NonIntegralGenusError, match=message):
+        genus_b0_cyclic(S1._replace(q=9), 1, 5)

@@ -41,7 +41,7 @@ from skabelund import _kernels, oracle
 from skabelund.arith import divisors, is_prime
 from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
 from skabelund.cli import DEFAULT_MAX_S
-from skabelund.curves import CurveParams, Family, make_params
+from skabelund.curves import CurveParams, Family, make_params, seven_divides_m
 from skabelund.iota import (
     OrderClassRee,
     OrderClassSz,
@@ -64,12 +64,9 @@ from skabelund.oracle import (
     materialize_skew_subgroup,
     max_elements_cap,
 )
-from skabelund.spectrum import (
-    run_oracle_suite,
-    sample_evenly,
-    sample_standard_exponents,
-    seven_divides_m,
-)
+from skabelund.suite import run_oracle_suite, sample_standard_exponents
+
+from sampling import sample_evenly
 
 # --- references: the nested-loop kernels ------------------------------------
 

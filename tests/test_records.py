@@ -2,8 +2,11 @@
 repr text and ordering, the lazily cached attributes of CurveParams and
 SpectrumReport, and what importing the package costs."""
 
+import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,13 +28,13 @@ from skabelund.curves import Family, make_params
 from skabelund.iota import OrderCensus, census
 from skabelund.spectrum import (
     REFERENCE_TABLES,
-    OracleCheck,
     SpectrumReport,
     TableCheck,
     compute_spectrum,
     evaluate_descriptor,
     verify_tables,
 )
+from skabelund.suite import OracleCheck
 
 SUZUKI_1 = (
     "CurveParams(family=<Family.SUZUKI: 'suzuki'>, s=1, q0=2, q=8, m=5, "
@@ -39,16 +42,45 @@ SUZUKI_1 = (
 )
 
 
+SRC = str(Path(curves.__file__).resolve().parents[1])
+
+
+def loaded_in_a_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of modules a fresh interpreter has loaded after running code."""
+    found = f"sorted(set({modules!r}) & set(sys.modules))"
+    script = f"import json, sys\n{code}\nprint(json.dumps({found}))"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
 def test_import_loads_neither_dataclasses_nor_inspect():
     for module in ("skabelund", "skabelund.cli"):
-        code = (
-            f"import sys, {module}; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, check=True
-        )
-        assert done.stdout.strip() == "[]", module
+        assert loaded_in_a_fresh_interpreter(f"import {module}", ("dataclasses", "inspect")) == []
+
+
+ORACLE_MODULES = ("skabelund._kernels", "skabelund.iota", "skabelund.oracle", "skabelund.suite")
+
+# each CLI command in a fresh interpreter: its arguments, the oracle modules it loads
+CLI_RUNS = {
+    "genus": (["genus", "--family", "ree", "--s", "2", "--descriptor", "n2-skew-full:1,1"], []),
+    "spectrum": (["spectrum", "--family", "suzuki", "--s", "1", "--format", "csv"], []),
+    "verify-tables": (["verify-tables", "--s-max", "1"], []),
+    "oracle": (["oracle", "--family", "suzuki", "--s", "1"], list(ORACLE_MODULES)),
+}
+
+
+@pytest.mark.parametrize("command", CLI_RUNS)
+def test_only_the_oracle_command_loads_the_oracle(command):
+    args, loaded = CLI_RUNS[command]
+    code = f"import skabelund, skabelund.cli\nskabelund.cli.main({args!r})"
+    assert loaded_in_a_fresh_interpreter(code, ORACLE_MODULES) == loaded
 
 
 @pytest.mark.parametrize(

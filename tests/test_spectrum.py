@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from skabelund import spectrum
+from skabelund import suite
 from skabelund.catalog import (
     KINDS_BY_NAME,
     StandardExponents,
@@ -22,10 +22,11 @@ from skabelund.spectrum import (
     render_json,
     render_table,
     run_oracle_suite,
-    sample_evenly,
     validate_export,
     verify_tables,
 )
+
+from sampling import sample_evenly
 
 
 def test_suzuki_s1_spectrum_contents():
@@ -151,8 +152,20 @@ def test_oracle_check_that_covers_nothing_fails():
 
 def _off_by_one(target, hit):
     """target's result plus one on the calls whose arguments satisfy hit."""
-    original = getattr(spectrum, target)
+    original = getattr(suite, target)
     return lambda *args, **kw: original(*args, **kw) + bool(hit(*args, **kw))
+
+
+def _delta_off_by_one(target, hit):
+    """target's record with its delta plus one on the calls whose arguments
+    satisfy hit: a closed form broken for one case."""
+    original = getattr(suite, target)
+
+    def broken(*args):
+        record = original(*args)
+        return record._replace(delta=record.delta + 1) if hit(*args) else record
+
+    return broken
 
 
 def _drop_last(m):
@@ -173,7 +186,8 @@ def _one_more_involution(tag):
 
 
 SE_1_5_0 = StandardExponents(1, 5, 0)
-# (curve, check name, spectrum attribute, broken replacement, FAIL detail)
+SE_31_7_4 = StandardExponents(31, 7, 4)  # Ree s=2: m = 217 = 7 * 31
+# (curve, check name, suite attribute, broken replacement, FAIL detail)
 BROKEN_CHECKS = [
     (
         (Family.SUZUKI, 1),
@@ -219,6 +233,13 @@ BROKEN_CHECKS = [
         "dihedral d=1 n=5",
     ),
     (
+        (Family.SUZUKI, 1),
+        "B0 products: closed form vs census summation",
+        "genus_b0_cyclic",
+        lambda: _delta_off_by_one("genus_b0_cyclic", lambda params, d, n: (d, n) == (7, 5)),
+        "cyclic d=7 n=5",
+    ),
+    (
         (Family.REE, 2),
         "order censuses: tables vs permutation realizations",
         "realize_census",
@@ -234,12 +255,34 @@ BROKEN_CHECKS = [
     ),
     (
         (Family.REE, 2),
+        "PSL(2,8)/N2 products: closed form vs census summation",
+        "genus_psl28",
+        lambda: _delta_off_by_one("genus_psl28", lambda params, n: n == 31),
+        "psl28 n=31",
+    ),
+    (
+        (Family.REE, 2),
         "skew subgroups: closed forms vs element-level census and reduction",
         "delta_skew_census",
         lambda: _off_by_one(
             "delta_skew_census", lambda params, variant, i, w: (variant, i, w) == ("cyclic", 3, 1)
         ),
         "cyclic i=3 w=1",
+    ),
+    (
+        (Family.REE, 2),
+        "skew subgroups: closed forms vs element-level census and reduction",
+        "genus_n2_skew_full",
+        lambda: _delta_off_by_one("genus_n2_skew_full", lambda params, i, w: (i, w) == (2, 31)),
+        "full i=2 w=31",
+    ),
+    (
+        (Family.REE, 2),
+        "skew subgroups: closed forms vs element-level census and reduction",
+        "genus_sigma_cm_ree",
+        # the cyclic skew subgroup (i, w) = (4, 1) is the triple (m/7, 7, 4)
+        lambda: _delta_off_by_one("genus_sigma_cm_ree", lambda params, se: se == SE_31_7_4),
+        "cyclic-reduction i=4 w=1",
     ),
 ]
 
@@ -250,11 +293,11 @@ BROKEN_CHECKS = [
 def test_each_oracle_check_fails_naming_its_broken_case(
     curve, name, target, broken, detail, monkeypatch
 ):
-    """One broken input per check: that check, and no other, fails, and its
-    detail names the broken case."""
+    """One broken input per FAIL branch: that branch's check, and no other,
+    fails, and its detail names the broken case."""
     for setting in ("SKABELUND_MAX_ELEMENTS", "SKABELUND_MAX_CLOSURE_M"):
         monkeypatch.delenv(setting, raising=False)
-    monkeypatch.setattr(spectrum, target, broken())
+    monkeypatch.setattr(suite, target, broken())
     checks = {c.name: c for c in run_oracle_suite(*curve)}
     assert (checks[name].ok, checks[name].detail) == (False, detail)
     assert all(c.ok for c in checks.values() if c.name != name)
