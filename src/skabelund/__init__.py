@@ -10,7 +10,7 @@ against brute-force ramification oracles, and reproduces the published
 genus tables.
 """
 
-from .arith import INFINITE_VALUATION, divisors, factorize, mod_pow, valuation
+from .arith import INFINITE_VALUATION, divisors, factorize, valuation
 from .catalog import (
     B0Cyclic,
     B0Dihedral,
@@ -83,7 +83,6 @@ __all__ = [
     "genus_sigma_cm_suzuki",
     "kernel_backend",
     "make_params",
-    "mod_pow",
     "render_csv",
     "render_json",
     "run_oracle_suite",

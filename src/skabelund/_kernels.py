@@ -176,10 +176,9 @@ def cm_subgroups(m: int) -> set[tuple[int, ...]]:
 
     Every subgroup of a rank-2 abelian group is generated by two elements,
     so the full set is obtained as pairwise joins of the cyclic subgroups;
-    the join of subgroups of an abelian group is their sumset.
+    the join of subgroups of an abelian group is their sumset.  m >= 1: the
+    one caller, oracle.enumerate_subgroups_bruteforce, rejects the rest.
     """
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
     full = (1 << (m * m)) - 1
     # column pattern: one bit at the start of each row
     pattern = sum(1 << (x * m) for x in range(m))

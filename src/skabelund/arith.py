@@ -3,6 +3,10 @@
 Everything here works on Python ints, so all results stay exact for the
 magnitudes this package produces (up to ~q^4 for the Suzuki family and ~q^6
 for the Ree family, well beyond 64 bits for large field sizes).
+
+is_prime and factorize use trial division, so both keep an LRU cache:
+their callers ask about the same few numbers (the primes of m, m itself and
+q-1) over and over, and no record class stores a result.
 """
 
 from __future__ import annotations
@@ -43,10 +47,14 @@ def is_prime(n: int) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=4096)
 def factorize(n: int) -> Factorization:
     """Factor n >= 1 into ((prime, exponent), ...) with primes ascending.
 
-    factorize(1) == () (the empty product).
+    factorize(1) == () (the empty product).  Cached: CurveParams.m_factors
+    is read once per Singer block, and divisors(m) and divisors(q-1) factor
+    again on every call; with the cache, each n is trial-divided once per
+    process.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")
@@ -74,14 +82,6 @@ def factorize(n: int) -> Factorization:
     return tuple(out)
 
 
-def product_of(factors: Factorization) -> int:
-    """Inverse of factorize: multiply the prime powers back together."""
-    n = 1
-    for p, e in factors:
-        n *= p**e
-    return n
-
-
 def valuation(p: int, n: int) -> Valuation:
     """Largest e such that p**e divides n; INFINITE_VALUATION when n == 0."""
     if not is_prime(p):
@@ -105,11 +105,3 @@ def divisors(n: int) -> list[int]:
         divs = [d * p**k for d in divs for k in range(e + 1)]
     return sorted(divs)
 
-
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus, exponent >= 0, modulus >= 1."""
-    if exponent < 0:
-        raise ValueError(f"negative exponent {exponent}")
-    if modulus < 1:
-        raise ValueError(f"modulus must be positive, got {modulus}")
-    return pow(base, exponent, modulus)

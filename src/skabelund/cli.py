@@ -10,10 +10,10 @@ Exit status is 0 for success and 1 when a verification fails.  Default
 curve-size caps (s <= 6 Suzuki, s <= 5 Ree) bound runtimes; override with
 --allow-large-s or the SKABELUND_MAX_S environment variable.  A setting
 that is not a valid integer, an s below 1, a negative oracle cap
-(--max-elements, SKABELUND_MAX_ELEMENTS, SKABELUND_MAX_CLOSURE_M), an
-unknown --subgroup-family, a descriptor the curve does not have, or a
-verify-tables run that selects no table ends the run with a one-line
-message and exit status 1.
+(--max-elements, SKABELUND_MAX_ELEMENTS, SKABELUND_MAX_CLOSURE_M), a
+--subgroup-family that is unknown or belongs to the other curve family, a
+descriptor the curve does not have, or a verify-tables run that selects no
+table ends the run with a one-line message and exit status 1.
 """
 
 from __future__ import annotations
@@ -76,6 +76,12 @@ def _parse_descriptor(spec: str):
 
 def _cmd_spectrum(args) -> int:
     _check_s_cap(args.family, args.s, args.allow_large_s)
+    kind = KINDS_BY_NAME.get(args.subgroup_family)
+    if kind is not None and kind.family not in (None, args.family):
+        raise SystemExit(
+            f"subgroup family {kind.name!r} is a {kind.family.value} kind, "
+            f"not a {args.family.value} one"
+        )
     try:
         report = compute_spectrum(args.family, args.s, args.subgroup_family)
     except ValueError as exc:

@@ -6,16 +6,19 @@ cyclic automorphism factor C_m with m = q - p*q0 + 1 (p the characteristic),
 and the full automorphism group is Sz(q) x C_m resp. Ree(q) x C_m.  Only the
 integer data needed for genus computations is modelled here; there is no
 function-field machinery.
+
+CurveParams is a plain NamedTuple, so none of its fields can be set or
+deleted.  It stores no factorization: m_factors reads arith.factorize,
+whose cache holds it.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from typing import NamedTuple
 
-from .arith import Factorization, factorize, mod_pow
+from .arith import Factorization, factorize
 
 
 class Family(enum.Enum):
@@ -23,12 +26,14 @@ class Family(enum.Enum):
     REE = "ree"
 
 
-def read_only(self, name: str, *value) -> None:
-    """__setattr__ and __delattr__ of a tuple class whose __dict__ only caches."""
-    raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+class CurveParams(NamedTuple):
+    """Validated parameter tuple of one Skabelund curve.
 
+    ambient_degree is 2g-2 of the curve itself, i.e. the left-hand side
+    (q^2+1)(q-2) (Suzuki) or (q^3+1)(q-2) (Ree) of the Riemann-Hurwitz
+    identity ambient_degree = |H|*(2*g_H - 2) + delta_H.
+    """
 
-class _CurveFields(NamedTuple):
     family: Family
     s: int
     q0: int
@@ -39,28 +44,16 @@ class _CurveFields(NamedTuple):
     q_powers: tuple[int, ...]  # q^d mod m for d = 0 .. field_exponent - 1
     aut_order: int  # |Sz(q)|*m resp. |Ree(q)|*m
 
-
-class CurveParams(_CurveFields):
-    """Validated parameter tuple of one Skabelund curve, with a __dict__ that
-    caches m_factors.
-
-    ambient_degree is 2g-2 of the curve itself, i.e. the left-hand side
-    (q^2+1)(q-2) (Suzuki) or (q^3+1)(q-2) (Ree) of the Riemann-Hurwitz
-    identity ambient_degree = |H|*(2*g_H - 2) + delta_H.
-    """
-
-    __setattr__ = __delattr__ = read_only
-
     @property
     def tau_iota(self) -> int:
         """Ramification weight q^2+1 (Suzuki) or q^3+1 (Ree) of a pure tau power."""
         return self.q ** (self.field_exponent // 2) + 1
 
-    @functools.cached_property
+    @property
     def m_factors(self) -> Factorization:
-        """Prime factorization of m, computed lazily: trial division is only
-        viable at desk scale (roughly m <= 10^14), and construction must not
-        depend on it."""
+        """Prime factorization of m.  Construction never factors m: trial
+        division is only viable at desk scale (roughly m <= 10^14).
+        factorize caches, so m is trial-divided once per process."""
         return factorize(self.m)
 
 
@@ -95,7 +88,7 @@ def make_params(family: Family, s: int) -> CurveParams:
     if math.gcd(m, q - 1) != 1:
         raise ArithmeticError(f"gcd(m, q-1) != 1 for s={s}")
     half = field_exponent // 2
-    if mod_pow(q, 2 * half, m) != 1:
+    if pow(q, 2 * half, m) != 1:
         raise ArithmeticError(f"q does not have order dividing {2 * half} mod m")
 
     return CurveParams(
@@ -106,7 +99,7 @@ def make_params(family: Family, s: int) -> CurveParams:
         m=m,
         field_exponent=field_exponent,
         ambient_degree=ambient_degree,
-        q_powers=tuple(mod_pow(q, d, m) for d in range(2 * half)),
+        q_powers=tuple(pow(q, d, m) for d in range(2 * half)),
         aut_order=aut_order,
     )
 

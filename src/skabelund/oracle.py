@@ -44,7 +44,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cache
-from itertools import compress, repeat
+from itertools import repeat
 from operator import countOf, mod
 
 from . import _kernels
@@ -54,7 +54,6 @@ from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     OrderClassRee,
     OrderClassSz,
     iota_ree,
-    iota_sigma_element,
     iota_suzuki,
     singer_images,
 )
@@ -92,21 +91,6 @@ def delta_sigma_cm_bruteforce(
         params.m, se.n1, se.n2, se.a, params.q_powers, scans=scans
     )
     return tau_count * params.tau_iota + special_count * params.m
-
-
-def delta_sigma_cm_direct(params: CurveParams, se: StandardExponents) -> int:
-    """Kernel-free variant of delta_sigma_cm_bruteforce for small subgroups:
-    sums iota_sigma_element per element, pinning the kernels to the iota
-    primitive."""
-    se.validate(params.m)
-    m, n1, n2, a = params.m, se.n1, se.n2, se.a
-    total = 0
-    for i in range(m // n1):
-        for j in range(m // n2):
-            if i == 0 and j == 0:
-                continue
-            total += iota_sigma_element(params, (i * n1) % m, (i * a + j * n2) % m)
-    return total
 
 
 def count_congruence_solutions(
@@ -231,10 +215,7 @@ def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) ->
     """
     if key[0] == 7:
         return params.m * countOf(map(mod, range(n, 7 * n, n), repeat(7)), 0)
-    try:
-        klass = _REE_COSET_CLASSES[key]
-    except KeyError:
-        raise ValueError(f"unexpected (order, central) {key} in census") from None
+    klass = _REE_COSET_CLASSES[key]
     at_zero = 0 if klass is OrderClassRee.TAU else 1
     return _class_weight_sum(iota_ree, params, klass, at_zero, n - 1)
 
@@ -268,16 +249,6 @@ for _c in range(7):
     _F8_LOG[_v] = _c
     _v = f8_mul(_v, F8_GENERATOR)
 del _c, _v
-
-
-# bin() digits '0'/'1' as the bytes 0/1, selectors for itertools.compress
-_BIT_DIGITS = bytes.maketrans(b"01", bytes((0, 1)))
-
-
-def _bit_positions(bits: int):
-    """Positions of the set bits of a non-negative int, ascending."""
-    digits = bin(bits)[:1:-1].encode().translate(_BIT_DIGITS)
-    return compress(range(len(digits)), digits)
 
 
 def _skew_generators(
@@ -335,21 +306,6 @@ def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int
                 a, b, e = power
                 power = (_F8_MUL[a][a], _F8_MUL[a][b] ^ b, (2 * e) % m)
     return group
-
-
-def materialize_skew_subgroup(
-    params: CurveParams, variant: str, i: int, w: int
-) -> set[tuple[int, int, int]]:
-    """Element set of H_{i,w} (variant 'full') or H'_{i,w} ('cyclic').
-
-    Elements are triples (a, b, e) meaning the affine map x -> a*x + b on F8
-    (an element of the order-56 subgroup of N2) paired with tau^e.  Closure
-    of the generating set (_close_skew), no structure theory used.
-    """
-    buckets = _close_skew(params.m, _skew_generators(params, variant, i, w))
-    return {
-        (a, b, e) for (a, b), bits in buckets.items() for e in _bit_positions(bits)
-    }
 
 
 def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:

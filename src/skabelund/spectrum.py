@@ -3,7 +3,8 @@
 The Singer square is evaluated once per nu-profile class (see singer.py),
 not once per subgroup: genus spectra, verify_tables and the CSV, JSON and
 table exports read the class tables alone.  Per-subgroup GenusRecords are
-materialized only when SpectrumReport.records is read.  Every other
+materialized only when SpectrumReport.records is read, afresh on each read:
+SpectrumReport is a plain NamedTuple and caches nothing.  Every other
 descriptor is evaluated on its own.
 
 Each renderer has one row template, text_of(kind, lead, record) ->
@@ -28,7 +29,6 @@ brute-force oracle (oracle.py, _kernels.py, iota.py).
 
 from __future__ import annotations
 
-import functools
 import json
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
@@ -43,7 +43,7 @@ from .catalog import (
     enumerate_non_singer_descriptors,
     kind_of,
 )
-from .curves import CurveParams, Family, make_params, read_only
+from .curves import CurveParams, Family, make_params
 
 # delta_sigma_cm is not called here; pipebench's tracer test reads this binding
 from .singer import SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
@@ -76,21 +76,17 @@ def evaluate_descriptor(
     return kind_of(descriptor).evaluate(params, descriptor)
 
 
-class _SpectrumFields(NamedTuple):
+class SpectrumReport(NamedTuple):
+    """A curve's genus spectrum.  repr shows the first four fields only, and
+    hash leaves out singer, whose class tables hold dicts (equality compares
+    them)."""
+
     params: CurveParams
     genera: tuple[int, ...]  # sorted, deduplicated
     families_covered: tuple[str, ...]
     completeness_note: str
     singer: SingerSquare | None = None
     other_records: tuple[GenusRecord, ...] = ()
-
-
-class SpectrumReport(_SpectrumFields):
-    """A curve's genus spectrum; a tuple of its fields, with a __dict__ that
-    caches records.  repr shows the first four fields only, and hash leaves
-    out singer, whose class tables hold dicts (equality compares them)."""
-
-    __setattr__ = __delattr__ = read_only
 
     def __hash__(self) -> int:
         return hash(self[:4] + self[5:])
@@ -99,10 +95,10 @@ class SpectrumReport(_SpectrumFields):
         shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields[:4], self))
         return f"SpectrumReport({shown})"
 
-    @functools.cached_property
+    @property
     def records(self) -> tuple[GenusRecord, ...]:
         """One record per descriptor in catalog enumeration order, expanded
-        from the Singer-square class tables on first access."""
+        from the Singer-square class tables on each read."""
         singer = self.singer.expand() if self.singer is not None else ()
         return (*singer, *self.other_records)
 

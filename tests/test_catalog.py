@@ -111,6 +111,8 @@ def test_element_sets_have_the_right_size():
 def test_validate_rejects_bad_triples():
     with pytest.raises(ValueError):
         StandardExponents(2, 5, 0).validate(5)  # n1 does not divide m
+    with pytest.raises(ValueError, match="n2=2 does not divide m=5"):
+        StandardExponents(1, 2, 0).validate(5)
     with pytest.raises(ValueError):
         StandardExponents(1, 5, 5).validate(5)  # a out of range
     with pytest.raises(ValueError):
@@ -133,6 +135,8 @@ def test_ree_descriptor_enumeration_no_skew():
     params = make_params(Family.REE, 1)
     descriptors = enumerate_descriptors(params)
     kinds = [kind_of(d).name for d in descriptors]
+    with pytest.raises(ValueError, match=re.escape("unknown descriptor (1,)")):
+        kind_of((1,))  # a bare tuple, not a Psl28
     assert kinds.count("sigma-cm") == 22
     assert kinds.count("psl28") == 2
     assert kinds.count("n2-nonskew") == 12

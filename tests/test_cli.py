@@ -47,7 +47,7 @@ def test_spectrum_csv_to_file(tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
 def test_spectrum_out_counts_records_without_expanding_them(
-    fmt, tmp_path, capsys, monkeypatch
+    fmt, tmp_path, capsys, monkeypatch, expansions
 ):
     from skabelund import cli
 
@@ -63,7 +63,7 @@ def test_spectrum_out_counts_records_without_expanding_them(
     assert main(["spectrum", "--family", "ree", "--s", "2",
                  "--format", fmt, "--out", str(out_file)]) == 0
     (report,) = reports
-    assert "records" not in report.__dict__
+    assert expansions == []
     assert capsys.readouterr().out == f"wrote {len(report.records)} records to {out_file}\n"
     assert len(report.records) == 392
 
@@ -231,6 +231,14 @@ def test_negative_oracle_cap_is_a_one_line_error(args, env, text):
             ("spectrum", "--family", "suzuki", "--s", "1", "--subgroup-family", "nope"),
             "unknown subgroup family 'nope'",
         ),
+        (
+            ("spectrum", "--family", "suzuki", "--s", "1", "--subgroup-family", "psl28"),
+            "subgroup family 'psl28' is a ree kind, not a suzuki one",
+        ),
+        (
+            ("spectrum", "--family", "ree", "--s", "1", "--subgroup-family", "b0-cyclic"),
+            "subgroup family 'b0-cyclic' is a suzuki kind, not a ree one",
+        ),
         (("spectrum", "--family", "suzuki", "--s", "0"), "--s must be at least 1, got 0"),
         (
             ("genus", "--family", "ree", "--s", "0", "--descriptor", "psl28:1"),
@@ -238,8 +246,8 @@ def test_negative_oracle_cap_is_a_one_line_error(args, env, text):
         ),
         (("oracle", "--family", "ree", "--s", "-1"), "--s must be at least 1, got -1"),
     ],
-    ids=["verify-tables-s-max-0", "unknown-subgroup-family", "spectrum-s-0", "genus-s-0",
-         "oracle-s-negative"],
+    ids=["verify-tables-s-max-0", "unknown-subgroup-family", "ree-kind-on-suzuki",
+         "suzuki-kind-on-ree", "spectrum-s-0", "genus-s-0", "oracle-s-negative"],
 )
 def test_bad_run_arguments_are_one_line_errors(args, text):
     done = run_cli(*args)

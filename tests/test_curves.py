@@ -39,6 +39,11 @@ def test_rejects_s_below_one():
         make_params(Family.REE, -2)
 
 
+def test_rejects_an_unknown_family():
+    with pytest.raises(ValueError, match="unknown family 'ree'"):
+        make_params("ree", 1)  # the name, not Family.REE
+
+
 def test_m_sharing_a_factor_with_q_minus_1_is_loud(monkeypatch):
     monkeypatch.setattr(curves, "math", SimpleNamespace(gcd=lambda a, b: 7))
     with pytest.raises(ArithmeticError, match=r"gcd\(m, q-1\) != 1 for s=1"):
@@ -46,7 +51,7 @@ def test_m_sharing_a_factor_with_q_minus_1_is_loud(monkeypatch):
 
 
 def test_q_of_the_wrong_order_mod_m_is_loud(monkeypatch):
-    monkeypatch.setattr(curves, "mod_pow", lambda base, exponent, modulus: 2)
+    monkeypatch.setattr(curves, "pow", lambda base, exponent, modulus: 2, raising=False)
     with pytest.raises(ArithmeticError, match="q does not have order dividing 6 mod m"):
         make_params(Family.REE, 1)
 

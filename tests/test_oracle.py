@@ -10,17 +10,18 @@ from skabelund.curves import Family, make_params
 from skabelund.iota import census
 from skabelund.oracle import (
     BruteForceCapError,
+    _f8_div,
     count_congruence_solutions,
     delta_b0_census,
     delta_census,
     delta_sigma_cm_bruteforce,
-    delta_sigma_cm_direct,
     delta_skew_census,
     enumerate_subgroups_bruteforce,
     f8_mul,
-    materialize_skew_subgroup,
     realize_census,
 )
+
+from references import delta_sigma_cm_direct, materialize_skew_subgroup
 
 S1 = make_params(Family.SUZUKI, 1)
 S2 = make_params(Family.SUZUKI, 2)
@@ -98,6 +99,8 @@ def test_element_cap(monkeypatch):
     monkeypatch.setenv("SKABELUND_MAX_ELEMENTS", "100")
     with pytest.raises(BruteForceCapError):
         delta_sigma_cm_bruteforce(R1, StandardExponents(1, 1, 0))  # |H| = 361
+    with pytest.raises(BruteForceCapError, match="subgroup exceeds brute-force cap 100"):
+        count_congruence_solutions(R1, StandardExponents(1, 1, 0), 0)
     assert delta_sigma_cm_bruteforce(R1, StandardExponents(1, 1, 0), max_elements=400)
 
 
@@ -109,6 +112,8 @@ def test_delta_census_values():
         delta_census("n2_7", R1, 1)
     with pytest.raises(ValueError):
         delta_census("psl28", S1, 1)
+    with pytest.raises(ValueError, match="delta_b0_census needs Suzuki parameters"):
+        delta_b0_census(R1, 1, 1, False)
 
 
 @pytest.mark.parametrize(
@@ -139,6 +144,9 @@ def test_f8_multiplication_table():
         seen.add(v)
     assert seen == set(range(1, 8))
     assert f8_mul(v, 2) == 1
+    assert _f8_div(f8_mul(5, 3), 3) == 5
+    with pytest.raises(ZeroDivisionError):
+        _f8_div(5, 0)
 
 
 def test_skew_materialization_orders():
@@ -157,6 +165,12 @@ def test_skew_census_i_invariance():
         delta_skew_census(R1, "full", 1, 1)  # 7 does not divide m = 19
     with pytest.raises(ValueError):
         delta_skew_census(R2, "half", 1, 1)
+    with pytest.raises(ValueError, match="skew subgroups need Ree parameters"):
+        delta_skew_census(S2, "full", 1, 1)
+    with pytest.raises(ValueError, match=r"w=2 violates 7w \| m"):
+        delta_skew_census(R2, "full", 1, 2)  # m = 217 = 7 * 31
+    with pytest.raises(ValueError, match=r"i=7 out of range 1\.\.6"):
+        delta_skew_census(R2, "full", 7, 1)
 
 
 def test_permutation_censuses_match_tables():

@@ -54,18 +54,17 @@ from skabelund.iota import (
 from skabelund.oracle import (
     _F8_LOG,
     F8_GENERATOR,
-    _bit_positions,
     _ree_coset_sum,
     _close_skew,
     delta_b0_census,
     delta_census,
     delta_skew_census,
     f8_mul,
-    materialize_skew_subgroup,
     max_elements_cap,
 )
 from skabelund.suite import run_oracle_suite, sample_standard_exponents
 
+from references import bit_positions, materialize_skew_subgroup
 from sampling import sample_evenly
 
 # --- references: the nested-loop kernels ------------------------------------
@@ -736,5 +735,5 @@ def affine_generators(draw):
 def test_bitset_closure_matches_the_element_closure_on_any_generators(case):
     m, gens = case
     buckets = _close_skew(m, gens)
-    got = {(a, b, e) for (a, b), bits in buckets.items() for e in _bit_positions(bits)}
+    got = {(a, b, e) for (a, b), bits in buckets.items() for e in bit_positions(bits)}
     assert got == ref_close_affine(m, gens)

@@ -1,6 +1,7 @@
-"""The record classes are NamedTuples: their equality, hashing, immutability,
-repr text and ordering, the lazily cached attributes of CurveParams and
-SpectrumReport, and what importing the package costs."""
+"""The record classes are plain NamedTuples: their equality, hashing,
+immutability, repr text and ordering, the computed attributes of CurveParams
+(m_factors, read through the factorize cache) and SpectrumReport (records,
+expanded on each read), and what importing the package costs."""
 
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from skabelund import curves, singer
+from skabelund import arith
 from skabelund.catalog import (
     B0Cyclic,
     B0Dihedral,
@@ -42,7 +43,7 @@ SUZUKI_1 = (
 )
 
 
-SRC = str(Path(curves.__file__).resolve().parents[1])
+SRC = str(Path(arith.__file__).resolve().parents[1])
 
 
 def loaded_in_a_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
@@ -142,6 +143,7 @@ def test_every_field_of_every_public_class_is_read_only():
     instances = _instances()
     assert len({type(x) for x in instances}) == 15
     for instance in instances:
+        assert not hasattr(instance, "__dict__"), type(instance)
         for name in instance._fields:
             with pytest.raises(AttributeError):
                 setattr(instance, name, None)
@@ -151,8 +153,9 @@ def test_every_field_of_every_public_class_is_read_only():
 
 @pytest.mark.parametrize("cached", ["m_factors", "records"])
 def test_cached_values_and_new_names_cannot_be_assigned(cached):
-    """CurveParams and SpectrumReport keep a __dict__ for their cached
-    values; neither that cache nor a name that is not a field can be set."""
+    """CurveParams and SpectrumReport have no __dict__: neither a computed
+    attribute nor a name that is not a field can be set, and the computed
+    value reads the same afterwards."""
     instance = [x for x in _instances() if cached in dir(type(x))][0]
     value = getattr(instance, cached)
     for name in (cached, "not_a_field"):
@@ -161,7 +164,7 @@ def test_cached_values_and_new_names_cannot_be_assigned(cached):
         assert not hasattr(instance, "not_a_field")
     with pytest.raises(AttributeError):
         delattr(instance, cached)
-    assert getattr(instance, cached) is value
+    assert getattr(instance, cached) == value
 
 
 def test_repr_text_is_unchanged():
@@ -219,34 +222,25 @@ def test_spectrum_report_hash_leaves_out_the_class_tables():
     assert one != one._replace(singer=None)
 
 
-def test_m_factors_is_computed_lazily_and_once(monkeypatch):
-    calls = []
-    factorize = curves.factorize
-
-    def counting(n):
-        calls.append(n)
-        return factorize(n)
-
-    monkeypatch.setattr(curves, "factorize", counting)
+def test_m_factors_is_computed_lazily_and_once():
+    """make_params does not factor m, and reading m_factors any number of
+    times, on the curve or on a _replace copy, trial-divides m once per
+    process."""
+    arith.factorize.cache_clear()
     params = make_params(Family.REE, 2)
-    assert "m_factors" not in params.__dict__ and calls == []
-    assert params.m_factors is params.m_factors
-    assert calls == [params.m]
-    # a copy made by _replace is a new curve and factors m afresh
+    assert arith.factorize.cache_info().misses == 0
+    assert params.m_factors == params.m_factors == ((7, 1), (31, 1))
     assert params._replace(s=2).m_factors == params.m_factors
-    assert calls == [params.m, params.m]
+    assert arith.factorize.cache_info().misses == 1
 
 
-def test_records_are_expanded_lazily_and_once(monkeypatch):
-    calls = []
-    expand = singer.SingerSquare.expand
+def test_spectrum_factors_m_and_q_minus_1_once_each():
+    arith.factorize.cache_clear()
+    compute_spectrum(Family.SUZUKI, 3)
+    assert arith.factorize.cache_info().misses == 2  # m = 113 and q - 1 = 127
 
-    def counting(self):
-        calls.append(self)
-        return expand(self)
 
-    monkeypatch.setattr(singer.SingerSquare, "expand", counting)
+def test_records_are_expanded_lazily(expansions):
     report = compute_spectrum(Family.SUZUKI, 2)
-    assert "records" not in report.__dict__ and calls == []
-    assert report.records is report.records
-    assert len(calls) == 1 and len(report.records) == report.record_count
+    assert report.record_count == 57 and expansions == []
+    assert len(report.records) == report.record_count and len(expansions) == 1

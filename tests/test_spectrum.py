@@ -420,10 +420,10 @@ def assert_same_text(got, want):
     )
 
 
-def assert_exports_match_reference(report):
+def assert_exports_match_reference(report, expansions):
     streamed = (render_csv(report), render_json(report), render_table(report))
     count = report.record_count
-    assert "records" not in report.__dict__  # neither streams nor count expanded
+    assert expansions == []  # neither streams nor count expanded
     assert_same_text(streamed[0], reference_csv(report))
     assert_same_text(streamed[1], reference_json(report))
     assert_same_text(streamed[2], reference_table(report))
@@ -435,15 +435,15 @@ def assert_exports_match_reference(report):
     [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 6)],
     ids=lambda x: getattr(x, "value", x),
 )
-def test_streamed_exports_equal_per_record_exports(family, s):
-    assert_exports_match_reference(compute_spectrum(family, s))
+def test_streamed_exports_equal_per_record_exports(family, s, expansions):
+    assert_exports_match_reference(compute_spectrum(family, s), expansions)
 
 
 @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
 @pytest.mark.parametrize("kind", list(KINDS_BY_NAME))
 @pytest.mark.parametrize("s", [1, 2])
-def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s):
-    assert_exports_match_reference(compute_spectrum(family, s, kind))
+def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s, expansions):
+    assert_exports_match_reference(compute_spectrum(family, s, kind), expansions)
 
 
 def test_exports_of_a_kind_without_records():
@@ -461,7 +461,7 @@ EXPORT_GOLDEN = Path(__file__).resolve().parent / "data" / "export_golden.json"
 
 
 @pytest.mark.parametrize("s", [7, 8])
-def test_large_exports_match_recorded_hashes(s):
+def test_large_exports_match_recorded_hashes(s, expansions):
     """Suzuki s=7 and 8 (45,184 and 133,856 records), past the per-record
     reference gate, against hashes recorded from the per-row renderers."""
     report = compute_spectrum(Family.SUZUKI, s)
@@ -470,7 +470,7 @@ def test_large_exports_match_recorded_hashes(s):
         "csv_sha256": hashlib.sha256(render_csv(report).encode()).hexdigest(),
         "json_sha256": hashlib.sha256(render_json(report).encode()).hexdigest(),
     }
-    assert "records" not in report.__dict__
+    assert expansions == []
     assert digest == json.loads(EXPORT_GOLDEN.read_text())[f"suzuki-{s}"]
 
 
