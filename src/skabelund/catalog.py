@@ -233,17 +233,12 @@ def _skew(cls):
     )
 
 
-def _sigma_cm_genus(params: CurveParams, h: SigmaCm) -> GenusRecord:
-    if params.family is Family.SUZUKI:
-        return genus_suzuki.genus_sigma_cm_suzuki(params, h.se)
-    return genus_ree.genus_sigma_cm_ree(params, h.se)
-
-
 class DescriptorKind(NamedTuple):
     """One cataloged subgroup family: everything the package knows of a kind.
 
-    The evaluators look the genus functions up on their modules at call
-    time, so whatever those module attributes hold is what runs.
+    The evaluators look their closed forms up at call time on the genus
+    modules and, for sigma-cm (one closed form for both families), on
+    singer, so whatever those module attributes hold is what runs.
     """
 
     name: str  # CLI and export name
@@ -264,7 +259,7 @@ KINDS: tuple[DescriptorKind, ...] = (
         "sigma-cm", SigmaCm, ("se.n1", "se.n2", "se.a"),
         lambda n1, n2, a: SigmaCm(StandardExponents(n1, n2, a)), None,
         lambda params, m_divs: map(SigmaCm, enumerate_standard_exponents(params.m)),
-        _sigma_cm_genus,
+        lambda params, h: singer.sigma_cm_record(params, h.se),
     ),
     DescriptorKind(
         "b0-cyclic", B0Cyclic, ("d", "n"), B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),
@@ -307,23 +302,18 @@ def kind_of(descriptor: SubgroupDescriptor) -> DescriptorKind:
         raise ValueError(f"unknown descriptor {descriptor!r}") from None
 
 
-def _enumerate(params: CurveParams, kinds) -> list[SubgroupDescriptor]:
-    m_divs = divisors(params.m)
-    return [d for kind in kinds for d in kind.enumerate(params, m_divs)]
-
-
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
     """All cataloged descriptors for one curve, kind by kind in KINDS order:
-    the Singer square first, then enumerate_non_singer_descriptors."""
-    return _enumerate(params, (k for k in KINDS if k.family in (None, params.family)))
-
-
-def enumerate_non_singer_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
-    """The cataloged descriptors outside the Singer square (the one kind both
-    families have), kind by kind in KINDS order."""
-    return _enumerate(params, (k for k in KINDS if k.family is params.family))
+    the Singer square (the one kind both families have) first."""
+    m_divs = divisors(params.m)
+    return [
+        d
+        for kind in KINDS
+        if kind.family in (None, params.family)
+        for d in kind.enumerate(params, m_divs)
+    ]
 
 
 # the evaluators reach the genus modules, which import this one, through
 # these module attributes; importing them last leaves no import-order cycle
-from . import genus_ree, genus_suzuki  # noqa: E402
+from . import genus_ree, genus_suzuki, singer  # noqa: E402

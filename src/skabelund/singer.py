@@ -43,12 +43,13 @@ from math import gcd
 from operator import mod
 from typing import NamedTuple, TypeVar
 
-from .arith import divisors, valuation
+from .arith import valuation
 from .catalog import (
     GenusRecord,
     SigmaCm,
     StandardExponents,
     make_record,
+    standard_exponent_blocks,
     standard_exponent_step,
     subgroup_order_sigma,
 )
@@ -168,8 +169,9 @@ def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
 class SingerSquare(NamedTuple):
     """Every subgroup of the Singer-cycle square of one curve, by class.
 
-    class_records[i] maps each class key of blocks[i] to the genus record of
-    the class's member a.
+    blocks follow catalog.standard_exponent_blocks, so walk and expand keep
+    enumerate_standard_exponents order.  class_records[i] maps each class key
+    of blocks[i] to the genus record of the class's member a.
     """
 
     blocks: tuple[SingerBlock, ...]
@@ -219,10 +221,12 @@ def sigma_cm_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
 
 
 def evaluate_singer_square(params: CurveParams) -> SingerSquare:
-    """Class tables of every (n1, n2); each class's record is evaluated once,
-    on one member, by sigma_cm_record."""
-    divs = divisors(params.m)
-    blocks = tuple(singer_block(params, n1, n2) for n1 in divs for n2 in divs)
+    """Class tables of every (n1, n2), in catalog.standard_exponent_blocks
+    order; each class's record is evaluated once, on one member, by
+    sigma_cm_record."""
+    blocks = tuple(
+        singer_block(params, n1, n2) for n1, n2, _ in standard_exponent_blocks(params.m)
+    )
     class_records = tuple(
         {
             key: sigma_cm_record(params, StandardExponents(b.n1, b.n2, c.a))

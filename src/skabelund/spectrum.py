@@ -35,12 +35,13 @@ from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
+from .arith import divisors
 from .catalog import (
+    KINDS,
     KINDS_BY_NAME,
     DescriptorKind,
     GenusRecord,
     SubgroupDescriptor,
-    enumerate_non_singer_descriptors,
     kind_of,
 )
 from .curves import CurveParams, Family, make_params
@@ -109,43 +110,34 @@ class SpectrumReport(NamedTuple):
         return singer + len(self.other_records)
 
 
-def _evaluate(
-    params: CurveParams, kinds
-) -> tuple[SingerSquare | None, tuple[GenusRecord, ...]]:
-    """Singer-square class tables (if sigma-cm is among kinds) and the records
-    of every other descriptor of the given kinds."""
-    singer = evaluate_singer_square(params) if _SINGER_KIND.name in kinds else None
-    others = tuple(
-        evaluate_descriptor(params, d)
-        for d in enumerate_non_singer_descriptors(params)
-        if kind_of(d).name in kinds
-    )
-    return singer, others
-
-
-def _genera(singer: SingerSquare | None, others: tuple[GenusRecord, ...]) -> set[int]:
-    genera = {r.genus for r in others}
-    if singer is not None:
-        genera |= singer.genera()
-    return genera
-
-
 def compute_spectrum(
     family: Family, s: int, family_filter: str | None = None
 ) -> SpectrumReport:
     """Evaluate every cataloged descriptor (optionally one kind only)."""
     params = make_params(family, s)
-    kinds = tuple(KINDS_BY_NAME)
-    if family_filter is not None:
-        if family_filter not in kinds:
-            raise ValueError(f"unknown subgroup family {family_filter!r}")
-        kinds = (family_filter,)
-    singer, others = _evaluate(params, kinds)
+    if family_filter is not None and family_filter not in KINDS_BY_NAME:
+        raise ValueError(f"unknown subgroup family {family_filter!r}")
+    kinds = [
+        kind
+        for kind in KINDS
+        if kind.family in (None, params.family) and family_filter in (None, kind.name)
+    ]
+    singer = evaluate_singer_square(params) if _SINGER_KIND in kinds else None
+    m_divs = divisors(params.m)
+    others = tuple(
+        evaluate_descriptor(params, d)
+        for kind in kinds
+        if kind is not _SINGER_KIND
+        for d in kind.enumerate(params, m_divs)
+    )
     covered = (_SINGER_KIND.name,) if singer is not None else ()
     covered += tuple(dict.fromkeys(kind_of(r.descriptor).name for r in others))
+    genera = {r.genus for r in others}
+    if singer is not None:
+        genera |= singer.genera()
     return SpectrumReport(
         params=params,
-        genera=tuple(sorted(_genera(singer, others))),
+        genera=tuple(sorted(genera)),
         families_covered=covered,
         completeness_note=COMPLETENESS_NOTE,
         singer=singer,
@@ -284,11 +276,15 @@ def validate_export(text: str) -> dict:
     identity once per distinct (order, genus, delta); a failure names the
     first record that fails.  Any malformed document raises ValueError.
     """
-    doc = json.loads(text)
+    try:
+        doc = json.loads(text)
+    except RecursionError:
+        raise ValueError("export is nested too deeply to parse") from None
     if type(doc) is not dict:
         raise ValueError(f"export is a JSON {type(doc).__name__}, not an object")
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
+    version = doc.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ValueError(f"unsupported schema_version {version!r}")
     missing = [k for k in ("ambient_degree", "genera", "records") if k not in doc]
     if missing:
         raise ValueError(f"export lacks {', '.join(map(repr, missing))}")
@@ -356,13 +352,15 @@ class TableCheck(NamedTuple):
 def verify_tables(
     s_max: int = 4, tables: tuple[ReferenceTable, ...] = REFERENCE_TABLES
 ) -> list[TableCheck]:
-    """Check that each reference genus appears in the computed spectrum."""
+    """Check that each reference genus appears in the spectrum compute_spectrum
+    gives for the table's curve, restricted to the table's kinds."""
     checks = []
     for table in tables:
         if table.s > s_max:
             continue
-        params = make_params(table.family, table.s)
-        genera = _genera(*_evaluate(params, table.kinds))
+        genera = set().union(
+            *(compute_spectrum(table.family, table.s, kind).genera for kind in table.kinds)
+        )
         missing = tuple(g for g in table.expected_genera if g not in genera)
         # ties broken toward the smaller genus, keeping reports deterministic
         nearest = tuple(min(sorted(genera), key=lambda got: abs(got - g)) for g in missing)

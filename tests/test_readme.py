@@ -1,0 +1,36 @@
+"""The README's Library and CLI examples run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from skabelund.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _block(section: str) -> str:
+    """The first fenced code block under the README heading `## <section>`."""
+    match = re.search(rf"^## {section}\n.*?^```[a-z]*\n(.*?)^```", README, re.M | re.S)
+    assert match, f"README has no code block under '## {section}'"
+    return match.group(1)
+
+
+CLI_COMMANDS = [
+    shlex.split(line, comments=True) for line in _block("CLI").splitlines() if line.strip()
+]
+
+
+def test_library_example_runs(capsys):
+    exec(compile(_block("Library"), "README.md", "exec"), {})
+    assert capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", CLI_COMMANDS, ids=" ".join)
+def test_cli_example_exits_zero(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    program, *argv = command
+    assert program == "skabelund"
+    assert main(argv) == 0

@@ -552,11 +552,25 @@ def test_non_integer_record_values_are_rejected(key, value):
 
 
 @pytest.mark.parametrize(
-    "key,value", [("ambient_degree", 10.0), ("genera", [1.0]), ("genera", [True])]
+    "key,value",
+    [
+        ("ambient_degree", 10.0),
+        ("genera", [1.0]),
+        ("genera", [True]),
+        ("schema_version", True),
+        ("schema_version", 1.0),
+    ],
 )
 def test_non_integer_document_values_are_rejected(key, value):
     doc = dict(TINY, **{key: value})
     one_line_value_error(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"records": ' * 100_000], ids=["arrays", "objects"]
+)
+def test_deeply_nested_documents_are_rejected(text):
+    assert "nested too deeply" in one_line_value_error(text)
 
 
 @pytest.mark.parametrize("text", ["[]", "1", '"export"', "null", "[{}]"])
