@@ -41,7 +41,16 @@ caller's; nothing here caches across calls on its own.
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
 translating the whole set by a group element costs a handful of wide-int
-shift/mask operations instead of one operation per member.
+shift/mask operations instead of one operation per member.  Orders are
+counted, not derived: a coordinate x has order the least k >= 1 with
+k*x = 0 (mod m), and a pair (x, y) the least multiple of x's order that
+also sends y to 0.  Each cyclic subgroup is walked once: walking <g> of
+order n marks every member of order n, since each of them generates <g>,
+and a marked element is never walked as a generator.  The joins C1 + C2
+of two cyclic subgroups then need no closure when the answer is known:
+the join has |C1|*|C2| / |C1 & C2| elements, the found subgroups are kept
+by size, and a found subgroup of that size holding both C1 and C2 is the
+join itself.  A join that is built by doubling asserts that size.
 """
 
 from __future__ import annotations
@@ -176,8 +185,13 @@ def cm_subgroups(m: int) -> set[tuple[int, ...]]:
 
     Every subgroup of a rank-2 abelian group is generated by two elements,
     so the full set is obtained as pairwise joins of the cyclic subgroups;
-    the join of subgroups of an abelian group is their sumset.  m >= 1: the
-    one caller, oracle.enumerate_subgroups_bruteforce, rejects the rest.
+    the join of subgroups of an abelian group is their sumset.  Each cyclic
+    subgroup is walked from one generator, its other generators (the
+    members of the same counted order) marked on the way, and a join is
+    built by doubling only when no found subgroup of its size
+    |C1|*|C2| / |C1 & C2| holds both sides; a built join asserts that size
+    (see the module docstring).  m >= 1: the one caller,
+    oracle.enumerate_subgroups_bruteforce, rejects the rest.
     """
     full = (1 << (m * m)) - 1
     # column pattern: one bit at the start of each row
@@ -190,38 +204,65 @@ def cm_subgroups(m: int) -> set[tuple[int, ...]]:
             got = low_cache[ty] = ((1 << (m - ty)) - 1) * pattern
         return got
 
-    # cyclic subgroups, deduplicated: mask plus one generator and its order
-    cyclic: dict[int, tuple[int, int, int]] = {}
+    # the order of each coordinate: least k >= 1 with k*x = 0 (mod m)
+    coord_order = []
+    for x in range(m):
+        k = 1
+        while k * x % m:
+            k += 1
+        coord_order.append(k)
+
+    def order(x: int, y: int) -> int:
+        n = step = coord_order[x]
+        while n * y % m:
+            n += step
+        return n
+
+    # cyclic subgroups, each walked once: mask plus one generator and its order
+    marked = bytearray(m * m)
+    cyclic: list[tuple[int, int, int, int]] = []
     for gx in range(m):
         for gy in range(m):
+            if marked[gx * m + gy]:
+                continue  # generates a subgroup already walked
+            n = order(gx, gy)
             mask = 1
-            x, y, order = gx, gy, 1
-            while (x, y) != (0, 0):
-                mask |= 1 << (x * m + y)
-                x, y, order = (x + gx) % m, (y + gy) % m, order + 1
-            if mask not in cyclic:
-                cyclic[mask] = (gx, gy, order)
+            x, y = gx, gy
+            while x or y:
+                code = x * m + y
+                mask |= 1 << code
+                if order(x, y) == n:
+                    marked[code] = 1
+                x, y = (x + gx) % m, (y + gy) % m
+            cyclic.append((mask, gx, gy, n))
 
-    subgroups = set(cyclic)
-    entries = list(cyclic.items())
-    for idx, (mask1, _) in enumerate(entries):
-        for mask2, (gx, gy, order) in entries[idx:]:
-            if mask1 >> ((gx * m + gy)) & 1:
-                continue  # <g2> inside C1: join is C1 itself
+    # found subgroups by size, the cyclic ones first
+    by_size: dict[int, list[int]] = {}
+    for mask, _, _, n in cyclic:
+        by_size.setdefault(n, []).append(mask)
+    for idx, (mask1, _, _, n1) in enumerate(cyclic):
+        for mask2, gx, gy, n2 in cyclic[idx + 1 :]:
+            size = n1 * n2 // (mask1 & mask2).bit_count()
+            both = mask1 | mask2
+            known = by_size.setdefault(size, [])
+            if any(found & both == both for found in known):
+                continue  # a found subgroup of the join's size holds both: the join
             # join = C1 + <g2>, built by doubling the translation range
             joined = mask1
             t = 1
-            while t < order:
+            while t < n2:
                 joined |= _translate(joined, (t * gx) % m, (t * gy) % m, m, full, row_low)
                 t *= 2
-            subgroups.add(joined)
+            assert joined.bit_count() == size, (m, size)
+            known.append(joined)
 
     out = set()
-    for mask in subgroups:
-        indices = []
-        while mask:
-            low_bit = mask & -mask
-            indices.append(low_bit.bit_length() - 1)
-            mask ^= low_bit
-        out.add(tuple(indices))
+    for masks in by_size.values():
+        for mask in masks:
+            indices = []
+            while mask:
+                low_bit = mask & -mask
+                indices.append(low_bit.bit_length() - 1)
+                mask ^= low_bit
+            out.add(tuple(indices))
     return out

@@ -302,6 +302,18 @@ def kind_of(descriptor: SubgroupDescriptor) -> DescriptorKind:
         raise ValueError(f"unknown descriptor {descriptor!r}") from None
 
 
+def check_kind_family(name: str | None, family: Family) -> None:
+    """Raise ValueError when the kind called name belongs to the other curve
+    family; None, or a name KINDS does not hold, passes for the caller to
+    handle."""
+    kind = KINDS_BY_NAME.get(name)
+    if kind is not None and kind.family not in (None, family):
+        raise ValueError(
+            f"subgroup family {name!r} is a {kind.family.value} kind, "
+            f"not a {family.value} one"
+        )
+
+
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
     """All cataloged descriptors for one curve, kind by kind in KINDS order:
     the Singer square (the one kind both families have) first."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .catalog import KINDS_BY_NAME, kind_of
+from .catalog import KINDS_BY_NAME, check_kind_family, kind_of
 from .curves import Family, make_params
 from .settings import SettingError, env_int
 from .spectrum import (
@@ -76,13 +76,8 @@ def _parse_descriptor(spec: str):
 
 def _cmd_spectrum(args) -> int:
     _check_s_cap(args.family, args.s, args.allow_large_s)
-    kind = KINDS_BY_NAME.get(args.subgroup_family)
-    if kind is not None and kind.family not in (None, args.family):
-        raise SystemExit(
-            f"subgroup family {kind.name!r} is a {kind.family.value} kind, "
-            f"not a {args.family.value} one"
-        )
     try:
+        check_kind_family(args.subgroup_family, args.family)
         report = compute_spectrum(args.family, args.s, args.subgroup_family)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None

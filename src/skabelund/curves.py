@@ -59,6 +59,9 @@ class CurveParams(NamedTuple):
 
 def make_params(family: Family, s: int) -> CurveParams:
     """Construct and validate curve parameters for exponent s >= 1."""
+    # not isinstance: True is an int, and would reach the exports as given
+    if type(s) is not int:
+        raise ValueError(f"s must be an integer, got {s!r}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
     if family is Family.SUZUKI:

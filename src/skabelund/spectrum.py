@@ -42,6 +42,7 @@ from .catalog import (
     DescriptorKind,
     GenusRecord,
     SubgroupDescriptor,
+    check_kind_family,
     kind_of,
 )
 from .curves import CurveParams, Family, make_params
@@ -353,17 +354,31 @@ def verify_tables(
     s_max: int = 4, tables: tuple[ReferenceTable, ...] = REFERENCE_TABLES
 ) -> list[TableCheck]:
     """Check that each reference genus appears in the spectrum compute_spectrum
-    gives for the table's curve, restricted to the table's kinds."""
+    gives for the table's curve, restricted to the table's kinds.  A table
+    that gives no genus to compare with (no kind, a kind of the other curve
+    family, no subgroup of its kinds on the curve) or names an unknown kind
+    raises ValueError naming the table and the cause."""
     checks = []
     for table in tables:
         if table.s > s_max:
             continue
-        genera = set().union(
-            *(compute_spectrum(table.family, table.s, kind).genera for kind in table.kinds)
-        )
+        where = f"reference table {table.source_table} ({table.family.value} s={table.s})"
+        if not table.kinds:
+            raise ValueError(f"{where}: no subgroup family given")
+        try:
+            for name in table.kinds:
+                check_kind_family(name, table.family)
+            genera = set().union(
+                *(compute_spectrum(table.family, table.s, kind).genera for kind in table.kinds)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if not genera:
+            raise ValueError(f"{where}: subgroup families {', '.join(table.kinds)} give no genus")
         missing = tuple(g for g in table.expected_genera if g not in genera)
         # ties broken toward the smaller genus, keeping reports deterministic
-        nearest = tuple(min(sorted(genera), key=lambda got: abs(got - g)) for g in missing)
+        ordered = sorted(genera)
+        nearest = tuple(min(ordered, key=lambda got: abs(got - g)) for g in missing)
         checks.append(TableCheck(table=table, missing=missing, nearest=nearest))
     return checks
 

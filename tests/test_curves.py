@@ -1,4 +1,5 @@
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -33,10 +34,17 @@ def test_ambient_genus_s2():
 
 
 def test_rejects_s_below_one():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^s must be >= 1, got 0$"):
         make_params(Family.SUZUKI, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^s must be >= 1, got -2$"):
         make_params(Family.REE, -2)
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("s", [True, False, 1.0, 2.5, "1", None], ids=repr)
+def test_rejects_a_non_integer_s(family, s):
+    with pytest.raises(ValueError, match=f"^s must be an integer, got {re.escape(repr(s))}$"):
+        make_params(family, s)
 
 
 def test_rejects_an_unknown_family():

@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+import skabelund
 from skabelund.catalog import (
     StandardExponents,
     enumerate_standard_exponents,
@@ -27,6 +31,43 @@ S1 = make_params(Family.SUZUKI, 1)
 S2 = make_params(Family.SUZUKI, 2)
 R1 = make_params(Family.REE, 1)
 R2 = make_params(Family.REE, 2)
+
+
+ORACLE_SOURCES = ("_kernels.py", "oracle.py", "iota.py")
+
+
+def _imported_modules(tree):
+    """Dotted names of every module and module member a tree imports, with
+    relative imports resolved inside the skabelund package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = "skabelund" + (f".{base}" if base else "")
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+@pytest.mark.parametrize("source", ORACLE_SOURCES)
+def test_oracle_takes_nothing_from_arith_and_names_no_gcd(source):
+    """The oracle recomputes what arith's closed forms give; it must not
+    import arith or reach for a gcd or an lcm (say m // gcd(x, m))."""
+    tree = ast.parse((Path(skabelund.__file__).parent / source).read_text())
+    arith = [
+        name
+        for name in _imported_modules(tree)
+        if name == "skabelund.arith" or name.startswith("skabelund.arith.")
+    ]
+    assert not arith, arith
+    identifiers = {
+        value
+        for node in ast.walk(tree)
+        for field in ("id", "attr", "name", "asname", "arg")
+        if isinstance(value := getattr(node, field, None), str)
+    }
+    named = sorted(i for i in identifiers if "gcd" in i.lower() or "lcm" in i.lower())
+    assert not named, named
 
 
 def test_delta_bruteforce_examples():

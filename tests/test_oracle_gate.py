@@ -13,11 +13,15 @@ modulus, must list the rows i < rows with i*r = 0 (mod modulus) by that
 definition on random moduli up to 2000 (primes, prime powers, highly
 composite values) and 2310, with and without a shared scans dict, and must
 match the multiples scan it replaced (ref_vanishing_rows) on every scan
-the oracle suite makes for Suzuki s <= 6 and Ree s <= 5.  The order-7 coset
-count is checked against the n - 1 multiples of 7 it replaced, for
-n < 3000 and every n | m for Ree s <= 6.  The premise of the two reads is
-checked directly: for s <= 4 every order class weighs each k in range(2m)
-as k = 0 when k = 0 (mod m) and as k = 1 otherwise.  Row scans and divisor
+the oracle suite makes for Suzuki s <= 6 and Ree s <= 5.  The subgroup
+closure, which walks each cyclic subgroup once and skips every join a found
+subgroup of the join's size already holds, must find the subgroups the
+pairwise closure (ref_cm_subgroups) finds for every m up to the default
+closure cap, 60.  The order-7 coset count is checked against the n - 1
+multiples of 7 it replaced, for n < 3000 and every n | m for Ree s <= 6.
+The premise of the two reads is checked directly: for s <= 4 every order
+class weighs each k in range(2m) as k = 0 when k = 0 (mod m) and as k = 1
+otherwise.  Row scans and divisor
 lists are shared within one oracle suite and by no later one.  Beyond that,
 the suite must reproduce the verdicts and details recorded in
 data/oracle_golden.json: by the nested-loop oracle for Suzuki s = 5 and 6,
@@ -62,6 +66,7 @@ from skabelund.oracle import (
     f8_mul,
     max_elements_cap,
 )
+from skabelund.settings import DEFAULT_MAX_CLOSURE_M
 from skabelund.suite import run_oracle_suite, sample_standard_exponents
 
 from references import bit_positions, materialize_skew_subgroup
@@ -104,6 +109,48 @@ REFERENCE_KERNELS = {
     "sigma_cm_iota_counts": ref_sigma_cm_iota_counts,
     "congruence_count": ref_congruence_count,
 }
+
+
+def ref_cm_subgroups(m):
+    """The pairwise closure the counted walk replaced: every one of the m*m
+    generators walked in full, and every pair of cyclic subgroups joined by
+    doubling unless the second generator lies in the first subgroup."""
+    full = (1 << (m * m)) - 1
+    pattern = sum(1 << (x * m) for x in range(m))
+    low_cache = {}
+
+    def row_low(ty):
+        got = low_cache.get(ty)
+        if got is None:
+            got = low_cache[ty] = ((1 << (m - ty)) - 1) * pattern
+        return got
+
+    cyclic = {}
+    for gx in range(m):
+        for gy in range(m):
+            mask = 1
+            x, y, order = gx, gy, 1
+            while (x, y) != (0, 0):
+                mask |= 1 << (x * m + y)
+                x, y, order = (x + gx) % m, (y + gy) % m, order + 1
+            if mask not in cyclic:
+                cyclic[mask] = (gx, gy, order)
+
+    subgroups = set(cyclic)
+    entries = list(cyclic.items())
+    for idx, (mask1, _) in enumerate(entries):
+        for mask2, (gx, gy, order) in entries[idx:]:
+            if mask1 >> ((gx * m + gy)) & 1:
+                continue  # <g2> inside C1: join is C1 itself
+            joined = mask1
+            t = 1
+            while t < order:
+                joined |= _kernels._translate(
+                    joined, (t * gx) % m, (t * gy) % m, m, full, row_low
+                )
+                t *= 2
+            subgroups.add(joined)
+    return {tuple(bit_positions(mask)) for mask in subgroups}
 
 # --- references: the per-element census loops --------------------------------
 
@@ -390,6 +437,17 @@ def test_row_scans_are_shared_within_one_suite_and_kept_by_none(monkeypatch, def
     for name, args in calls[: len(calls) // 2]:  # the first suite's calls, unshared
         kernels[name](*args)
     assert 0 < per_suite[0] == per_suite[1] < work
+
+
+# --- the subgroup closure against the pairwise closure ------------------------
+
+
+@pytest.mark.parametrize("m", range(1, DEFAULT_MAX_CLOSURE_M + 1))
+def test_subgroup_closure_matches_the_pairwise_closure(m):
+    """Every m the closure cap admits by default: the counted walk and the
+    size-indexed join skip find exactly the subgroups the pairwise closure
+    finds."""
+    assert _kernels.cm_subgroups(m) == ref_cm_subgroups(m)
 
 
 # --- the row scan against its definition --------------------------------------

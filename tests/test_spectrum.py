@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from skabelund.oracle import realize_census
 from skabelund.spectrum import (
     CSV_HEADER,
     SCHEMA_VERSION,
+    ReferenceTable,
     compute_spectrum,
     render_csv,
     render_json,
@@ -122,6 +124,41 @@ def test_verify_tables_reports_missing_with_nearest():
     assert not check.ok
     assert check.missing == (42,)
     assert check.nearest == (40,)  # closest genus the family actually produces
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        (
+            ReferenceTable(9, Family.SUZUKI, 1, (5,), ("psl28",)),
+            "reference table 9 (suzuki s=1): subgroup family 'psl28' is a ree kind, "
+            "not a suzuki one",
+        ),
+        (
+            ReferenceTable(9, Family.REE, 1, (5,), ("sigma-cm", "b0-cyclic")),
+            "reference table 9 (ree s=1): subgroup family 'b0-cyclic' is a suzuki kind, "
+            "not a ree one",
+        ),
+        (
+            ReferenceTable(9, Family.SUZUKI, 1, (5,), ()),
+            "reference table 9 (suzuki s=1): no subgroup family given",
+        ),
+        (
+            ReferenceTable(9, Family.SUZUKI, 1, (5,), ("sigma-cm", "frobenius")),
+            "reference table 9 (suzuki s=1): unknown subgroup family 'frobenius'",
+        ),
+        (
+            ReferenceTable(9, Family.REE, 1, (5,), ("n2-skew-full", "n2-skew-cyclic")),
+            "reference table 9 (ree s=1): subgroup families n2-skew-full, n2-skew-cyclic "
+            "give no genus",
+        ),
+    ],
+    ids=["ree-kind-on-suzuki", "suzuki-kind-beside-a-ree-one", "no-kinds", "unknown-kind",
+         "no-subgroups"],
+)
+def test_verify_tables_names_the_table_and_the_cause(table, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify_tables(4, (table,))
 
 
 def test_sample_evenly():
