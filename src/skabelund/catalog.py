@@ -13,8 +13,9 @@ exist only in earlier work (Frobenius, opposite Singer normalizer,
 involution centralizer, N, and subfield-subgroup products) are deliberately
 not cataloged; spectrum reports carry a completeness note to that effect.
 
-KINDS defines each cataloged kind once: its name, descriptor class,
-parameters, curve family, enumerator and closed-form evaluator.  The CLI,
+Each descriptor is the flat tuple of its export parameters.  KINDS defines
+each cataloged kind once: its name, descriptor class (whose _fields are the
+parameters), curve family, enumerator and closed-form evaluator.  The CLI,
 the spectrum pipeline and the exports read that table.
 """
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
-from operator import attrgetter
 from typing import NamedTuple, Union
 
 from .arith import divisors
@@ -71,7 +71,9 @@ def _descriptor(cls):
 class SigmaCm(NamedTuple):
     """Subgroup of the Singer-cycle square Sigma_- x C_m, by standard exponents."""
 
-    se: StandardExponents
+    n1: int
+    n2: int
+    a: int
 
 
 @_descriptor
@@ -242,50 +244,42 @@ class DescriptorKind(NamedTuple):
     """
 
     name: str  # CLI and export name
-    cls: type  # the descriptor class
-    fields: tuple[str, ...]  # attribute paths of the parameters, in export order
-    make: Callable[..., SubgroupDescriptor]  # descriptor from the parameters
+    cls: type  # the descriptor class; its _fields are the parameters
     family: Family | None  # the curve family that has the kind; None: both
     # (params, divisors of m) -> the kind's descriptors on that curve, in order
     enumerate: Callable[[CurveParams, list[int]], Iterable[SubgroupDescriptor]]
     evaluate: Callable[[CurveParams, SubgroupDescriptor], GenusRecord]
 
-    def params(self, descriptor: SubgroupDescriptor) -> tuple[int, ...]:
-        return tuple(attrgetter(f)(descriptor) for f in self.fields)
-
 
 KINDS: tuple[DescriptorKind, ...] = (
     DescriptorKind(
-        "sigma-cm", SigmaCm, ("se.n1", "se.n2", "se.a"),
-        lambda n1, n2, a: SigmaCm(StandardExponents(n1, n2, a)), None,
-        lambda params, m_divs: map(SigmaCm, enumerate_standard_exponents(params.m)),
-        lambda params, h: singer.sigma_cm_record(params, h.se),
+        "sigma-cm", SigmaCm, None,
+        lambda params, m_divs: map(SigmaCm._make, enumerate_standard_exponents(params.m)),
+        lambda params, h: singer.sigma_cm_record(params, StandardExponents(*h)),
     ),
     DescriptorKind(
-        "b0-cyclic", B0Cyclic, ("d", "n"), B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),
+        "b0-cyclic", B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),
         lambda params, h: genus_suzuki.genus_b0_cyclic(params, h.d, h.n),
     ),
     DescriptorKind(
-        "b0-dihedral", B0Dihedral, ("d", "n"), B0Dihedral, Family.SUZUKI, _b0(B0Dihedral),
+        "b0-dihedral", B0Dihedral, Family.SUZUKI, _b0(B0Dihedral),
         lambda params, h: genus_suzuki.genus_b0_dihedral(params, h.d, h.n),
     ),
     DescriptorKind(
-        "psl28", Psl28, ("n",), Psl28, Family.REE,
-        lambda params, m_divs: map(Psl28, m_divs),
+        "psl28", Psl28, Family.REE, lambda params, m_divs: map(Psl28, m_divs),
         lambda params, h: genus_ree.genus_psl28(params, h.n),
     ),
     DescriptorKind(
-        "n2-nonskew", N2NonSkew, ("k_order", "n"), N2NonSkew, Family.REE,
+        "n2-nonskew", N2NonSkew, Family.REE,
         lambda params, m_divs: (N2NonSkew(k, n) for k in N2_SUBGROUP_ORDERS for n in m_divs),
         lambda params, h: genus_ree.genus_n2_nonskew(params, h.k_order, h.n),
     ),
     DescriptorKind(
-        "n2-skew-full", N2SkewFull, ("i", "w"), N2SkewFull, Family.REE, _skew(N2SkewFull),
+        "n2-skew-full", N2SkewFull, Family.REE, _skew(N2SkewFull),
         lambda params, h: genus_ree.genus_n2_skew_full(params, h.i, h.w),
     ),
     DescriptorKind(
-        "n2-skew-cyclic", N2SkewCyclic, ("i", "w"), N2SkewCyclic, Family.REE,
-        _skew(N2SkewCyclic),
+        "n2-skew-cyclic", N2SkewCyclic, Family.REE, _skew(N2SkewCyclic),
         lambda params, h: genus_ree.genus_n2_skew_cyclic(params, h.i, h.w),
     ),
 )

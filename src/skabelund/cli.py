@@ -65,13 +65,13 @@ def _parse_descriptor(spec: str):
     kind = KINDS_BY_NAME.get(name)
     if kind is None:
         raise SystemExit(f"unknown descriptor kind {name!r}")
-    if len(values) != len(kind.fields):
-        names = ",".join(f.rpartition(".")[2] for f in kind.fields)
+    fields = kind.cls._fields
+    if len(values) != len(fields):
         raise SystemExit(
-            f"bad parameter count for {name!r}: expected {len(kind.fields)} "
-            f"({names}), got {len(values)}"
+            f"bad parameter count for {name!r}: expected {len(fields)} "
+            f"({','.join(fields)}), got {len(values)}"
         )
-    return kind.make(*values)
+    return kind.cls(*values)
 
 
 def _cmd_spectrum(args) -> int:
@@ -125,11 +125,10 @@ def _cmd_genus(args) -> int:
         record = evaluate_descriptor(params, descriptor)
     except ValueError as exc:
         raise SystemExit(f"invalid descriptor {args.descriptor!r}: {exc}") from None
-    kind = kind_of(descriptor)
-    ps = ",".join(map(str, kind.params(descriptor)))
+    ps = ",".join(map(str, descriptor))
     print(
         f"family={params.family.value} s={params.s} q={params.q} m={params.m} "
-        f"descriptor={kind.name}:{ps} "
+        f"descriptor={kind_of(descriptor).name}:{ps} "
         f"order={record.order} delta={record.delta} genus={record.genus}"
     )
     return 0

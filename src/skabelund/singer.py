@@ -184,18 +184,16 @@ class SingerSquare(NamedTuple):
         """Number of subgroups, summed over the class sizes."""
         return sum(c.count for b in self.blocks for c in b.classes.values())
 
-    def walk(
-        self, text_of: Callable[[int, int, GenusRecord], T]
-    ) -> Iterator[tuple[int, int, range, Iterator[T]]]:
-        """Per (n1, n2), in enumerate_standard_exponents order: (n1, n2, values,
-        texts), where values is the range of valid a and texts yields, for
-        each a in order, text_of(n1, n2, record of a's class).
+    def walk(self, text_of: Callable[[GenusRecord], T]) -> Iterator[tuple[range, Iterator[T]]]:
+        """Per (n1, n2), in enumerate_standard_exponents order: (values, texts),
+        where values is the range of valid a and texts yields, for each a in
+        order, text_of(record of a's class).
 
         text_of is called once per class, not once per subgroup; a renderer
         returns the fixed text of the class's rows, expand the record itself.
         """
         for block, records in zip(self.blocks, self.class_records):
-            texts = {key: text_of(block.n1, block.n2, r) for key, r in records.items()}
+            texts = {key: text_of(r) for key, r in records.items()}
             values = range(0, block.n2, block.step)
             # the class key of each a, one residue-table column per prime
             columns = [
@@ -203,13 +201,13 @@ class SingerSquare(NamedTuple):
                 for pe, res in zip(block.moduli, block.residues)
             ]
             keys = zip(*columns) if columns else repeat((), len(values))
-            yield block.n1, block.n2, values, map(texts.__getitem__, keys)
+            yield values, map(texts.__getitem__, keys)
 
     def expand(self) -> list[GenusRecord]:
         """One record per subgroup, in enumerate_standard_exponents order."""
         return [
-            GenusRecord(SigmaCm(StandardExponents(n1, n2, a)), r.order, r.delta, r.genus)
-            for n1, n2, values, records in self.walk(lambda _n1, _n2, r: r)
+            GenusRecord(SigmaCm(b.n1, b.n2, a), r.order, r.delta, r.genus)
+            for b, (values, records) in zip(self.blocks, self.walk(lambda r: r))
             for a, r in zip(values, records)
         ]
 
@@ -217,7 +215,7 @@ class SingerSquare(NamedTuple):
 def sigma_cm_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
     """Genus record of the subgroup with standard exponents se, either family."""
     order = subgroup_order_sigma(params.m, se)
-    return make_record(params, SigmaCm(se), order, delta_sigma_cm(params, se))
+    return make_record(params, SigmaCm(*se), order, delta_sigma_cm(params, se))
 
 
 def evaluate_singer_square(params: CurveParams) -> SingerSquare:

@@ -7,13 +7,13 @@ materialized only when SpectrumReport.records is read, afresh on each read:
 SpectrumReport is a plain NamedTuple and caches nothing.  Every other
 descriptor is evaluated on its own.
 
-Each renderer has one row template, text_of(kind, lead, record) ->
-(before, after), with lead the descriptor's parameters before the last one:
-every row, of any kind, is before + str(last) + after.  _runs yields the
-rows in catalog order as runs of (values of the last parameter, texts):
-one run per Singer block, whose texts SingerSquare.walk formats once per
-class, so its rows are joined without a Python frame per row, and one run
-of one row per other record.
+Each renderer has one row template, text_of(record) -> (before, after),
+read from the record alone: every row, of any kind, is before +
+str(last parameter of the descriptor) + after.  _runs yields the rows in
+catalog order as runs of (values of the last parameter, texts): one run per
+Singer block, whose texts SingerSquare.walk formats once per class, so its
+rows are joined without a Python frame per row, and one run of one row per
+other record.
 
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
@@ -39,7 +39,6 @@ from .arith import divisors
 from .catalog import (
     KINDS,
     KINDS_BY_NAME,
-    DescriptorKind,
     GenusRecord,
     SubgroupDescriptor,
     check_kind_family,
@@ -87,7 +86,7 @@ class SpectrumReport(NamedTuple):
     genera: tuple[int, ...]  # sorted, deduplicated
     families_covered: tuple[str, ...]
     completeness_note: str
-    singer: SingerSquare | None = None
+    singer: SingerSquare = SingerSquare((), ())  # empty: sigma-cm not picked
     other_records: tuple[GenusRecord, ...] = ()
 
     def __hash__(self) -> int:
@@ -101,14 +100,12 @@ class SpectrumReport(NamedTuple):
     def records(self) -> tuple[GenusRecord, ...]:
         """One record per descriptor in catalog enumeration order, expanded
         from the Singer-square class tables on each read."""
-        singer = self.singer.expand() if self.singer is not None else ()
-        return (*singer, *self.other_records)
+        return (*self.singer.expand(), *self.other_records)
 
     @property
     def record_count(self) -> int:
         """len(records), counted from the class tables without expanding them."""
-        singer = self.singer.count() if self.singer is not None else 0
-        return singer + len(self.other_records)
+        return self.singer.count() + len(self.other_records)
 
 
 def compute_spectrum(
@@ -123,7 +120,7 @@ def compute_spectrum(
         for kind in KINDS
         if kind.family in (None, params.family) and family_filter in (None, kind.name)
     ]
-    singer = evaluate_singer_square(params) if _SINGER_KIND in kinds else None
+    singer = evaluate_singer_square(params) if _SINGER_KIND in kinds else SingerSquare((), ())
     m_divs = divisors(params.m)
     others = tuple(
         evaluate_descriptor(params, d)
@@ -131,11 +128,9 @@ def compute_spectrum(
         if kind is not _SINGER_KIND
         for d in kind.enumerate(params, m_divs)
     )
-    covered = (_SINGER_KIND.name,) if singer is not None else ()
+    covered = (_SINGER_KIND.name,) if singer.blocks else ()
     covered += tuple(dict.fromkeys(kind_of(r.descriptor).name for r in others))
-    genera = {r.genus for r in others}
-    if singer is not None:
-        genera |= singer.genera()
+    genera = singer.genera() | {r.genus for r in others}
     return SpectrumReport(
         params=params,
         genera=tuple(sorted(genera)),
@@ -149,7 +144,7 @@ def compute_spectrum(
 # --- export ------------------------------------------------------------------
 
 
-RowText = Callable[[DescriptorKind, Sequence[int], GenusRecord], tuple[str, str]]
+RowText = Callable[[GenusRecord], tuple[str, str]]
 
 
 def _runs(
@@ -157,20 +152,15 @@ def _runs(
 ) -> Iterator[tuple[Sequence[int], Iterator[tuple[str, str]]]]:
     """The rows in catalog order, as runs of (values, texts): the row of the
     i-th value v writes str(v) between the (before, after) of the i-th text.
-    text_of(kind, lead, record) gives the text of a row whose descriptor has
-    the parameters (*lead, v).
+    text_of(record) gives the text of the rows whose descriptors differ from
+    record's in the last parameter alone, which is v.
 
     Each Singer block is one run over the valid a, its texts formatted once
     per class by SingerSquare.walk; every other record is a run of one row.
     """
-    if report.singer is not None:
-        walk = report.singer.walk(lambda n1, n2, r: text_of(_SINGER_KIND, (n1, n2), r))
-        for _, _, values, texts in walk:
-            yield values, texts
+    yield from report.singer.walk(text_of)
     for r in report.other_records:
-        kind = kind_of(r.descriptor)
-        *lead, last = kind.params(r.descriptor)
-        yield (last,), (text_of(kind, lead, r),)
+        yield r.descriptor[-1:], (text_of(r),)
 
 
 def _lines(report: SpectrumReport, text_of: RowText) -> Iterator[str]:
@@ -185,9 +175,10 @@ def render_csv(report: SpectrumReport) -> str:
     p = report.params
     prefix = f"{p.family.value},{p.s},{p.q},{p.m},"
 
-    def text_of(kind, lead, r):
+    def text_of(r):
+        lead = r.descriptor[:-1]
         # three parameter columns, unused slots left empty
-        before = prefix + kind.name + "," + "".join(f"{x}," for x in lead)
+        before = prefix + kind_of(r.descriptor).name + "," + "".join(f"{x}," for x in lead)
         return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}"
 
     lines = [CSV_HEADER, *_lines(report, text_of), ""]  # "": the final newline
@@ -223,13 +214,13 @@ def render_json(report: SpectrumReport) -> str:
         indent=1,
     )
 
-    def text_of(kind, lead, r):
+    def text_of(r):
         before = (
             f'  {{\n   "delta": {r.delta},\n   "genus": {r.genus},'
-            f'\n   "kind": {_JSON_KINDS[kind.name]},\n   "order": {r.order},'
+            f'\n   "kind": {_JSON_KINDS[kind_of(r.descriptor).name]},\n   "order": {r.order},'
             f'\n   "params": [\n    '
         )
-        return before + "".join(f"{x},\n    " for x in lead), _JSON_RECORD_TAIL
+        return before + "".join(f"{x},\n    " for x in r.descriptor[:-1]), _JSON_RECORD_TAIL
 
     records = list(_lines(report, text_of))
     if not records:
@@ -247,9 +238,9 @@ def render_table(report: SpectrumReport) -> str:
     rows = [head, ""]
     rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
 
-    def text_of(kind, lead, r):
+    def text_of(r):
         # every kind name fits its 16 columns
-        before = f"{kind.name:<16}" + "".join(f"{x}," for x in lead)
+        before = f"{kind_of(r.descriptor).name:<16}" + "".join(f"{x}," for x in r.descriptor[:-1])
         return before, f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
 
     rows.extend(
@@ -273,9 +264,11 @@ def validate_export(text: str) -> dict:
     """Parse a JSON export and re-check every record's Riemann-Hurwitz identity.
 
     Every value the identity reads must be an exact int (a float or bool
-    would compare equal to one).  The types are checked on every record, the
-    identity once per distinct (order, genus, delta); a failure names the
-    first record that fails.  Any malformed document raises ValueError.
+    would compare equal to one) within make_record's bounds (order >= 1,
+    genus >= 0, delta >= 0).  The types are checked on every record, the
+    bounds and the identity once per distinct (order, genus, delta); a
+    failure names the first record that fails.  Any malformed document raises
+    ValueError.
     """
     try:
         doc = json.loads(text)
@@ -303,10 +296,16 @@ def validate_export(text: str) -> dict:
         i, entry = next((i, e) for i, e in enumerate(records) if not _exact_record(e))
         raise ValueError(f"record {i} has no integer order, genus and delta: {entry}")
     distinct = set(zip(*columns))
+
+    def first(bad):
+        return next(e for e, t in zip(records, zip(*columns)) if t in bad)
+
+    bad = {(o, g, d) for o, g, d in distinct if o < 1 or g < 0 or d < 0}
+    if bad:
+        raise ValueError(f"order, genus or delta out of range for {first(bad)}")
     bad = {t for t in distinct if ambient != t[0] * (2 * t[1] - 2) + t[2]}
     if bad:
-        entry = next(e for e, t in zip(records, zip(*columns)) if t in bad)
-        raise ValueError(f"Riemann-Hurwitz identity fails for {entry}")
+        raise ValueError(f"Riemann-Hurwitz identity fails for {first(bad)}")
     genera = sorted({genus for _, genus, _ in distinct})
     if genera != doc["genera"] or set(map(type, doc["genera"])) - {int}:
         raise ValueError("genus spectrum does not match records")

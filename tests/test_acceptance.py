@@ -172,7 +172,7 @@ def test_criterion_7_rh_integrality_sweep():
                     )
                     assert record.genus >= 0
             params = make_params(family, 1)
-            trivial = SigmaCm(StandardExponents(params.m, params.m, 0))
+            trivial = SigmaCm(params.m, params.m, 0)
             assert evaluate_descriptor(params, trivial).genus == ambient_s1
             assert ambient_genus(params) == ambient_s1
             if family is Family.SUZUKI:

@@ -22,6 +22,7 @@ from skabelund.catalog import (
     subgroup_order_sigma,
 )
 from skabelund.curves import Family, make_params
+from skabelund.spectrum import compute_spectrum, render_csv
 
 
 def test_standard_exponents_m5():
@@ -153,6 +154,22 @@ def test_ree_descriptor_enumeration_with_skew():
     assert {d.w for d in full} == {1, 31}
     assert {d.i for d in full} == set(range(1, 7))
     assert len(full) == len(cyclic) == 12
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_descriptors_are_the_flat_tuples_of_their_export_parameters(family, s):
+    descriptors = enumerate_descriptors(make_params(family, s))
+    rows = render_csv(compute_spectrum(family, s)).splitlines()[1:]
+    assert len(rows) == len(descriptors)
+    for d, row in zip(descriptors, rows):
+        kind = kind_of(d)
+        assert type(d) is kind.cls
+        assert all(type(x) is int for x in d)
+        assert kind.cls(*d) == d
+        cells = row.split(",")
+        assert cells[4] == kind.name
+        assert tuple(int(x) for x in cells[5:8] if x) == tuple(d)
 
 
 @pytest.mark.parametrize(

@@ -137,7 +137,7 @@ def test_descriptor_text_round_trips_through_the_kind_table(capsys):
     for family, s in ((Family.SUZUKI, 1), (Family.SUZUKI, 2), (Family.REE, 1), (Family.REE, 2)):
         for descriptor in enumerate_descriptors(make_params(family, s)):
             kind = kind_of(descriptor)
-            text = f"{kind.name}:{','.join(map(str, kind.params(descriptor)))}"
+            text = f"{kind.name}:{','.join(map(str, descriptor))}"
             assert _parse_descriptor(text) == descriptor
             assert main(["genus", "--family", family.value, "--s", str(s),
                          "--descriptor", text]) == 0

@@ -1,4 +1,5 @@
-"""The README's Library and CLI examples run as written."""
+"""The README's Library and CLI examples run as written, and its list of
+descriptor kinds matches the catalog."""
 
 import re
 import shlex
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from skabelund.catalog import KINDS
 from skabelund.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -34,3 +36,11 @@ def test_cli_example_exits_zero(command, tmp_path, monkeypatch, capsys):
     program, *argv = command
     assert program == "skabelund"
     assert main(argv) == 0
+
+
+def test_readme_lists_every_kind_with_its_parameters():
+    """The README's kind list is KINDS: name:parameters per kind, in order."""
+    match = re.search(r"^Descriptor kinds and their parameters: (.*?)\.\s", README, re.M | re.S)
+    assert match, "README has no 'Descriptor kinds and their parameters:' line"
+    listed = re.findall(r"`([^`]*)`", match.group(1))
+    assert listed == [f"{kind.name}:{','.join(kind.cls._fields)}" for kind in KINDS]

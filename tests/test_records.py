@@ -27,6 +27,7 @@ from skabelund.catalog import (
 )
 from skabelund.curves import Family, make_params
 from skabelund.iota import OrderCensus, census
+from skabelund.singer import SingerSquare
 from skabelund.spectrum import (
     REFERENCE_TABLES,
     SpectrumReport,
@@ -90,7 +91,7 @@ def test_only_the_oracle_command_loads_the_oracle(command):
         (B0Cyclic(3, 5), B0Dihedral(3, 5)),
         (N2SkewFull(2, 7), N2SkewCyclic(2, 7)),
         (Psl28(7), (7,)),
-        (SigmaCm(StandardExponents(1, 5, 1)), (StandardExponents(1, 5, 1),)),
+        (SigmaCm(1, 5, 1), (1, 5, 1)),
     ],
 )
 def test_descriptors_of_different_kinds_are_unequal_and_hash_apart(one, other):
@@ -106,6 +107,7 @@ def test_descriptors_of_one_kind_compare_by_their_fields():
     assert not B0Cyclic(3, 5) != B0Cyclic(3, 5)
     assert hash(B0Cyclic(3, 5)) == hash(B0Cyclic(3, 5))
     assert B0Cyclic(3, 5) != B0Cyclic(5, 3)
+    assert SigmaCm(1, 5, 1) == SigmaCm(n1=1, n2=5, a=1) == SigmaCm(*StandardExponents(1, 5, 1))
 
 
 @pytest.mark.parametrize(
@@ -122,14 +124,14 @@ def _instances():
     se = StandardExponents(1, 5, 1)
     return [
         se,
-        SigmaCm(se),
+        SigmaCm(*se),
         B0Cyclic(1, 5),
         B0Dihedral(1, 5),
         Psl28(1),
         N2NonSkew(168, 1),
         N2SkewFull(1, 1),
         N2SkewCyclic(1, 1),
-        evaluate_descriptor(params, SigmaCm(se)),
+        evaluate_descriptor(params, SigmaCm(*se)),
         census("psl28"),
         REFERENCE_TABLES[0],
         verify_tables(s_max=1)[0],
@@ -171,10 +173,10 @@ def test_repr_text_is_unchanged():
     params = make_params(Family.SUZUKI, 1)
     se = StandardExponents(1, 5, 1)
     assert repr(se) == "StandardExponents(n1=1, n2=5, a=1)"
-    assert repr(SigmaCm(se)) == "SigmaCm(se=StandardExponents(n1=1, n2=5, a=1))"
+    assert repr(SigmaCm(*se)) == "SigmaCm(n1=1, n2=5, a=1)"
     assert repr(params) == SUZUKI_1
-    assert repr(evaluate_descriptor(params, SigmaCm(se))) == (
-        "GenusRecord(descriptor=SigmaCm(se=StandardExponents(n1=1, n2=5, a=1)), "
+    assert repr(evaluate_descriptor(params, SigmaCm(*se))) == (
+        "GenusRecord(descriptor=SigmaCm(n1=1, n2=5, a=1), "
         "order=5, delta=20, genus=38)"
     )
     assert repr(evaluate_descriptor(params, B0Dihedral(1, 5))) == (
@@ -207,7 +209,7 @@ def test_defaults_and_keyword_construction():
     assert census("n2_4").count(2) == 3
     params = make_params(Family.SUZUKI, 1)
     report = SpectrumReport(params, (0,), (), "note")
-    assert report.singer is None and report.other_records == ()
+    assert report.singer == SingerSquare((), ()) and report.other_records == ()
     assert report.records == () and report.record_count == 0
     record = GenusRecord(descriptor=Psl28(1), order=504, delta=0, genus=2)
     assert record == GenusRecord(Psl28(1), 504, 0, 2)
@@ -217,9 +219,10 @@ def test_defaults_and_keyword_construction():
 def test_spectrum_report_hash_leaves_out_the_class_tables():
     one = compute_spectrum(Family.SUZUKI, 2)
     other = compute_spectrum(Family.SUZUKI, 2)
-    assert one.singer is not None and one == other
-    assert hash(one) == hash(other) == hash(one._replace(singer=None))
-    assert one != one._replace(singer=None)
+    empty = SingerSquare((), ())
+    assert one.singer != empty and one == other
+    assert hash(one) == hash(other) == hash(one._replace(singer=empty))
+    assert one != one._replace(singer=empty)
 
 
 def test_m_factors_is_computed_lazily_and_once():

@@ -60,8 +60,8 @@ def test_class_records_belong_to_their_class():
     for block, records in zip(square.blocks, square.class_records):
         for key, cls in block.classes.items():
             assert class_key(block, cls.a) == key
-            se = StandardExponents(block.n1, block.n2, cls.a)
-            assert records[key] == evaluate_descriptor(params, SigmaCm(se))
+            descriptor = SigmaCm(block.n1, block.n2, cls.a)
+            assert records[key] == evaluate_descriptor(params, descriptor)
 
 
 def delta_by_valuations(params, se):
@@ -221,17 +221,17 @@ def test_walk_formats_each_class_once(family, s):
     square = evaluate_singer_square(make_params(family, s))
     calls = []
 
-    def text_of(n1, n2, record):
-        calls.append((n1, n2, record))
-        return n1, n2, record
+    def text_of(record):
+        calls.append(record)
+        return record
 
     rows = []
-    for n1, n2, values, texts in square.walk(text_of):
-        for a, (t1, t2, r) in zip(values, texts, strict=True):
-            assert (t1, t2) == (n1, n2)
-            se = StandardExponents(n1, n2, a)
-            rows.append(GenusRecord(SigmaCm(se), r.order, r.delta, r.genus))
-    assert len(calls) == sum(len(b.classes) for b in square.blocks)
+    for block, (values, texts) in zip(square.blocks, square.walk(text_of), strict=True):
+        assert values == range(0, block.n2, block.step)
+        for a, r in zip(values, texts, strict=True):
+            assert r.descriptor[:2] == (block.n1, block.n2)
+            rows.append(GenusRecord(SigmaCm(block.n1, block.n2, a), r.order, r.delta, r.genus))
+    assert calls == [r for records in square.class_records for r in records.values()]
     # expand() is gated against per-descriptor evaluation above
     assert rows == square.expand()
     assert len(rows) == square.count()

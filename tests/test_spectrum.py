@@ -370,7 +370,7 @@ def kind_name(record):
 
 def padded_params(record):
     """The (param1, param2, param3) columns; unused slots are None."""
-    params = kind_of(record.descriptor).params(record.descriptor)
+    params = tuple(record.descriptor)
     return params + (None,) * (3 - len(params))
 
 
@@ -586,6 +586,22 @@ def test_non_integer_record_values_are_rejected(key, value):
     for i in range(3):
         message = one_line_value_error(tiny_with(i, key, value))
         assert message.startswith(f"record {i} has no integer order, genus and delta")
+
+
+@pytest.mark.parametrize(
+    "order,genus,delta",
+    [(0, 1, 10), (-1, 1, 10), (1, -3, 18), (1, 7, -2)],
+    ids=["order-0", "order-negative", "genus-negative", "delta-negative"],
+)
+def test_records_no_subgroup_can_have_are_rejected(order, genus, delta):
+    """Each record balances Riemann-Hurwitz and the spectrum matches, but
+    make_record would refuse it: order >= 1, genus >= 0 and delta >= 0."""
+    assert TINY["ambient_degree"] == order * (2 * genus - 2) + delta
+    doc = json.loads(json.dumps(TINY))
+    doc["records"][1].update(order=order, genus=genus, delta=delta)
+    doc["genera"] = sorted({1, genus})
+    message = one_line_value_error(json.dumps(doc))
+    assert message == f"order, genus or delta out of range for {doc['records'][1]}"
 
 
 @pytest.mark.parametrize(
