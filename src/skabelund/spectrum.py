@@ -15,6 +15,15 @@ Singer block, whose texts SingerSquare.walk formats once per class, so its
 rows are joined without a Python frame per row, and one run of one row per
 other record.
 
+validate_export has two paths with one verdict.  A str whose records array
+is in render_json's own layout, the template records joined by ",\n" inside
+a head that parses to one object with no repeated key, is checked by one
+regular-expression split: the head and the distinct (delta, genus, kind,
+order) texts are parsed, not the records.  Any other text, and any text
+that fails a check there, goes to json.loads and _check_document, the only
+code that raises, so the accepted texts and the error messages are those
+of that path alone.
+
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
 JSON) are byte-stable across runs.  Reference genus tables are embedded as
@@ -30,6 +39,7 @@ brute-force oracle (oracle.py, _kernels.py, iota.py).
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Callable, Iterator, Sequence
 from itertools import chain
 from operator import itemgetter
@@ -260,20 +270,83 @@ def _exact_record(entry) -> bool:
     return type(entry) is dict and all(type(entry.get(k)) is int for k in _RH_FIELDS)
 
 
-def validate_export(text: str) -> dict:
-    """Parse a JSON export and re-check every record's Riemann-Hurwitz identity.
+def validate_export(text: str | bytes) -> None:
+    """Check a JSON export and every record's Riemann-Hurwitz identity.
 
     Every value the identity reads must be an exact int (a float or bool
     would compare equal to one) within make_record's bounds (order >= 1,
-    genus >= 0, delta >= 0).  The types are checked on every record, the
-    bounds and the identity once per distinct (order, genus, delta); a
-    failure names the first record that fails.  Any malformed document raises
-    ValueError.
+    genus >= 0, delta >= 0), and the genera must be the records' spectrum.
+    Any malformed document raises ValueError.
+
+    Two paths give the same verdict.  A str whose records array is in
+    render_json's own layout (_passes_in_render_layout) is checked without
+    building a dict per record.  Every other text, and any text that path
+    does not pass, is parsed by json.loads and checked by _check_document,
+    which alone raises; its message names the first record that fails.
     """
+    if _passes_in_render_layout(text):
+        return
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("export is nested too deeply to parse") from None
+    _check_document(doc)
+
+
+# render_json's records, one record per match.  The group is the text of a
+# record's delta, genus, kind and order, so split alternates "" with it where
+# records follow each other in this layout.  [0-9], not \d, which also
+# matches digits JSON refuses; no leading zero, sign, fraction or exponent.
+# Each record is followed by ",\n" and the next record, or by the "\n ]" that
+# closes the array.
+_JSON_RECORDS_OPEN = '\n "records": [\n'
+_JSON_RECORD = (
+    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]+",\n   "order": INT),'
+    r"\n   \"params\": \[\n    INT(?:,\n    INT)*\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
+).replace("INT", "(?:0|[1-9][0-9]*)")
+
+
+def _passes_in_render_layout(text) -> bool:
+    """True if text is a str in render_json's layout that passes every check
+    of _check_document; False sends it to the json path.
+
+    After _JSON_RECORDS_OPEN the text must hold _JSON_RECORD matches alone up
+    to the array's close, so it is JSON if its head, the text with the array
+    emptied, is.  The head must parse to a single object with no key twice,
+    so that array is the document's "records".  _check_document then sees
+    the head with one record per distinct (delta, genus, kind, order) text,
+    and passes it exactly when it passes the whole document, since each check
+    reads only the distinct values.
+    """
+    if type(text) is not str:
+        return False
+    # re compiles the pattern on the first call and keeps it
+    parts = re.split(_JSON_RECORD, text)
+    # the text before the first record, then per record its group and the
+    # text after it: "" for every record but the last
+    if not (parts[0].endswith(_JSON_RECORDS_OPEN) and parts.count("") == len(parts) // 2 - 1):
+        return False
+    objects = []
+
+    def keep(pairs):
+        objects.append(pairs)
+        return dict(pairs)
+
+    try:
+        doc = json.loads(parts[0] + parts[-1], object_pairs_hook=keep)
+        if type(doc) is not dict or objects != [list(doc.items())]:
+            return False
+        doc["records"] = [json.loads(f"{{{t}}}") for t in set(parts[1:-1:2])]
+        _check_document(doc)
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
+def _check_document(doc) -> None:
+    """The checks of validate_export on a parsed document; ValueError names
+    the first record that fails.  The types are checked on every record, the
+    bounds and the identity once per distinct (order, genus, delta)."""
     if type(doc) is not dict:
         raise ValueError(f"export is a JSON {type(doc).__name__}, not an object")
     version = doc.get("schema_version")
@@ -309,7 +382,6 @@ def validate_export(text: str) -> dict:
     genera = sorted({genus for _, genus, _ in distinct})
     if genera != doc["genera"] or set(map(type, doc["genera"])) - {int}:
         raise ValueError("genus spectrum does not match records")
-    return doc
 
 
 # --- reference tables --------------------------------------------------------

@@ -19,6 +19,7 @@ from skabelund.spectrum import (
     CSV_HEADER,
     SCHEMA_VERSION,
     ReferenceTable,
+    _passes_in_render_layout,
     compute_spectrum,
     render_csv,
     render_json,
@@ -85,7 +86,8 @@ def test_csv_schema():
 def test_json_roundtrip_revalidates():
     report = compute_spectrum(Family.REE, 1)
     text = render_json(report)
-    doc = validate_export(text)
+    assert validate_export(text) is None
+    doc = json.loads(text)
     assert doc["family"] == "ree" and doc["m"] == 19
     assert doc["genera"] == list(report.genera)
 
@@ -486,9 +488,11 @@ def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s, exp
 def test_exports_of_a_kind_without_records():
     report = compute_spectrum(Family.REE, 1, "b0-cyclic")
     assert report.record_count == 0
-    doc = validate_export(render_json(report))
+    text = render_json(report)
+    assert validate_export(text) is None
+    doc = json.loads(text)
     assert doc["records"] == [] and doc["genera"] == []
-    assert '"records": [],' in render_json(report)
+    assert '"records": [],' in text
     assert render_csv(report) == CSV_HEADER + "\n"
 
 
@@ -500,18 +504,37 @@ EXPORT_GOLDEN = Path(__file__).resolve().parent / "data" / "export_golden.json"
 @pytest.mark.parametrize("s", [7, 8])
 def test_large_exports_match_recorded_hashes(s, expansions):
     """Suzuki s=7 and 8 (45,184 and 133,856 records), past the per-record
-    reference gate, against hashes recorded from the per-row renderers."""
+    reference gate, against hashes recorded from the per-row renderers, and
+    through validate_export."""
     report = compute_spectrum(Family.SUZUKI, s)
+    json_text = render_json(report)
     digest = {
         "records": report.record_count,
         "csv_sha256": hashlib.sha256(render_csv(report).encode()).hexdigest(),
-        "json_sha256": hashlib.sha256(render_json(report).encode()).hexdigest(),
+        "json_sha256": hashlib.sha256(json_text.encode()).hexdigest(),
     }
     assert expansions == []
     assert digest == json.loads(EXPORT_GOLDEN.read_text())[f"suzuki-{s}"]
+    validate_export(json_text)
 
 
 # --- validate_export on damaged documents ------------------------------------
+
+
+def render_layout(doc):
+    """doc in render_json's layout, which validate_export checks on its fast path."""
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+def in_both_layouts(cases):
+    """Each pytest.param case once dumped compactly, under its own id, and
+    once in render_json's layout, under its id + "-render_json"; the dump
+    function is the last argument."""
+    return [
+        pytest.param(*case.values, dump, id=case.id + suffix)
+        for case in cases
+        for dump, suffix in ((json.dumps, ""), (render_layout, "-render_json"))
+    ]
 
 
 def one_line_value_error(text):
@@ -534,21 +557,26 @@ def largest_class(doc):
     return max(members.values(), key=len)
 
 
-@pytest.mark.parametrize("where", [0, len, -1], ids=["first", "middle", "last"])
-def test_one_corrupted_member_of_a_class_is_caught(suzuki4_doc, where):
+@pytest.mark.parametrize(
+    "where,dump",
+    in_both_layouts(
+        [pytest.param(0, id="first"), pytest.param(len, id="middle"), pytest.param(-1, id="last")]
+    ),
+)
+def test_one_corrupted_member_of_a_class_is_caught(suzuki4_doc, where, dump):
     members = largest_class(suzuki4_doc)
     assert len(members) > 100
     i = members[len(members) // 2] if where is len else members[where]
 
     broken = json.loads(json.dumps(suzuki4_doc))
     broken["records"][i]["genus"] += 1
-    message = one_line_value_error(json.dumps(broken))
+    message = one_line_value_error(dump(broken))
     assert message == f"Riemann-Hurwitz identity fails for {broken['records'][i]}"
 
     # a float equal to the genus passes the identity and hides in the set
     broken = json.loads(json.dumps(suzuki4_doc))
     broken["records"][i]["genus"] = float(broken["records"][i]["genus"])
-    assert f"record {i} " in one_line_value_error(json.dumps(broken))
+    assert f"record {i} " in one_line_value_error(dump(broken))
 
 
 TINY = {
@@ -562,29 +590,32 @@ TINY = {
 def tiny_with(i, key, value):
     doc = json.loads(json.dumps(TINY))
     doc["records"][i][key] = value
-    return json.dumps(doc)
+    return doc
 
 
 @pytest.mark.parametrize(
-    "key,value",
-    [
-        # equal to the int they replace, so the identity and a set both pass
-        ("order", 1.0),
-        ("genus", 1.0),
-        ("delta", 10.0),
-        ("order", True),
-        ("genus", True),
-        # unequal to the int they replace
-        ("delta", True),
-        ("genus", "1"),
-        ("delta", None),
-        ("order", [1]),
-    ],
+    "key,value,dump",
+    in_both_layouts(
+        [
+            # equal to the int they replace, so the identity and a set both pass
+            pytest.param("order", 1.0, id="order-1.0"),
+            pytest.param("genus", 1.0, id="genus-1.0"),
+            pytest.param("delta", 10.0, id="delta-10.0"),
+            pytest.param("order", True, id="order-True"),
+            pytest.param("genus", True, id="genus-True"),
+            # unequal to the int they replace
+            pytest.param("delta", True, id="delta-True"),
+            pytest.param("genus", "1", id="genus-1"),
+            pytest.param("delta", None, id="delta-None"),
+            pytest.param("order", [1], id="order-value8"),
+        ]
+    ),
 )
-def test_non_integer_record_values_are_rejected(key, value):
-    validate_export(json.dumps(TINY))
+def test_non_integer_record_values_are_rejected(key, value, dump):
+    validate_export(dump(TINY))
+    assert _passes_in_render_layout(dump(TINY)) is (dump is render_layout)
     for i in range(3):
-        message = one_line_value_error(tiny_with(i, key, value))
+        message = one_line_value_error(dump(tiny_with(i, key, value)))
         assert message.startswith(f"record {i} has no integer order, genus and delta")
 
 
