@@ -31,7 +31,7 @@ def is_prime(n: int) -> bool:
     Cached: valuation() re-validates its prime argument on every call, and
     its callers ask about the same few primes of m over and over: the
     oracle's CRT-product check once per sampled subgroup, power and prime,
-    and singer_block once or twice per (n1, n2) block and prime.
+    and the Singer square once per divisor of m and prime of m.
     """
     if n < 2:
         return False
@@ -52,9 +52,9 @@ def factorize(n: int) -> Factorization:
     """Factor n >= 1 into ((prime, exponent), ...) with primes ascending.
 
     factorize(1) == () (the empty product).  Cached: CurveParams.m_factors
-    is read once per Singer block, and divisors(m) and divisors(q-1) factor
-    again on every call; with the cache, each n is trial-divided once per
-    process.
+    is read once per Singer square and by the oracle, and divisors(m) and
+    divisors(q-1) factor again on every call; with the cache, each n is
+    trial-divided once per process.
     """
     if n < 1:
         raise ValueError(f"cannot factor {n}: need a positive integer")

@@ -17,7 +17,7 @@ congruence solution count.  The product is one gcd:
 because every prime of n2 divides m, gcd(0, n2) = n2 plays the role of
 v_p(0) = infinity, and reducing q^d mod m shifts n1*q^d - a by a multiple
 of m, hence of n2, which leaves the gcd unchanged.  The oracle's
-congruence check (spectrum.run_oracle_suite) still forms the product prime by
+congruence check (suite.run_oracle_suite) still forms the product prime by
 prime, so it checks the count against a formulation this module no longer
 shares.
 
@@ -25,7 +25,7 @@ delta_sigma_cm evaluates this for one subgroup.  For a whole curve,
 evaluate_singer_square evaluates it once per nu-profile class instead, on
 one member of the class: for fixed (n1, n2) the exponents nu_{d,l} depend on
 a only through a mod p_l^v_{p_l}(n2), so the valid a (the multiples of
-n1*n2/gcd(n1*n2, m) below n2) fall into a few classes that share one
+step = n1*n2/gcd(n1*n2, m) below n2) fall into a few classes that share one
 profile, one delta and one genus.  The classes are counted prime by prime:
 only the residues a = n1*q^d (mod p) can have a nonzero exponent, so at most
 one residue in p of each power is enumerated and every other residue is
@@ -33,6 +33,13 @@ counted into the all-zero profile; the p-part p^nu_d of a residue r is
 gcd(n1*q^d - r, p^v_p(n2)).  The primes are then combined by the Chinese
 remainder theorem into a multiset {profile: count}, with one member of each
 class.
+
+A prime's table depends on the block only through (n1 mod p^v, p^v,
+p^v_p(step)) with v = v_p(n2), so square_blocks builds each table once per
+curve and shares it between the blocks with that key; the tables live only
+for one call.  All classes of a block have the order m^2/(n1*n2), so their
+genus is a function of delta: make_record runs once per distinct delta of a
+block, and every class still gets a record naming its own member.
 """
 
 from __future__ import annotations
@@ -92,7 +99,9 @@ class SingerBlock(NamedTuple):
     a runs over the multiples of step below n2.  For the i-th prime p | n2,
     residues[i] maps a mod moduli[i] = p^v_p(n2) to the index of the p-part
     of its profile; residues missing from the map have the all-zero p-part,
-    index 0.  A class is keyed by the tuple of those indices.
+    index 0.  A class is keyed by the tuple of those indices.  The blocks of
+    one square_blocks call share a residue map wherever they share a prime
+    table, so the maps are read, never written.
     """
 
     n1: int
@@ -103,14 +112,15 @@ class SingerBlock(NamedTuple):
     classes: dict[tuple[int, ...], ProfileClass]
 
 
-def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
+def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, base: int):
     """The p-parts p^nu_d of the profiles over the residues a mod pe that are
-    multiples of p^v_p(step).
+    multiples of base = p^v_p(step), for n1 given mod pe.
 
     Returns (residue -> profile index, count per profile, one residue per
-    profile); index 0 is the all-zero profile.
+    profile); index 0 is the all-zero profile.  The result depends on n1 only
+    through n1 mod pe, so one table serves every block with the same
+    (n1 mod pe, pe, base).
     """
-    base = p ** valuation(p, step)
     index = {(1,) * len(params.q_powers): 0}
     residue_ids: dict[int, int] = {}
     counts = [pe // base]
@@ -138,17 +148,38 @@ def _prime_classes(params: CurveParams, n1: int, p: int, pe: int, step: int):
     return residue_ids, counts, members
 
 
-def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
-    """Every nu-profile class of the subgroups (n1, n2, a), with its size."""
-    step = standard_exponent_step(params.m, n1, n2)
+# (n1 mod pe, pe, base) -> _prime_classes(params, n1 mod pe, p, pe, base)
+PrimeTables = dict[tuple[int, int, int], tuple[dict[int, int], list[int], list]]
+
+
+def _p_parts(primes: list[int], numbers) -> dict[int, tuple[int, ...]]:
+    """n -> (p^v_p(n) for each p of primes), for each n of numbers."""
+    return {n: tuple(p ** valuation(p, n) for p in primes) for n in numbers}
+
+
+def _block(
+    params: CurveParams,
+    primes: list[int],
+    parts: dict[int, tuple[int, ...]],
+    tables: PrimeTables,
+    n1: int,
+    n2: int,
+    step: int,
+) -> SingerBlock:
+    """singer_block for a valid (n1, n2) with its step, given the primes of
+    m, the p-parts of n2 and step (see _p_parts) and the prime tables built
+    so far for this curve; a missing table is built and added."""
     combined = {(): (0, 1)}  # class key -> (CRT sum of a member, count)
     moduli = []
     residues = []
-    for p, _e in params.m_factors:
-        pe = p ** valuation(p, n2)
+    for p, pe, base in zip(primes, parts[n2], parts[step]):
         if pe == 1:
             continue
-        residue_ids, counts, members = _prime_classes(params, n1, p, pe, step)
+        residue = n1 % pe
+        table = tables.get((residue, pe, base))
+        if table is None:
+            table = tables[residue, pe, base] = _prime_classes(params, residue, p, pe, base)
+        residue_ids, counts, members = table
         moduli.append(pe)
         residues.append(residue_ids)
         # a = r (mod pe) and a = 0 (mod n2/pe) for a member r of the p-class
@@ -164,6 +195,29 @@ def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
     total = sum(c.count for c in classes.values())
     assert total == n2 // step, f"(n1, n2)=({n1}, {n2}): {total} subgroups counted"
     return SingerBlock(n1, n2, step, tuple(moduli), tuple(residues), classes)
+
+
+def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
+    """Every nu-profile class of the subgroups (n1, n2, a), with its size."""
+    m = params.m
+    for name, n in (("n1", n1), ("n2", n2)):
+        if not (n >= 1 and m % n == 0):
+            raise ValueError(f"{name}={n} is not a positive divisor of m={m}")
+    primes = [p for p, _e in params.m_factors]
+    step = standard_exponent_step(m, n1, n2)
+    return _block(params, primes, _p_parts(primes, (n2, step)), {}, n1, n2, step)
+
+
+def square_blocks(params: CurveParams) -> tuple[SingerBlock, ...]:
+    """singer_block of every (n1, n2), in catalog.standard_exponent_blocks
+    order, with m factored once and each prime table built once for the
+    curve (blocks with one key share the table's residue map)."""
+    spec = standard_exponent_blocks(params.m)
+    primes = [p for p, _e in params.m_factors]
+    # every step divides m, so it is one of the n2
+    parts = _p_parts(primes, {n2 for _n1, n2, _step in spec})
+    tables: PrimeTables = {}
+    return tuple(_block(params, primes, parts, tables, *b) for b in spec)
 
 
 class SingerSquare(NamedTuple):
@@ -218,18 +272,35 @@ def sigma_cm_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
     return make_record(params, SigmaCm(*se), order, delta_sigma_cm(params, se))
 
 
+def _class_records(
+    params: CurveParams, block: SingerBlock
+) -> dict[tuple[int, ...], GenusRecord]:
+    """The record of each class of one block, on the class's own member.
+
+    Every class of a block has the order m^2/(n1*n2), so the genus is a
+    function of delta alone: make_record runs once per distinct delta, and
+    the block's other classes of that delta copy its genus.
+    """
+    n1, n2 = block.n1, block.n2
+    order = params.m**2 // (n1 * n2)
+    genera: dict[int, int] = {}  # delta -> genus, within this block only
+    records = {}
+    for key, c in block.classes.items():
+        descriptor = SigmaCm(n1, n2, c.a)
+        delta = delta_sigma_cm(params, StandardExponents(n1, n2, c.a))
+        genus = genera.get(delta)
+        if genus is None:
+            record = make_record(params, descriptor, order, delta)
+            genera[delta] = record.genus
+        else:
+            record = GenusRecord(descriptor, order, delta, genus)
+        records[key] = record
+    return records
+
+
 def evaluate_singer_square(params: CurveParams) -> SingerSquare:
-    """Class tables of every (n1, n2), in catalog.standard_exponent_blocks
-    order; each class's record is evaluated once, on one member, by
-    sigma_cm_record."""
-    blocks = tuple(
-        singer_block(params, n1, n2) for n1, n2, _ in standard_exponent_blocks(params.m)
-    )
-    class_records = tuple(
-        {
-            key: sigma_cm_record(params, StandardExponents(b.n1, b.n2, c.a))
-            for key, c in b.classes.items()
-        }
-        for b in blocks
-    )
-    return SingerSquare(blocks, class_records)
+    """The class tables of square_blocks and the record of each class, on
+    one member: delta_sigma_cm once per class and make_record once per
+    distinct delta of a block (see _class_records)."""
+    blocks = square_blocks(params)
+    return SingerSquare(blocks, tuple(_class_records(params, b) for b in blocks))

@@ -1,7 +1,12 @@
 """The Singer-square class evaluator against per-subgroup evaluation."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter, defaultdict
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +20,16 @@ from skabelund.catalog import (
     StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
+    standard_exponent_blocks,
     subgroup_order_sigma,
 )
 from skabelund.curves import CurveParams, Family, make_params
-from skabelund.singer import delta_sigma_cm, evaluate_singer_square, singer_block
+from skabelund.singer import (
+    delta_sigma_cm,
+    evaluate_singer_square,
+    singer_block,
+    square_blocks,
+)
 from skabelund.spectrum import compute_spectrum, evaluate_descriptor
 
 # every (family, s) within the default caps of the CLI
@@ -55,13 +66,57 @@ def test_records_equal_per_descriptor_evaluation(family, s):
 
 
 def test_class_records_belong_to_their_class():
-    params = make_params(Family.REE, 3)  # m = 7^2 * 43
-    square = evaluate_singer_square(params)
-    for block, records in zip(square.blocks, square.class_records):
-        for key, cls in block.classes.items():
-            assert class_key(block, cls.a) == key
-            descriptor = SigmaCm(block.n1, block.n2, cls.a)
-            assert records[key] == evaluate_descriptor(params, descriptor)
+    # past the caps: Suzuki s=7 and s=9 have 512 classes, Ree s=6 has 100
+    curves = WITHIN_CAPS + [(Family.SUZUKI, s) for s in (7, 8, 9)] + [(Family.REE, 6)]
+    for family, s in curves:
+        params = make_params(family, s)
+        square = evaluate_singer_square(params)
+        for block, records in zip(square.blocks, square.class_records):
+            for key, cls in block.classes.items():
+                assert class_key(block, cls.a) == key
+                descriptor = SigmaCm(block.n1, block.n2, cls.a)
+                assert records[key] == evaluate_descriptor(params, descriptor)
+                assert type(records[key].descriptor) is SigmaCm
+
+
+@pytest.mark.parametrize(
+    "family,s,tables,records",
+    [(Family.SUZUKI, 7, 15, 141), (Family.REE, 3, 11, 73)],
+    ids=["suzuki-7", "ree-3"],
+)
+def test_square_builds_each_table_once_and_each_record_once_per_delta(
+    monkeypatch, family, s, tables, records
+):
+    calls = Counter()
+
+    def counted(name):
+        f = getattr(singer, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for name in ("_prime_classes", "make_record", "delta_sigma_cm"):
+        monkeypatch.setattr(singer, name, counted(name))
+    square = evaluate_singer_square(make_params(family, s))
+    classes = sum(len(b.classes) for b in square.blocks)
+    deltas = sum(len({r.delta for r in rs.values()}) for rs in square.class_records)
+    assert deltas == records
+    assert calls == {"_prime_classes": tables, "make_record": records, "delta_sigma_cm": classes}
+
+
+@pytest.mark.parametrize(
+    "n1,n2,message",
+    [(5, 2, "n2=2"), (5, -5, "n2=-5"), (0, 5, "n1=0"), (2, 5, "n1=2")],
+)
+def test_singer_block_rejects_a_non_divisor(n1, n2, message):
+    params = make_params(Family.SUZUKI, 2)
+    assert params.m == 25
+    with pytest.raises(ValueError) as info:
+        singer_block(params, n1, n2)
+    assert str(info.value) == f"{message} is not a positive divisor of m=25"
 
 
 def delta_by_valuations(params, se):
@@ -208,6 +263,47 @@ def test_classes_match_delta_sigma_cm_on_synthetic_params(params):
                 assert delta_sigma_cm(params, se) == delta_sigma_cm(params, member)
             counted = Counter(class_key(block, se.a) for se in members[n1, n2])
             assert counted == {key: c.count for key, c in block.classes.items()}
+
+
+# curves whose primes synthetic m <= 400 share: m = 5^2 and m = 7^2 * 43
+REAL_CURVES = [(Family.SUZUKI, 2), (Family.REE, 3)]
+
+
+@pytest.fixture(scope="module")
+def squares_alone() -> list:
+    """evaluate_singer_square of each of REAL_CURVES in a fresh interpreter,
+    where no other square was evaluated before."""
+    code = (
+        "import pickle, sys\n"
+        "from skabelund import Family, make_params\n"
+        "from skabelund.singer import evaluate_singer_square\n"
+        f"curves = {[(f.value, s) for f, s in REAL_CURVES]!r}\n"
+        "squares = [evaluate_singer_square(make_params(Family(f), s)) for f, s in curves]\n"
+        "print(pickle.dumps(squares).hex())\n"
+    )
+    src = str(Path(singer.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return pickle.loads(bytes.fromhex(done.stdout))
+
+
+@given(params=synthetic_params())
+@settings(max_examples=50, deadline=None)
+@example(params=CurveParams(Family.SUZUKI, 1, 2, 8, 245, 4, 0, (1, 8, 64, 22), 1))
+def test_no_state_leaks_between_squares(squares_alone, params):
+    # the synthetic curves fail Riemann-Hurwitz, so only their blocks are
+    # evaluated; those share prime tables, which must match fresh ones
+    blocks = square_blocks(params)
+    spec = standard_exponent_blocks(params.m)
+    assert blocks == tuple(singer_block(params, n1, n2) for n1, n2, _step in spec)
+    for (family, s), alone in zip(REAL_CURVES, squares_alone, strict=True):
+        assert evaluate_singer_square(make_params(family, s)) == alone
 
 
 def test_reports_compare_and_hash_by_value():
