@@ -26,11 +26,13 @@ formula modules is the iota classification layer, which is exactly the
 point of contact the cross-checks are meant to pin.
 
 A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
-affine part (a, b).  Right multiplication by an element moves each bucket
-to one bucket and rotates its bits, so the closure adds S*g^(2^j) for
-j = 0, 1, ... to S until nothing is added, for each generator g in turn,
-until S*g is inside S for every generator; its census counts the buckets,
-not the elements.
+affine part (a, b).  The subgroup lies in Aff(F8) x C_m, so each bucket is
+one coset rep(a, b) + E of the exponents E paired with the identity map,
+and Schreier's lemma gives E from one breadth-first pass over the affine
+parts: the exponent differences met at parts already reached generate it.
+E is closed from {0} by doubling on one m-bit int, and its census counts
+the buckets, not the elements.  The element-by-element closure in the
+tests (tests/test_oracle_gate.py) stays the reference it must match.
 
 The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
@@ -82,8 +84,7 @@ def delta_sigma_cm_bruteforce(
     count_congruence_solutions: the kernels then run each row scan once
     (see _kernels).
     """
-    se.validate(params.m)
-    order = subgroup_order_sigma(params.m, se)
+    order = subgroup_order_sigma(params.m, se)  # validates se
     cap = max_elements_cap(max_elements)
     if order > cap:
         raise BruteForceCapError(f"|H|={order} exceeds brute-force cap {cap}")
@@ -103,11 +104,11 @@ def count_congruence_solutions(
     """Number of pairs (i, j) in the fundamental domain of the subgroup with
     j*n2 = i*(n1*q^d - a) (mod m), including (0, 0).  scans as for
     delta_sigma_cm_bruteforce."""
-    se.validate(params.m)
+    order = subgroup_order_sigma(params.m, se)  # validates se before d
     if not 0 <= d < len(params.q_powers):
         raise ValueError(f"d={d} out of range for {params.family.value}")
     cap = max_elements_cap(max_elements)
-    if subgroup_order_sigma(params.m, se) > cap:
+    if order > cap:
         raise BruteForceCapError(f"subgroup exceeds brute-force cap {cap}")
     rhs = (se.n1 * params.q_powers[d] - se.a) % params.m
     return _kernels.congruence_count(params.m, se.n1, se.n2, rhs, scans=scans)
@@ -259,8 +260,8 @@ def _skew_generators(
     m = params.m
     if m % 7 != 0:
         raise ValueError("skew subgroups require 7 | m")
-    if m % (7 * w) != 0:
-        raise ValueError(f"w={w} violates 7w | m")
+    if w < 1 or m % (7 * w) != 0:
+        raise ValueError(f"w={w} violates 7w | m for m={m}")
     if not 1 <= i <= 6:
         raise ValueError(f"i={i} out of range 1..6")
     if variant not in ("full", "cyclic"):
@@ -275,37 +276,47 @@ def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int
     """Closure of gens as {(a, b): m-bit int whose bit e marks (a, b, e)}.
 
     The product (a1, b1, e1)(a2, b2, e2) is (a1*a2, a1*b2 + b1, e1 + e2), so
-    right multiplication by one element moves every bucket (a, b) to one
-    bucket and rotates its bits by e2.  S <- S*<g> is built by doubling
-    (S <- S u S*g^(2^j) until nothing is added), generator after
-    generator, until S*g is inside S for every generator.
+    the group G = <gens> lies in Aff(F8) x C_m, and each of its buckets is
+    one coset rep(a, b) + E of the tau exponents E paired with the identity
+    map.  One breadth-first pass over the affine parts from (1, 0) keeps the
+    first tau exponent reaching each part as its rep; an edge that reaches
+    a seen part with another exponent e gives the Schreier generator
+    e - rep of E (Schreier's lemma: C_m is central, so the Schreier
+    generator of a part and a generator is its exponent difference).  E is
+    closed from {0} by doubling (E <- E u E + delta*2^j until nothing is
+    added), skipping each delta already in E.
     """
     full = (1 << m) - 1
 
-    def times(group, g):
-        a2, b2, e2 = g
-        out = {}
-        for (a1, b1), bits in group.items():
-            row = _F8_MUL[a1]
-            out[row[a2], row[b2] ^ b1] = ((bits << e2) | (bits >> (m - e2))) & full
-        return out
+    def rotate(bits, e):
+        return ((bits << e) | (bits >> (m - e))) & full
 
-    group = {(1, 0): 1}  # the identity (1, 0, 0)
-    closed = False
-    while not closed:
-        closed = True
-        for g in gens:
-            power = g
-            while True:
-                grown = dict(group)
-                for key, bits in times(group, power).items():
-                    grown[key] = grown.get(key, 0) | bits
-                if grown == group:
-                    break
-                group, closed = grown, False
-                a, b, e = power
-                power = (_F8_MUL[a][a], _F8_MUL[a][b] ^ b, (2 * e) % m)
-    return group
+    reps = {(1, 0): 0}  # the identity (1, 0, 0)
+    kernel = 1  # E as an m-bit int
+    frontier = [(1, 0)]
+    while frontier:
+        reached = []
+        for a1, b1 in frontier:
+            e1 = reps[a1, b1]
+            row = _F8_MUL[a1]
+            for a2, b2, e2 in gens:
+                part = row[a2], row[b2] ^ b1
+                e = (e1 + e2) % m
+                rep = reps.get(part)
+                if rep is None:
+                    reps[part] = e
+                    reached.append(part)
+                    continue
+                delta = (e - rep) % m
+                if kernel >> delta & 1:
+                    continue
+                while True:
+                    grown = kernel | rotate(kernel, delta)
+                    if grown == kernel:
+                        break
+                    kernel, delta = grown, (2 * delta) % m
+        frontier = reached
+    return {part: rotate(kernel, e) for part, e in reps.items()}
 
 
 def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
@@ -317,9 +328,11 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     such element onto r^c without touching e.  The weight of a*x+b paired
     with tau^e therefore depends on (a, whether b = 0, e) only.  Each bucket
     of the closure (_close_skew) is weighed from its bits without visiting
-    its e: for a = 1 from two reads of iota_ree (the e are in range(m), so
-    only bit 0 has e = 0 mod m), for a != 1 as m per e among the
-    singer_images of c*m/7, with a = g^c.
+    its e: for a != 1 as m per e among the singer_images of c*m/7, with
+    a = g^c.  The a = 1 buckets weigh by order class and by whether
+    e = 0 mod m, which for e in range(m) is bit 0 only: the involution
+    buckets (b != 0) are summed into one count and weighed with the pure
+    tau powers from at most three reads of iota_ree.
     """
     m = params.m
     buckets = _close_skew(m, _skew_generators(params, variant, i, w))
@@ -328,22 +341,22 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     assert order == expected_order, (
         f"closure produced {order} elements, expected {expected_order}"
     )
-    buckets[1, 0] &= ~1  # the identity has no weight
+    tau = buckets.pop((1, 0)) & ~1  # the identity has no weight
     # bit B set at each image B of sigma^(c*m/7), c = 1..6
     image_masks = {
         c: sum(1 << b for b in singer_images(params, c * (m // 7))) for c in range(1, 7)
     }
-    total = 0
-    for (a, b), bits in buckets.items():
+    total = involutions = at_zero = 0
+    for (a, _), bits in buckets.items():
         if a != 1:
             total += m * (bits & image_masks[_F8_LOG[a]]).bit_count()
         else:
-            klass = OrderClassRee.ORDER2 if b else OrderClassRee.TAU
-            at_zero = bits & 1  # bit e stands for tau^e, e in range(m)
-            total += _class_weight_sum(
-                iota_ree, params, klass, at_zero, bits.bit_count() - at_zero
-            )
-    return total
+            involutions += bits.bit_count()
+            at_zero += bits & 1  # bit e stands for tau^e, e in range(m)
+    total += _class_weight_sum(iota_ree, params, OrderClassRee.TAU, 0, tau.bit_count())
+    return total + _class_weight_sum(
+        iota_ree, params, OrderClassRee.ORDER2, at_zero, involutions - at_zero
+    )
 
 
 # --- permutation realizations of the Ree(3)-side groups ---------------------

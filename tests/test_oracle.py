@@ -93,6 +93,9 @@ def test_congruence_count_examples():
         count_congruence_solutions(S1, StandardExponents(1, 5, 1), 4)
     with pytest.raises(ValueError):
         count_congruence_solutions(R1, StandardExponents(1, 19, 1), 6)
+    # a bad triple is reported before a bad d
+    with pytest.raises(ValueError, match=r"a=7 out of range"):
+        count_congruence_solutions(S1, StandardExponents(1, 5, 7), 4)
 
 
 def test_congruence_count_includes_origin():
@@ -212,6 +215,10 @@ def test_skew_census_i_invariance():
         delta_skew_census(R2, "full", 1, 2)  # m = 217 = 7 * 31
     with pytest.raises(ValueError, match=r"i=7 out of range 1\.\.6"):
         delta_skew_census(R2, "full", 7, 1)
+    # w < 1: w = 0 would divide by zero, and -1, -31 pass 7w | m
+    for w in (0, -1, -31):
+        with pytest.raises(ValueError, match=rf"^w={w} violates 7w \| m for m=217$"):
+            delta_skew_census(R2, "full", 1, w)
 
 
 def test_permutation_censuses_match_tables():

@@ -17,7 +17,11 @@ the oracle suite makes for Suzuki s <= 6 and Ree s <= 5.  The subgroup
 closure, which walks each cyclic subgroup once and skips every join a found
 subgroup of the join's size already holds, must find the subgroups the
 pairwise closure (ref_cm_subgroups) finds for every m up to the default
-closure cap, 60.  The order-7 coset count is checked against the n - 1
+closure cap, 60.  The skew closure, which takes each subgroup's buckets as
+cosets of one kernel bitset by Schreier's lemma, must match the
+element-by-element closure (ref_close_affine, which stays the reference)
+on random affine generators and bucket by bucket on every skew case the
+suite checks for Ree s = 2 and 3.  The order-7 coset count is checked against the n - 1
 multiples of 7 it replaced, for n < 3000 and every n | m for Ree s <= 6.
 The premise of the two reads is checked directly: for s <= 4 every order
 class weighs each k in range(2m) as k = 0 when k = 0 (mod m) and as k = 1
@@ -60,6 +64,7 @@ from skabelund.oracle import (
     F8_GENERATOR,
     _ree_coset_sum,
     _close_skew,
+    _skew_generators,
     delta_b0_census,
     delta_census,
     delta_skew_census,
@@ -790,8 +795,32 @@ def affine_generators(draw):
 @given(affine_generators())
 @example((5, [(1, 3, 0), (1, 5, 1)]))  # translations only: order-2 powers
 @example((6, [(3, 1, 2)]))  # one map with a != 1 and b != 0
+@example((12, [(1, 0, 8)]))  # a pure tau generator alone: E = <8>, one part
+@example((12, [(1, 0, 4), (1, 0, 6)]))  # E = <4, 6>, the even exponents
+@example((1, [(2, 0, 0), (1, 1, 0)]))  # m = 1: E = {0}, all 56 parts
 def test_bitset_closure_matches_the_element_closure_on_any_generators(case):
     m, gens = case
     buckets = _close_skew(m, gens)
     got = {(a, b, e) for (a, b), bits in buckets.items() for e in bit_positions(bits)}
     assert got == ref_close_affine(m, gens)
+
+
+@pytest.mark.parametrize("s", [2, 3])  # m = 217 and 2107
+def test_skew_buckets_match_the_element_closure_on_every_suite_case(s, default_caps):
+    """Bucket by bucket, on every (variant, i, w) the oracle suite's skew
+    check closes: the affine parts, and each part's tau exponents, one coset
+    of those of (1, 0)."""
+    params = make_params(Family.REE, s)
+    m, cap = params.m, max_elements_cap()
+    for w in divisors(m // 7):
+        if 56 * (m // (7 * w)) > cap:
+            continue
+        for i in range(1, 7):
+            for variant in ("full", "cyclic"):
+                gens = _skew_generators(params, variant, i, w)
+                expected = {}
+                for a, b, e in ref_close_affine(m, gens):
+                    expected.setdefault((a, b), set()).add(e)
+                buckets = _close_skew(m, gens)
+                got = {part: set(bit_positions(bits)) for part, bits in buckets.items()}
+                assert got == expected, (variant, i, w)
