@@ -21,7 +21,6 @@ from .catalog import (
     NonIntegralGenusError,
     Psl28,
     SigmaCm,
-    StandardExponents,
     SubgroupDescriptor,
     enumerate_descriptors,
     enumerate_standard_exponents,
@@ -65,7 +64,6 @@ __all__ = [
     "Psl28",
     "SigmaCm",
     "SpectrumReport",
-    "StandardExponents",
     "SubgroupDescriptor",
     "ambient_genus",
     "compute_spectrum",

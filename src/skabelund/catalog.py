@@ -4,6 +4,8 @@ Subgroups of the abelian square C_m x C_m = <sigma> x <tau> are parametrized
 by their standard exponents (n1, n2, a): the unique triple with n1 | m,
 n2 | m, 0 <= a < n2, n1*n2 | a*m such that H = <sigma^n1 tau^a, tau^n2>.
 Every subgroup arises from exactly one such triple and |H| = m^2/(n1*n2).
+The descriptor SigmaCm is that triple: the enumerator, the closed form, the
+oracle and the exports all take it.
 
 The remaining descriptors name the non-abelian families handled by this
 package: cyclic/dihedral subgroups of B0 x C_m on the Suzuki side, and
@@ -29,22 +31,6 @@ from .arith import divisors
 from .curves import CurveParams, Family
 
 N2_SUBGROUP_ORDERS = (168, 56, 24, 12, 8, 4)
-
-
-class StandardExponents(NamedTuple):
-    n1: int
-    n2: int
-    a: int
-
-    def validate(self, m: int) -> None:
-        if not (self.n1 >= 1 and m % self.n1 == 0):
-            raise ValueError(f"n1={self.n1} does not divide m={m}")
-        if not (self.n2 >= 1 and m % self.n2 == 0):
-            raise ValueError(f"n2={self.n2} does not divide m={m}")
-        if not 0 <= self.a < self.n2:
-            raise ValueError(f"a={self.a} out of range [0, {self.n2})")
-        if (self.a * m) % (self.n1 * self.n2) != 0:
-            raise ValueError(f"n1*n2 must divide a*m for {self}")
 
 
 def _same_kind_eq(self, other) -> bool:
@@ -74,6 +60,16 @@ class SigmaCm(NamedTuple):
     n1: int
     n2: int
     a: int
+
+    def validate(self, m: int) -> None:
+        if not (self.n1 >= 1 and m % self.n1 == 0):
+            raise ValueError(f"n1={self.n1} does not divide m={m}")
+        if not (self.n2 >= 1 and m % self.n2 == 0):
+            raise ValueError(f"n2={self.n2} does not divide m={m}")
+        if not 0 <= self.a < self.n2:
+            raise ValueError(f"a={self.a} out of range [0, {self.n2})")
+        if (self.a * m) % (self.n1 * self.n2) != 0:
+            raise ValueError(f"n1*n2 must divide a*m for {self}")
 
 
 @_descriptor
@@ -148,8 +144,11 @@ def make_record(
 
     ambient_degree = |H|*(2g - 2) + delta must solve for an integer g >= 0,
     and |H| must divide the full automorphism group order; anything else is
-    a formula or implementation fault and aborts loudly.
+    a formula or implementation fault and aborts loudly.  A descriptor field
+    that is not an int (a float or a bool) is bad input: ValueError.
     """
+    if set(map(type, descriptor)) != {int}:
+        raise ValueError(f"descriptor fields must be int, got {descriptor!r}")
     remainder = params.ambient_degree - delta
     if remainder % (2 * order) != 0:
         raise NonIntegralGenusError(
@@ -188,7 +187,7 @@ def standard_exponent_blocks(m: int) -> list[tuple[int, int, int]]:
     return [(n1, n2, standard_exponent_step(m, n1, n2)) for n1 in divs for n2 in divs]
 
 
-def enumerate_standard_exponents(m: int) -> list[StandardExponents]:
+def enumerate_standard_exponents(m: int) -> list[SigmaCm]:
     """All standard-exponent triples for C_m x C_m, lexicographic by (n1, n2, a).
 
     Exactly one triple per subgroup; the bijection with closure-enumerated
@@ -196,11 +195,11 @@ def enumerate_standard_exponents(m: int) -> list[StandardExponents]:
     """
     out = []
     for n1, n2, step in standard_exponent_blocks(m):
-        out.extend(StandardExponents(n1, n2, a) for a in range(0, n2, step))
+        out.extend(SigmaCm(n1, n2, a) for a in range(0, n2, step))
     return out
 
 
-def subgroup_order_sigma(m: int, se: StandardExponents) -> int:
+def subgroup_order_sigma(m: int, se: SigmaCm) -> int:
     """|H| = m^2/(n1*n2), always exact."""
     se.validate(m)
     order, rem = divmod(m * m, se.n1 * se.n2)
@@ -208,7 +207,7 @@ def subgroup_order_sigma(m: int, se: StandardExponents) -> int:
     return order
 
 
-def standard_exponent_elements(m: int, se: StandardExponents) -> frozenset[tuple[int, int]]:
+def standard_exponent_elements(m: int, se: SigmaCm) -> frozenset[tuple[int, int]]:
     """Element set of <sigma^n1 tau^a, tau^n2> as exponent pairs (A, B) mod m.
 
     Elements are written uniquely as (sigma^n1 tau^a)^i (tau^n2)^j with
@@ -254,8 +253,8 @@ class DescriptorKind(NamedTuple):
 KINDS: tuple[DescriptorKind, ...] = (
     DescriptorKind(
         "sigma-cm", SigmaCm, None,
-        lambda params, m_divs: map(SigmaCm._make, enumerate_standard_exponents(params.m)),
-        lambda params, h: singer.sigma_cm_record(params, StandardExponents(*h)),
+        lambda params, m_divs: enumerate_standard_exponents(params.m),
+        lambda params, h: singer.sigma_cm_record(params, h),
     ),
     DescriptorKind(
         "b0-cyclic", B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),

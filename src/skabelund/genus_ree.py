@@ -21,7 +21,7 @@ from .catalog import (
     N2SkewCyclic,
     N2SkewFull,
     Psl28,
-    StandardExponents,
+    SigmaCm,
     make_record,
 )
 from .curves import CurveParams, Family
@@ -32,7 +32,7 @@ def _require_ree(params: CurveParams) -> None:
         raise ValueError(f"need Ree parameters, got {params.family.value}")
 
 
-def genus_sigma_cm_ree(params: CurveParams, se: StandardExponents) -> GenusRecord:
+def genus_sigma_cm_ree(params: CurveParams, se: SigmaCm) -> GenusRecord:
     """Quotient by the subgroup of Sigma_- x C_m with standard exponents se."""
     _require_ree(params)
     return singer.sigma_cm_record(params, se)

@@ -10,7 +10,7 @@ make_record checks that 2|H| divides it.
 from __future__ import annotations
 
 from . import singer
-from .catalog import B0Cyclic, B0Dihedral, GenusRecord, StandardExponents, make_record
+from .catalog import B0Cyclic, B0Dihedral, GenusRecord, SigmaCm, make_record
 from .curves import CurveParams, Family
 
 
@@ -19,7 +19,7 @@ def _require_suzuki(params: CurveParams) -> None:
         raise ValueError(f"need Suzuki parameters, got {params.family.value}")
 
 
-def genus_sigma_cm_suzuki(params: CurveParams, se: StandardExponents) -> GenusRecord:
+def genus_sigma_cm_suzuki(params: CurveParams, se: SigmaCm) -> GenusRecord:
     """Quotient by the subgroup of Sigma_- x C_m with standard exponents se."""
     _require_suzuki(params)
     return singer.sigma_cm_record(params, se)

@@ -50,7 +50,7 @@ from itertools import repeat
 from operator import countOf, mod
 
 from . import _kernels
-from .catalog import StandardExponents, subgroup_order_sigma
+from .catalog import SigmaCm, subgroup_order_sigma
 from .curves import CurveParams, Family
 from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     OrderClassRee,
@@ -69,7 +69,7 @@ class BruteForceCapError(ValueError):
 
 def delta_sigma_cm_bruteforce(
     params: CurveParams,
-    se: StandardExponents,
+    se: SigmaCm,
     max_elements: int | None = None,
     scans: dict | None = None,
 ) -> int:
@@ -96,7 +96,7 @@ def delta_sigma_cm_bruteforce(
 
 def count_congruence_solutions(
     params: CurveParams,
-    se: StandardExponents,
+    se: SigmaCm,
     d: int,
     max_elements: int | None = None,
     scans: dict | None = None,

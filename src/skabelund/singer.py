@@ -54,7 +54,6 @@ from .arith import valuation
 from .catalog import (
     GenusRecord,
     SigmaCm,
-    StandardExponents,
     make_record,
     standard_exponent_blocks,
     standard_exponent_step,
@@ -65,7 +64,7 @@ from .curves import CurveParams
 T = TypeVar("T")
 
 
-def delta_sigma_cm(params: CurveParams, se: StandardExponents) -> int:
+def delta_sigma_cm(params: CurveParams, se: SigmaCm) -> int:
     """Different degree of the subgroup with standard exponents (n1, n2, a).
 
     The congruence count of the d-th special power is
@@ -266,10 +265,10 @@ class SingerSquare(NamedTuple):
         ]
 
 
-def sigma_cm_record(params: CurveParams, se: StandardExponents) -> GenusRecord:
+def sigma_cm_record(params: CurveParams, se: SigmaCm) -> GenusRecord:
     """Genus record of the subgroup with standard exponents se, either family."""
     order = subgroup_order_sigma(params.m, se)
-    return make_record(params, SigmaCm(*se), order, delta_sigma_cm(params, se))
+    return make_record(params, se, order, delta_sigma_cm(params, se))
 
 
 def _class_records(
@@ -287,7 +286,7 @@ def _class_records(
     records = {}
     for key, c in block.classes.items():
         descriptor = SigmaCm(n1, n2, c.a)
-        delta = delta_sigma_cm(params, StandardExponents(n1, n2, c.a))
+        delta = delta_sigma_cm(params, descriptor)
         genus = genera.get(delta)
         if genus is None:
             record = make_record(params, descriptor, order, delta)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 from .arith import divisors, valuation
 from .catalog import (
     N2_SUBGROUP_ORDERS,
-    StandardExponents,
+    SigmaCm,
     enumerate_standard_exponents,
     standard_exponent_blocks,
     standard_exponent_elements,
@@ -59,7 +59,7 @@ class OracleCheck(NamedTuple):
 SAMPLE_LIMIT = 60  # about this many Singer-square subgroups per oracle suite
 
 
-def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExponents]:
+def sample_standard_exponents(m: int, cap: int, limit: int) -> list[SigmaCm]:
     """An even sample of the standard-exponent triples of order <= cap, in
     enumerate_standard_exponents order: all of them when there are at most
     limit, else every (total // limit)-th, always keeping the first and the
@@ -83,11 +83,11 @@ def sample_standard_exponents(m: int, cap: int, limit: int) -> list[StandardExpo
     for n1, n2, step in blocks:
         size = n2 // step
         first = -start % stride  # offset of the block's first picked triple
-        picked.extend(StandardExponents(n1, n2, j * step) for j in range(first, size, stride))
+        picked.extend(SigmaCm(n1, n2, j * step) for j in range(first, size, stride))
         start += size
     if (total - 1) % stride:
         n1, n2, step = blocks[-1]
-        picked.append(StandardExponents(n1, n2, n2 - step))
+        picked.append(SigmaCm(n1, n2, n2 - step))
     return picked
 
 
@@ -251,9 +251,7 @@ def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
         if cyclic.delta != delta_skew_census(params, "cyclic", i, w):
             bad.append(f"cyclic i={i} w={w}")
         n1 = params.m // 7
-        reduced = genus_sigma_cm_ree(
-            params, StandardExponents(n1, 7 * w, (i * w) % (7 * w))
-        )
+        reduced = genus_sigma_cm_ree(params, SigmaCm(n1, 7 * w, (i * w) % (7 * w)))
         if (cyclic.genus, cyclic.delta) != (reduced.genus, reduced.delta):
             bad.append(f"cyclic-reduction i={i} w={w}")
     return _verdict(

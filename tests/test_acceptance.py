@@ -11,7 +11,6 @@ from skabelund.arith import is_prime, valuation
 from skabelund.catalog import (
     B0Cyclic,
     SigmaCm,
-    StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
     standard_exponent_elements,
@@ -189,7 +188,7 @@ def test_criterion_8_skew_laws():
             for i in range(1, 7):
                 cyclic = genus_n2_skew_cyclic(params, i, w)
                 reduced = genus_sigma_cm_ree(
-                    params, StandardExponents(params.m // 7, 7 * w, i * w)
+                    params, SigmaCm(params.m // 7, 7 * w, i * w)
                 )
                 assert cyclic.genus == reduced.genus and cyclic.delta == reduced.delta
                 full_genera.add(genus_n2_skew_full(params, i, w).genus)

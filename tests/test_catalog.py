@@ -5,14 +5,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund.arith import divisors, is_prime
+from skabelund import suite
 from skabelund.catalog import (
     B0Cyclic,
     B0Dihedral,
+    N2NonSkew,
     N2SkewCyclic,
     N2SkewFull,
     NonIntegralGenusError,
+    Psl28,
     SigmaCm,
-    StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
     kind_of,
@@ -22,7 +24,9 @@ from skabelund.catalog import (
     subgroup_order_sigma,
 )
 from skabelund.curves import Family, make_params
-from skabelund.spectrum import compute_spectrum, render_csv
+from skabelund.genus_ree import genus_sigma_cm_ree
+from skabelund.genus_suzuki import genus_sigma_cm_suzuki
+from skabelund.spectrum import compute_spectrum, evaluate_descriptor, render_csv
 
 
 def test_standard_exponents_m5():
@@ -40,7 +44,7 @@ def test_standard_exponents_m5():
 
 
 def test_standard_exponents_m1():
-    assert enumerate_standard_exponents(1) == [StandardExponents(1, 1, 0)]
+    assert enumerate_standard_exponents(1) == [SigmaCm(1, 1, 0)]
 
 
 def test_standard_exponents_m25_count():
@@ -52,7 +56,7 @@ def test_standard_exponents_m25_count():
 def filter_standard_exponents(m):
     """The defining filter over all of range(n2), for comparison."""
     return [
-        StandardExponents(n1, n2, a)
+        SigmaCm(n1, n2, a)
         for n1 in divisors(m)
         for n2 in divisors(m)
         for a in range(n2)
@@ -95,10 +99,10 @@ def test_triples_are_valid_and_ordered():
 
 
 def test_subgroup_order():
-    assert subgroup_order_sigma(5, StandardExponents(1, 5, 1)) == 5
-    assert subgroup_order_sigma(5, StandardExponents(5, 5, 0)) == 1
-    assert subgroup_order_sigma(25, StandardExponents(5, 5, 1)) == 25
-    assert subgroup_order_sigma(5, StandardExponents(1, 1, 0)) == 25
+    assert subgroup_order_sigma(5, SigmaCm(1, 5, 1)) == 5
+    assert subgroup_order_sigma(5, SigmaCm(5, 5, 0)) == 1
+    assert subgroup_order_sigma(25, SigmaCm(5, 5, 1)) == 25
+    assert subgroup_order_sigma(5, SigmaCm(1, 1, 0)) == 25
 
 
 def test_element_sets_have_the_right_size():
@@ -111,13 +115,13 @@ def test_element_sets_have_the_right_size():
 
 def test_validate_rejects_bad_triples():
     with pytest.raises(ValueError):
-        StandardExponents(2, 5, 0).validate(5)  # n1 does not divide m
+        SigmaCm(2, 5, 0).validate(5)  # n1 does not divide m
     with pytest.raises(ValueError, match="n2=2 does not divide m=5"):
-        StandardExponents(1, 2, 0).validate(5)
+        SigmaCm(1, 2, 0).validate(5)
     with pytest.raises(ValueError):
-        StandardExponents(1, 5, 5).validate(5)  # a out of range
+        SigmaCm(1, 5, 5).validate(5)  # a out of range
     with pytest.raises(ValueError):
-        StandardExponents(5, 5, 1).validate(5)  # n1*n2 does not divide a*m
+        SigmaCm(5, 5, 1).validate(5)  # n1*n2 does not divide a*m
 
 
 def test_suzuki_descriptor_enumeration():
@@ -186,3 +190,53 @@ def test_make_record_rejects_a_bad_order_delta_pair(order, delta, message):
     params = make_params(Family.SUZUKI, 1)  # ambient_degree 390, |Aut| 2^6 5^2 7 13
     with pytest.raises(NonIntegralGenusError, match=re.escape(message)):
         make_record(params, B0Cyclic(1, 1), order, delta)
+
+
+@pytest.mark.parametrize(
+    "family, s", [(Family.SUZUKI, s) for s in (1, 2, 3)] + [(Family.REE, s) for s in (1, 2)]
+)
+def test_sigma_cm_is_the_one_singer_square_class(family, s):
+    """The enumerator, the oracle's sample, the KINDS evaluator, the family's
+    closed form and subgroup_order_sigma all take the same SigmaCm."""
+    params = make_params(family, s)
+    members = enumerate_standard_exponents(params.m)
+    assert [d for d in enumerate_descriptors(params) if kind_of(d).name == "sigma-cm"] == members
+    assert {type(h) for h in members} == {SigmaCm}
+    sample = suite.sample_standard_exponents(params.m, params.m**2, suite.SAMPLE_LIMIT)
+    assert {type(h) for h in sample} == {SigmaCm}
+    closed_form = {Family.SUZUKI: genus_sigma_cm_suzuki, Family.REE: genus_sigma_cm_ree}[family]
+    for h in members + sample:
+        record = evaluate_descriptor(params, h)
+        assert record.descriptor == h and type(record.descriptor) is SigmaCm
+        assert closed_form(params, h) == record
+        assert subgroup_order_sigma(params.m, h) == record.order
+
+
+# a descriptor of each kind that evaluates, and the curve it evaluates on
+VALID_DESCRIPTORS = [
+    ((Family.SUZUKI, 1), SigmaCm(1, 5, 1)),
+    ((Family.SUZUKI, 1), B0Cyclic(1, 5)),
+    ((Family.SUZUKI, 1), B0Dihedral(1, 5)),
+    ((Family.REE, 2), Psl28(1)),
+    ((Family.REE, 2), N2NonSkew(168, 1)),
+    ((Family.REE, 2), N2SkewFull(1, 31)),
+    ((Family.REE, 2), N2SkewCyclic(1, 31)),
+]
+NON_INT_CASES = [
+    (curve, h._replace(**{field: kind(getattr(h, field))}))
+    for curve, h in VALID_DESCRIPTORS
+    for kind, fields in (
+        (float, h._fields),
+        (bool, [next(f for f in h._fields if getattr(h, f) == 1)]),
+    )
+    for field in fields
+]
+
+
+@pytest.mark.parametrize("curve, bad", NON_INT_CASES, ids=[repr(bad) for _, bad in NON_INT_CASES])
+def test_a_descriptor_field_that_is_not_an_int_yields_no_record(curve, bad):
+    params = make_params(*curve)
+    good = type(bad)(*map(int, bad))
+    assert evaluate_descriptor(params, good).descriptor == good
+    with pytest.raises((ValueError, TypeError)):
+        evaluate_descriptor(params, bad)

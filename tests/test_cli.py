@@ -261,3 +261,10 @@ def test_spectrum_out_to_an_unwritable_path_is_a_one_line_error(tmp_path):
     assert_one_line_error(done, f"cannot write {target}")
     assert done.returncode == 1 and done.stdout == ""
     assert not target.parent.exists()
+
+
+def test_an_invalid_singer_square_triple_is_named_as_a_sigma_cm():
+    done = run_cli("genus", "--family", "suzuki", "--s", "1", "--descriptor", "sigma-cm:5,5,1")
+    assert_one_line_error(done, "n1*n2 must divide a*m")
+    assert done.stderr.rstrip("\n").endswith("SigmaCm(n1=5, n2=5, a=1)")
+    assert done.stdout == ""

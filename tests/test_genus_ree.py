@@ -1,6 +1,6 @@
 import pytest
 
-from skabelund.catalog import StandardExponents, enumerate_standard_exponents
+from skabelund.catalog import SigmaCm, enumerate_standard_exponents
 from skabelund.curves import Family, ambient_genus, make_params
 from skabelund.genus_ree import (
     genus_n2_nonskew,
@@ -16,18 +16,18 @@ R2 = make_params(Family.REE, 2)
 
 
 def test_table2_value():
-    assert genus_sigma_cm_ree(R1, StandardExponents(1, 19, 1)).genus == 12942
+    assert genus_sigma_cm_ree(R1, SigmaCm(1, 19, 1)).genus == 12942
 
 
 def test_trivial_subgroup():
-    record = genus_sigma_cm_ree(R1, StandardExponents(19, 19, 0))
+    record = genus_sigma_cm_ree(R1, SigmaCm(19, 19, 0))
     assert record.genus == ambient_genus(R1) == 246051
 
 
 def test_oracle_derived_values():
-    record = genus_sigma_cm_ree(R1, StandardExponents(1, 19, 0))
+    record = genus_sigma_cm_ree(R1, SigmaCm(1, 19, 0))
     assert record.genus == 12951
-    assert genus_sigma_cm_ree(R1, StandardExponents(1, 19, 1)).delta == 342
+    assert genus_sigma_cm_ree(R1, SigmaCm(1, 19, 1)).delta == 342
 
 
 def test_sigma_cm_oracle_equivalence_all_triples():
@@ -96,7 +96,7 @@ def test_skew_cyclic_reduction_law():
     for w in (1, 31):
         for i in range(1, 7):
             cyclic = genus_n2_skew_cyclic(R2, i, w)
-            reduced = genus_sigma_cm_ree(R2, StandardExponents(R2.m // 7, 7 * w, i * w))
+            reduced = genus_sigma_cm_ree(R2, SigmaCm(R2.m // 7, 7 * w, i * w))
             assert cyclic.genus == reduced.genus
             assert cyclic.delta == reduced.delta
             assert cyclic.order == reduced.order == 7 * (R2.m // (7 * w))

@@ -2,7 +2,7 @@ import pytest
 
 from skabelund.catalog import (
     NonIntegralGenusError,
-    StandardExponents,
+    SigmaCm,
     enumerate_standard_exponents,
 )
 from skabelund.curves import Family, ambient_genus, make_params
@@ -14,21 +14,21 @@ S2 = make_params(Family.SUZUKI, 2)
 
 
 def test_table_values_sigma_cm():
-    assert genus_sigma_cm_suzuki(S1, StandardExponents(1, 5, 1)).genus == 38
-    assert genus_sigma_cm_suzuki(S2, StandardExponents(5, 5, 1)).genus == 534
+    assert genus_sigma_cm_suzuki(S1, SigmaCm(1, 5, 1)).genus == 38
+    assert genus_sigma_cm_suzuki(S2, SigmaCm(5, 5, 1)).genus == 534
 
 
 def test_trivial_subgroup_gives_ambient_genus():
-    record = genus_sigma_cm_suzuki(S1, StandardExponents(5, 5, 0))
+    record = genus_sigma_cm_suzuki(S1, SigmaCm(5, 5, 0))
     assert record.genus == ambient_genus(S1) == 196
     assert record.order == 1 and record.delta == 0
 
 
 def test_full_group_quotient():
     # brute-force oracle value: the full Singer square quotient has genus 2
-    record = genus_sigma_cm_suzuki(S1, StandardExponents(1, 1, 0))
+    record = genus_sigma_cm_suzuki(S1, SigmaCm(1, 1, 0))
     assert record.order == 25
-    assert record.delta == delta_sigma_cm_bruteforce(S1, StandardExponents(1, 1, 0)) == 340
+    assert record.delta == delta_sigma_cm_bruteforce(S1, SigmaCm(1, 1, 0)) == 340
     assert record.genus == 2
 
 
@@ -38,7 +38,7 @@ def test_full_group_is_minimum_of_family():
             se: genus_sigma_cm_suzuki(params, se).genus
             for se in enumerate_standard_exponents(params.m)
         }
-        assert min(genera.values()) == genera[StandardExponents(1, 1, 0)]
+        assert min(genera.values()) == genera[SigmaCm(1, 1, 0)]
 
 
 def test_rh_identity_holds():
@@ -51,12 +51,12 @@ def test_rh_identity_holds():
 
 def test_sigma_cm_rejects_wrong_family():
     with pytest.raises(ValueError):
-        genus_sigma_cm_suzuki(make_params(Family.REE, 1), StandardExponents(1, 1, 0))
+        genus_sigma_cm_suzuki(make_params(Family.REE, 1), SigmaCm(1, 1, 0))
 
 
 def test_sigma_cm_rejects_invalid_triple():
     with pytest.raises(ValueError):
-        genus_sigma_cm_suzuki(S1, StandardExponents(2, 5, 0))
+        genus_sigma_cm_suzuki(S1, SigmaCm(2, 5, 0))
 
 
 def test_b0_cyclic_values():
@@ -108,7 +108,7 @@ def test_oracle_equivalence_all_triples_small_s():
 
 def test_nu_with_exact_zero_argument():
     # a = n1*q^d exactly: valuation(p, 0) must act as +infinity, capped by v_p(n2)
-    record = genus_sigma_cm_suzuki(S1, StandardExponents(1, 5, 1))
+    record = genus_sigma_cm_suzuki(S1, SigmaCm(1, 5, 1))
     assert record.delta == 20  # the d=0 term contributes (5*5/5 - 1)*5
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import skabelund
 from skabelund.catalog import (
-    StandardExponents,
+    SigmaCm,
     enumerate_standard_exponents,
     standard_exponent_elements,
     subgroup_order_sigma,
@@ -71,9 +71,9 @@ def test_oracle_takes_nothing_from_arith_and_names_no_gcd(source):
 
 
 def test_delta_bruteforce_examples():
-    assert delta_sigma_cm_bruteforce(S1, StandardExponents(1, 5, 1)) == 20
-    assert delta_sigma_cm_bruteforce(S1, StandardExponents(5, 5, 0)) == 0
-    assert delta_sigma_cm_bruteforce(R1, StandardExponents(1, 19, 1)) == 342
+    assert delta_sigma_cm_bruteforce(S1, SigmaCm(1, 5, 1)) == 20
+    assert delta_sigma_cm_bruteforce(S1, SigmaCm(5, 5, 0)) == 0
+    assert delta_sigma_cm_bruteforce(R1, SigmaCm(1, 19, 1)) == 342
 
 
 def test_delta_bruteforce_matches_direct_iota_summation():
@@ -86,16 +86,16 @@ def test_delta_bruteforce_matches_direct_iota_summation():
 
 
 def test_congruence_count_examples():
-    assert count_congruence_solutions(S1, StandardExponents(1, 5, 1), 0) == 5
-    assert count_congruence_solutions(S1, StandardExponents(1, 5, 1), 1) == 1
-    assert count_congruence_solutions(S2, StandardExponents(5, 5, 0), 2) == 5
+    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1), 0) == 5
+    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1), 1) == 1
+    assert count_congruence_solutions(S2, SigmaCm(5, 5, 0), 2) == 5
     with pytest.raises(ValueError):
-        count_congruence_solutions(S1, StandardExponents(1, 5, 1), 4)
+        count_congruence_solutions(S1, SigmaCm(1, 5, 1), 4)
     with pytest.raises(ValueError):
-        count_congruence_solutions(R1, StandardExponents(1, 19, 1), 6)
+        count_congruence_solutions(R1, SigmaCm(1, 19, 1), 6)
     # a bad triple is reported before a bad d
     with pytest.raises(ValueError, match=r"a=7 out of range"):
-        count_congruence_solutions(S1, StandardExponents(1, 5, 7), 4)
+        count_congruence_solutions(S1, SigmaCm(1, 5, 7), 4)
 
 
 def test_congruence_count_includes_origin():
@@ -142,10 +142,10 @@ def test_closure_cap():
 def test_element_cap(monkeypatch):
     monkeypatch.setenv("SKABELUND_MAX_ELEMENTS", "100")
     with pytest.raises(BruteForceCapError):
-        delta_sigma_cm_bruteforce(R1, StandardExponents(1, 1, 0))  # |H| = 361
+        delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0))  # |H| = 361
     with pytest.raises(BruteForceCapError, match="subgroup exceeds brute-force cap 100"):
-        count_congruence_solutions(R1, StandardExponents(1, 1, 0), 0)
-    assert delta_sigma_cm_bruteforce(R1, StandardExponents(1, 1, 0), max_elements=400)
+        count_congruence_solutions(R1, SigmaCm(1, 1, 0), 0)
+    assert delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0), max_elements=400)
 
 
 def test_delta_census_values():
@@ -260,7 +260,7 @@ def test_congruence_crt_law_small():
 
 def test_bruteforce_rejects_invalid_triple():
     with pytest.raises(ValueError):
-        delta_sigma_cm_bruteforce(S1, StandardExponents(1, 5, 7))
+        delta_sigma_cm_bruteforce(S1, SigmaCm(1, 5, 7))
 
 
 def test_subgroup_orders_divide():

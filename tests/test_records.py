@@ -21,7 +21,6 @@ from skabelund.catalog import (
     N2SkewFull,
     Psl28,
     SigmaCm,
-    StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
 )
@@ -107,7 +106,7 @@ def test_descriptors_of_one_kind_compare_by_their_fields():
     assert not B0Cyclic(3, 5) != B0Cyclic(3, 5)
     assert hash(B0Cyclic(3, 5)) == hash(B0Cyclic(3, 5))
     assert B0Cyclic(3, 5) != B0Cyclic(5, 3)
-    assert SigmaCm(1, 5, 1) == SigmaCm(n1=1, n2=5, a=1) == SigmaCm(*StandardExponents(1, 5, 1))
+    assert SigmaCm(1, 5, 1) == SigmaCm(n1=1, n2=5, a=1)
 
 
 @pytest.mark.parametrize(
@@ -121,17 +120,16 @@ def test_every_descriptor_of_a_curve_is_a_distinct_set_member(family, s):
 
 def _instances():
     params = make_params(Family.SUZUKI, 1)
-    se = StandardExponents(1, 5, 1)
+    se = SigmaCm(1, 5, 1)
     return [
         se,
-        SigmaCm(*se),
         B0Cyclic(1, 5),
         B0Dihedral(1, 5),
         Psl28(1),
         N2NonSkew(168, 1),
         N2SkewFull(1, 1),
         N2SkewCyclic(1, 1),
-        evaluate_descriptor(params, SigmaCm(*se)),
+        evaluate_descriptor(params, se),
         census("psl28"),
         REFERENCE_TABLES[0],
         verify_tables(s_max=1)[0],
@@ -143,7 +141,7 @@ def _instances():
 
 def test_every_field_of_every_public_class_is_read_only():
     instances = _instances()
-    assert len({type(x) for x in instances}) == 15
+    assert len({type(x) for x in instances}) == 14
     for instance in instances:
         assert not hasattr(instance, "__dict__"), type(instance)
         for name in instance._fields:
@@ -171,11 +169,10 @@ def test_cached_values_and_new_names_cannot_be_assigned(cached):
 
 def test_repr_text_is_unchanged():
     params = make_params(Family.SUZUKI, 1)
-    se = StandardExponents(1, 5, 1)
-    assert repr(se) == "StandardExponents(n1=1, n2=5, a=1)"
-    assert repr(SigmaCm(*se)) == "SigmaCm(n1=1, n2=5, a=1)"
+    se = SigmaCm(1, 5, 1)
+    assert repr(se) == "SigmaCm(n1=1, n2=5, a=1)"
     assert repr(params) == SUZUKI_1
-    assert repr(evaluate_descriptor(params, SigmaCm(*se))) == (
+    assert repr(evaluate_descriptor(params, se)) == (
         "GenusRecord(descriptor=SigmaCm(n1=1, n2=5, a=1), "
         "order=5, delta=20, genus=38)"
     )
@@ -194,11 +191,11 @@ def test_repr_text_is_unchanged():
 
 
 def test_standard_exponents_sort_as_tuples():
-    shuffled = [StandardExponents(2, 1, 0), StandardExponents(1, 5, 3), StandardExponents(1, 5, 1)]
+    shuffled = [SigmaCm(2, 1, 0), SigmaCm(1, 5, 3), SigmaCm(1, 5, 1)]
     assert sorted(shuffled) == [
-        StandardExponents(1, 5, 1),
-        StandardExponents(1, 5, 3),
-        StandardExponents(2, 1, 0),
+        SigmaCm(1, 5, 1),
+        SigmaCm(1, 5, 3),
+        SigmaCm(2, 1, 0),
     ]
     triples = enumerate_standard_exponents(2107)  # Ree s=3
     assert sorted(reversed(triples)) == triples

@@ -17,7 +17,6 @@ from skabelund.arith import divisors, is_prime, valuation
 from skabelund.catalog import (
     GenusRecord,
     SigmaCm,
-    StandardExponents,
     enumerate_descriptors,
     enumerate_standard_exponents,
     standard_exponent_blocks,
@@ -142,7 +141,7 @@ def test_class_members_match_valuation_reference(family, s):
     checked = 0
     for block, records in zip(square.blocks, square.class_records):
         for key, cls in block.classes.items():
-            se = StandardExponents(block.n1, block.n2, cls.a)
+            se = SigmaCm(block.n1, block.n2, cls.a)
             expected = delta_by_valuations(params, se)
             assert delta_sigma_cm(params, se) == expected
             assert records[key].delta == expected
@@ -167,7 +166,7 @@ def test_indivisible_congruence_count_is_caught(monkeypatch):
     m = params.m
     monkeypatch.setattr(singer, "gcd", lambda x, n: 1)
     with pytest.raises(AssertionError, match="not divisible"):
-        delta_sigma_cm(params, StandardExponents(m, m, 0))
+        delta_sigma_cm(params, SigmaCm(m, m, 0))
 
 
 # the factorizations of m for Suzuki s <= 10 and Ree s <= 7
@@ -259,7 +258,7 @@ def test_classes_match_delta_sigma_cm_on_synthetic_params(params):
                 assert class_key(block, cls.a) == key
             for se in members[n1, n2]:
                 cls = block.classes[class_key(block, se.a)]
-                member = StandardExponents(n1, n2, cls.a)
+                member = SigmaCm(n1, n2, cls.a)
                 assert delta_sigma_cm(params, se) == delta_sigma_cm(params, member)
             counted = Counter(class_key(block, se.a) for se in members[n1, n2])
             assert counted == {key: c.count for key, c in block.classes.items()}

@@ -8,7 +8,7 @@ import pytest
 from skabelund import suite
 from skabelund.catalog import (
     KINDS_BY_NAME,
-    StandardExponents,
+    SigmaCm,
     enumerate_standard_exponents,
     kind_of,
     standard_exponent_elements,
@@ -213,10 +213,10 @@ def _drop_last(m):
 
 def _repeated_and_cut(m, se):
     """(1, 5, 1) generates what (1, 5, 0) does; (5, 1, 0) loses its identity."""
-    if se == StandardExponents(1, 5, 1):
+    if se == SigmaCm(1, 5, 1):
         se = SE_1_5_0
     elements = standard_exponent_elements(m, se)
-    return elements - {(0, 0)} if se == StandardExponents(5, 1, 0) else elements
+    return elements - {(0, 0)} if se == SigmaCm(5, 1, 0) else elements
 
 
 def _one_more_involution(tag):
@@ -224,8 +224,8 @@ def _one_more_involution(tag):
     return {**realized, 2: realized[2] + 1} if tag == "n2_8" else realized
 
 
-SE_1_5_0 = StandardExponents(1, 5, 0)
-SE_31_7_4 = StandardExponents(31, 7, 4)  # Ree s=2: m = 217 = 7 * 31
+SE_1_5_0 = SigmaCm(1, 5, 0)
+SE_31_7_4 = SigmaCm(31, 7, 4)  # Ree s=2: m = 217 = 7 * 31
 # (curve, check name, suite attribute, broken replacement, FAIL detail)
 BROKEN_CHECKS = [
     (
@@ -233,7 +233,7 @@ BROKEN_CHECKS = [
         "singer-square delta: closed form vs element enumeration",
         "delta_sigma_cm",
         lambda: _off_by_one("delta_sigma_cm", lambda params, se: se == SE_1_5_0),
-        "StandardExponents(n1=1, n2=5, a=0): formula 1 != brute force 0",
+        "SigmaCm(n1=1, n2=5, a=0): formula 1 != brute force 0",
     ),
     (
         (Family.SUZUKI, 1),
@@ -242,7 +242,7 @@ BROKEN_CHECKS = [
         lambda: _off_by_one(
             "count_congruence_solutions", lambda params, se, d, **_: (se, d) == (SE_1_5_0, 2)
         ),
-        "StandardExponents(n1=1, n2=5, a=0) d=2: 2 vs 5",
+        "SigmaCm(n1=1, n2=5, a=0) d=2: 2 vs 5",
     ),
     (
         (Family.SUZUKI, 1),
@@ -259,8 +259,8 @@ BROKEN_CHECKS = [
         "standard_exponent_elements",
         lambda: _repeated_and_cut,
         "closure subgroups no triple generates: 2, first of order 5; "
-        "generated sets not closure subgroups: 1, first StandardExponents(n1=5, n2=1, a=0); "
-        "triples repeating an earlier subgroup: 1, first StandardExponents(n1=1, n2=5, a=1)",
+        "generated sets not closure subgroups: 1, first SigmaCm(n1=5, n2=1, a=0); "
+        "triples repeating an earlier subgroup: 1, first SigmaCm(n1=1, n2=5, a=1)",
     ),
     (
         (Family.SUZUKI, 1),
