@@ -62,6 +62,10 @@ class SigmaCm(NamedTuple):
     a: int
 
     def validate(self, m: int) -> None:
+        """ValueError unless (n1, n2, a) are ints naming a subgroup for m.
+        A float or a bool field would pass every arithmetic check below."""
+        if not (type(self.n1) is int and type(self.n2) is int and type(self.a) is int):
+            raise ValueError(f"descriptor fields must be int, got {self!r}")
         if not (self.n1 >= 1 and m % self.n1 == 0):
             raise ValueError(f"n1={self.n1} does not divide m={m}")
         if not (self.n2 >= 1 and m % self.n2 == 0):

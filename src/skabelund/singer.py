@@ -44,8 +44,8 @@ block, and every class still gets a record naming its own member.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-from itertools import repeat
+from collections.abc import Callable, Iterable, Iterator
+from itertools import chain, repeat
 from math import gcd
 from operator import mod
 from typing import NamedTuple, TypeVar
@@ -219,6 +219,41 @@ def square_blocks(params: CurveParams) -> tuple[SingerBlock, ...]:
     return tuple(_block(params, primes, parts, tables, *b) for b in spec)
 
 
+class ClassRuns:
+    """The texts of a block's rows as runs of one class: runs holds
+    (values, text) pairs in order, the text of every a of values being text.
+    Iterating gives one text per a, like the texts of any other block."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, runs: list[tuple[range, T]]) -> None:
+        self.runs = runs
+
+    def __iter__(self) -> Iterator[T]:
+        return chain.from_iterable(repeat(text, len(values)) for values, text in self.runs)
+
+
+def _class_runs(
+    values: range, residue_ids: dict[int, int], texts: dict[tuple[int, ...], T]
+) -> list[tuple[range, T]]:
+    """A one-column block's rows as (values[start:stop], text of the class)
+    runs of one class each, in order.  The block's modulus is n2, so each a
+    of residue_ids is values[a // step], in class (index,); every other a is
+    in the all-zero class (0,)."""
+    starts = [(0, (0,))]  # (position, key) where each run starts
+    for r, i in sorted(residue_ids.items()):
+        j = r // values.step
+        for at, key in ((j, (i,)), (j + 1, (0,))):
+            if starts and starts[-1][0] == at:
+                starts.pop()  # the run that started here is empty
+            if not (starts and starts[-1][1] == key):  # else the last run goes on
+                starts.append((at, key))
+    if starts[-1][0] == len(values):
+        starts.pop()
+    stops = [at for at, _key in starts[1:]] + [len(values)]
+    return [(values[at:stop], texts[key]) for (at, key), stop in zip(starts, stops)]
+
+
 class SingerSquare(NamedTuple):
     """Every subgroup of the Singer-cycle square of one curve, by class.
 
@@ -237,17 +272,28 @@ class SingerSquare(NamedTuple):
         """Number of subgroups, summed over the class sizes."""
         return sum(c.count for b in self.blocks for c in b.classes.values())
 
-    def walk(self, text_of: Callable[[GenusRecord], T]) -> Iterator[tuple[range, Iterator[T]]]:
+    def walk(self, text_of: Callable[[GenusRecord], T]) -> Iterator[tuple[range, Iterable[T]]]:
         """Per (n1, n2), in enumerate_standard_exponents order: (values, texts),
         where values is the range of valid a and texts yields, for each a in
         order, text_of(record of a's class).
 
         text_of is called once per class, not once per subgroup; a renderer
         returns the fixed text of the class's rows, expand the record itself.
+
+        The form of texts is decided here, per block.  A block with a single
+        residue column and fewer runs of one class than rows (each listed
+        residue opens at most one run of its class and one of the all-zero
+        class, so 2*len(residues)+1 < rows) gives a ClassRuns, found by
+        walking its sorted residue map; a renderer joins each run's rows at
+        once.  Every other block maps each a to its class key, one
+        residue-table column per prime.
         """
         for block, records in zip(self.blocks, self.class_records):
             texts = {key: text_of(r) for key, r in records.items()}
             values = range(0, block.n2, block.step)
+            if len(block.residues) == 1 and 2 * len(block.residues[0]) + 1 < len(values):
+                yield values, ClassRuns(_class_runs(values, block.residues[0], texts))
+                continue
             # the class key of each a, one residue-table column per prime
             columns = [
                 map(res.get, map(mod, values, repeat(pe)), repeat(0))

@@ -11,9 +11,12 @@ Each renderer has one row template, text_of(record) -> (before, after),
 read from the record alone: every row, of any kind, is before +
 str(last parameter of the descriptor) + after.  _runs yields the rows in
 catalog order as runs of (values of the last parameter, texts): one run per
-Singer block, whose texts SingerSquare.walk formats once per class, so its
-rows are joined without a Python frame per row, and one run of one row per
-other record.
+Singer block, whose texts SingerSquare.walk formats once per class, and one
+run of one row per other record.  _lines joins a block's rows in map,
+without a Python frame per row; a sparse block, one residue column with
+fewer runs of one class than rows (the prime-m blocks hold nearly every
+row), comes as ClassRuns, and each of its runs is written by one join of
+its values, without a join per row.
 
 validate_export has two paths with one verdict.  A str whose records array
 is in render_json's own layout, the template records joined by ",\n" inside
@@ -40,8 +43,8 @@ from __future__ import annotations
 
 import json
 import re
-from collections.abc import Callable, Iterator, Sequence
-from itertools import chain
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, repeat, starmap
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -57,7 +60,7 @@ from .catalog import (
 from .curves import CurveParams, Family, make_params
 
 # delta_sigma_cm is not called here; pipebench's tracer test reads this binding
-from .singer import SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
+from .singer import ClassRuns, SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
 
 if TYPE_CHECKING:
     from .suite import OracleCheck
@@ -159,26 +162,43 @@ RowText = Callable[[GenusRecord], tuple[str, str]]
 
 def _runs(
     report: SpectrumReport, text_of: RowText
-) -> Iterator[tuple[Sequence[int], Iterator[tuple[str, str]]]]:
+) -> Iterator[tuple[Sequence[int], Iterable[tuple[str, str]]]]:
     """The rows in catalog order, as runs of (values, texts): the row of the
     i-th value v writes str(v) between the (before, after) of the i-th text.
     text_of(record) gives the text of the rows whose descriptors differ from
     record's in the last parameter alone, which is v.
 
     Each Singer block is one run over the valid a, its texts formatted once
-    per class by SingerSquare.walk; every other record is a run of one row.
+    per class by SingerSquare.walk, which gives a sparse block's texts as
+    ClassRuns; every other record is a run of one row.
     """
     yield from report.singer.walk(text_of)
     for r in report.other_records:
         yield r.descriptor[-1:], (text_of(r),)
 
 
-def _lines(report: SpectrumReport, text_of: RowText) -> Iterator[str]:
-    """before + str(v) + after per row of _runs; str(v).join((before, after))
-    assembles each row in map, so no Python frame runs per row."""
-    return chain.from_iterable(
-        map(str.join, map(str, values), texts) for values, texts in _runs(report, text_of)
-    )
+def _lines(report: SpectrumReport, text_of: RowText, sep: str) -> Iterator[str]:
+    """The rows of _runs as strings whose sep.join is the rows joined by sep.
+
+    A row is before + str(v) + after, which str(v).join((before, after))
+    assembles in map, so no Python frame runs per row.  A ClassRuns gives one
+    string per run of one class: its values joined by after + sep + before,
+    with before put on the first value and after on the last, so the run's
+    rows are written by one join.
+    """
+
+    def rows(values, texts):
+        if type(texts) is not ClassRuns:
+            return map(str.join, map(str, values), texts)
+        strings = []
+        for run, (before, after) in texts.runs:
+            parts = [*map(str, run)]
+            parts[0] = before + parts[0]
+            parts[-1] += after
+            strings.append((after + sep + before).join(parts))
+        return strings
+
+    return chain.from_iterable(starmap(rows, _runs(report, text_of)))
 
 
 def render_csv(report: SpectrumReport) -> str:
@@ -191,7 +211,7 @@ def render_csv(report: SpectrumReport) -> str:
         before = prefix + kind_of(r.descriptor).name + "," + "".join(f"{x}," for x in lead)
         return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}"
 
-    lines = [CSV_HEADER, *_lines(report, text_of), ""]  # "": the final newline
+    lines = [CSV_HEADER, *_lines(report, text_of, "\n"), ""]  # "": the final newline
     return "\n".join(lines)
 
 
@@ -232,11 +252,16 @@ def render_json(report: SpectrumReport) -> str:
         )
         return before + "".join(f"{x},\n    " for x in r.descriptor[:-1]), _JSON_RECORD_TAIL
 
-    records = list(_lines(report, text_of))
-    if not records:
+    if not report.record_count:
         return head + "\n"
     before, _, after = head.partition('"records": []')
-    return "".join((before, '"records": [\n', ",\n".join(records), "\n ]", after, "\n"))
+    # one join for the whole document, the ",\n" after each record a piece
+    # of its own (the last one replaced by the close), so that no joined copy
+    # of the records is made first and kept beside the document
+    pieces = [before + '"records": [\n']
+    pieces += chain.from_iterable(zip(_lines(report, text_of, ",\n"), repeat(",\n")))
+    pieces[-1] = "\n ]" + after + "\n"
+    return "".join(pieces)
 
 
 def render_table(report: SpectrumReport) -> str:
@@ -298,12 +323,15 @@ def validate_export(text: str | bytes) -> None:
 # records follow each other in this layout.  [0-9], not \d, which also
 # matches digits JSON refuses; no leading zero, sign, fraction or exponent.
 # Each record is followed by ",\n" and the next record, or by the "\n ]" that
-# closes the array.
+# closes the array.  The digit, kind and params repeats are possessive (*+,
+# ++; Python 3.11): the character after each cannot continue it, so giving
+# back what one took never finds a match, and the split is that of the
+# greedy pattern without the backtracking through every record's integers.
 _JSON_RECORDS_OPEN = '\n "records": [\n'
 _JSON_RECORD = (
-    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]+",\n   "order": INT),'
-    r"\n   \"params\": \[\n    INT(?:,\n    INT)*\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
-).replace("INT", "(?:0|[1-9][0-9]*)")
+    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]++",\n   "order": INT),'
+    r"\n   \"params\": \[\n    INT(?:,\n    INT)*+\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
+).replace("INT", "(?:0|[1-9][0-9]*+)")
 
 
 def _passes_in_render_layout(text) -> bool:

@@ -24,6 +24,7 @@ from skabelund.oracle import (
     f8_mul,
     realize_census,
 )
+from skabelund.singer import delta_sigma_cm
 
 from references import delta_sigma_cm_direct, materialize_skew_subgroup
 
@@ -96,6 +97,31 @@ def test_congruence_count_examples():
     # a bad triple is reported before a bad d
     with pytest.raises(ValueError, match=r"a=7 out of range"):
         count_congruence_solutions(S1, SigmaCm(1, 5, 7), 4)
+
+
+NON_INT_FIELDS = [
+    SigmaCm(1.0, 5, 1),
+    SigmaCm(1, 5.0, 1),
+    SigmaCm(1, 5, 1.0),
+    SigmaCm(True, 5, 1),
+    SigmaCm(1, 5, True),
+]
+SINGER_ENTRY_POINTS = {
+    "subgroup_order_sigma": lambda se: subgroup_order_sigma(S1.m, se),
+    "standard_exponent_elements": lambda se: standard_exponent_elements(S1.m, se),
+    "delta_sigma_cm": lambda se: delta_sigma_cm(S1, se),
+    "delta_sigma_cm_bruteforce": lambda se: delta_sigma_cm_bruteforce(S1, se),
+    "count_congruence_solutions": lambda se: count_congruence_solutions(S1, se, 0),
+}
+
+
+@pytest.mark.parametrize("se", NON_INT_FIELDS, ids=repr)
+@pytest.mark.parametrize("entry", SINGER_ENTRY_POINTS)
+def test_singer_entry_points_reject_non_int_fields(entry, se):
+    """A float or bool field passes every arithmetic check of the triple
+    (1.0 divides 5, True == 1), so SigmaCm.validate checks the types."""
+    with pytest.raises(ValueError, match="descriptor fields must be int"):
+        SINGER_ENTRY_POINTS[entry](se)
 
 
 def test_congruence_count_includes_origin():

@@ -3,6 +3,7 @@ descriptor kinds matches the catalog."""
 
 import re
 import shlex
+import tomllib
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from skabelund.catalog import KINDS
 from skabelund.cli import main
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def _block(section: str) -> str:
@@ -44,3 +46,11 @@ def test_readme_lists_every_kind_with_its_parameters():
     assert match, "README has no 'Descriptor kinds and their parameters:' line"
     listed = re.findall(r"`([^`]*)`", match.group(1))
     assert listed == [f"{kind.name}:{','.join(kind.cls._fields)}" for kind in KINDS]
+
+
+def test_readme_states_the_python_floor_of_pyproject():
+    """The README's "Requires Python >= X" is pyproject's requires-python."""
+    stated = re.findall(r"^Requires Python (>= ?[0-9.]+)", README, re.M)
+    assert len(stated) == 1, "README states no single Python minimum"
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert stated[0].replace(" ", "") == project["requires-python"]

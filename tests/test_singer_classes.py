@@ -24,6 +24,7 @@ from skabelund.catalog import (
 )
 from skabelund.curves import CurveParams, Family, make_params
 from skabelund.singer import (
+    ClassRuns,
     delta_sigma_cm,
     evaluate_singer_square,
     singer_block,
@@ -330,3 +331,30 @@ def test_walk_formats_each_class_once(family, s):
     # expand() is gated against per-descriptor evaluation above
     assert rows == square.expand()
     assert len(rows) == square.count()
+
+
+@pytest.mark.parametrize("family,s", WITHIN_CAPS)
+def test_sparse_blocks_walk_as_runs_of_one_class(family, s):
+    """Exactly the blocks with one residue column and 2*len(residues)+1 <
+    rows come as ClassRuns; their runs cover the block's a in order, each a
+    under its own class's record, and no two adjacent runs share a class."""
+    square = evaluate_singer_square(make_params(family, s))
+    run_counts = []
+    for block, records, (values, texts) in zip(
+        square.blocks, square.class_records, square.walk(lambda r: r), strict=True
+    ):
+        sparse = len(block.residues) == 1 and 2 * len(block.residues[0]) + 1 < len(values)
+        assert (type(texts) is ClassRuns) is sparse
+        if not sparse:
+            continue
+        assert [a for run, _r in texts.runs for a in run] == list(values)
+        keys = [class_key(block, run[0]) for run, _r in texts.runs]
+        assert all(k != after for k, after in zip(keys, keys[1:]))
+        for run, record in texts.runs:
+            assert all(records[class_key(block, a)] is record for a in run)
+        run_counts.append(len(texts.runs))
+    if (family, s) == (Family.REE, 4):
+        # m = 19441 is prime: one block holds 19,441 rows.  Its 6 listed
+        # residues allow 13 runs; two pairs are adjacent and the last a is
+        # listed, so no all-zero run sits between or after them
+        assert run_counts == [10]

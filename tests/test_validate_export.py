@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from skabelund import Family, compute_spectrum, render_json, validate_export
 from skabelund.catalog import KINDS_BY_NAME
-from skabelund.spectrum import _check_document, _passes_in_render_layout
+from skabelund.spectrum import _JSON_RECORD, _check_document, _passes_in_render_layout
 
 KIND_FILTERS = [None, *KINDS_BY_NAME]
 
@@ -119,10 +119,9 @@ def change_one_digit(data, records, text, rebalance):
     return text
 
 
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_one_mutation_gives_the_json_path_verdict(gate_exports, data):
-    text = data.draw(st.sampled_from(gate_exports))
+def draw_mutation(data, texts):
+    """One of texts with one mutation drawn by data."""
+    text = data.draw(st.sampled_from(texts))
     records = list(RECORD.finditer(text))
     mutations = ["character"]
     if len(records) > 1:
@@ -131,12 +130,16 @@ def test_one_mutation_gives_the_json_path_verdict(gate_exports, data):
         mutations += ["digit", "rebalanced digit"]
     mutation = data.draw(st.sampled_from(mutations))
     if mutation == "character":
-        text = one_character_edit(data, text)
-    elif mutation == "swap":
-        text = swap_adjacent_records(data, records, text)
-    else:
-        text = change_one_digit(data, records, text, rebalance=mutation == "rebalanced digit")
-    assert_same_verdict(text)
+        return one_character_edit(data, text)
+    if mutation == "swap":
+        return swap_adjacent_records(data, records, text)
+    return change_one_digit(data, records, text, rebalance=mutation == "rebalanced digit")
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_one_mutation_gives_the_json_path_verdict(gate_exports, data):
+    assert_same_verdict(draw_mutation(data, gate_exports))
 
 
 # --- named damage in render_json's layout ------------------------------------
@@ -179,3 +182,37 @@ def test_named_damage_takes_the_json_path(name):
     assert not _passes_in_render_layout(text)
     assert (outcome(json_path, text) is None) is (name in ACCEPTED)
     assert_same_verdict(text)
+
+
+# --- the possessive layout pattern splits as the backtracking one did --------
+
+# _JSON_RECORD as written before its quantifiers were made possessive
+BACKTRACKING_RECORD = (
+    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]+",\n   "order": INT),'
+    r"\n   \"params\": \[\n    INT(?:,\n    INT)*\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
+).replace("INT", "(?:0|[1-9][0-9]*)")
+
+
+def assert_same_split(text):
+    assert re.split(_JSON_RECORD, text) == re.split(BACKTRACKING_RECORD, text)
+
+
+@pytest.mark.parametrize(
+    "family,s",
+    [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 5)],
+    ids=lambda x: getattr(x, "value", x),
+)
+def test_possessive_pattern_splits_every_export_alike(family, s):
+    for kind in KIND_FILTERS:
+        assert_same_split(render_json(compute_spectrum(family, s, kind)))
+
+
+@pytest.mark.parametrize("name", [n for n in NAMED_DAMAGE if n != "bytes"])
+def test_possessive_pattern_splits_named_damage_alike(name):
+    assert_same_split(NAMED_DAMAGE[name](suzuki1_export()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_possessive_pattern_splits_one_mutation_alike(gate_exports, data):
+    assert_same_split(draw_mutation(data, gate_exports))
