@@ -23,7 +23,7 @@ import sys
 
 from .catalog import KINDS_BY_NAME, check_kind_family, kind_of
 from .curves import Family, make_params
-from .settings import SettingError, env_int
+from .settings import SettingError, max_s
 from .spectrum import (
     compute_spectrum,
     evaluate_descriptor,
@@ -31,11 +31,8 @@ from .spectrum import (
     render_json,
     render_table,
     run_oracle_suite,
-    validate_export,
     verify_tables,
 )
-
-DEFAULT_MAX_S = {Family.SUZUKI: 6, Family.REE: 5}
 
 
 def _family(name: str) -> Family:
@@ -48,7 +45,7 @@ def _family(name: str) -> Family:
 def _check_s_cap(family: Family, s: int, allow_large: bool) -> None:
     if s < 1:
         raise SystemExit(f"--s must be at least 1, got {s}")
-    cap = env_int("SKABELUND_MAX_S", DEFAULT_MAX_S[family], minimum=1)
+    cap = max_s(family)
     if s > cap and not allow_large:
         raise SystemExit(
             f"s={s} exceeds the default cap {cap} for {family.value}; "
@@ -85,7 +82,6 @@ def _cmd_spectrum(args) -> int:
         text = render_csv(report)
     elif args.format == "json":
         text = render_json(report)
-        validate_export(text)  # round-trip check before anything is written
     else:
         text = render_table(report)
     if args.out:

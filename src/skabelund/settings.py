@@ -1,14 +1,18 @@
 """Integer settings read from the environment, and the oracle caps they set.
 
-The CLI reads SKABELUND_MAX_S through env_int; the oracle reads its two
-brute-force caps through max_elements_cap and max_closure_m.  A value that
-is not an integer, or is below its minimum, raises SettingError.
+The CLI and validate_export read the curve-size cap SKABELUND_MAX_S through
+max_s; the oracle reads its two brute-force caps through max_elements_cap
+and max_closure_m.  A value that is not an integer, or is below its minimum,
+raises SettingError.
 """
 
 from __future__ import annotations
 
 import os
 
+from .curves import Family
+
+DEFAULT_MAX_S = {Family.SUZUKI: 6, Family.REE: 5}
 DEFAULT_MAX_ELEMENTS = 400_000
 DEFAULT_MAX_CLOSURE_M = 60
 
@@ -29,6 +33,11 @@ def env_int(name: str, default: int, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise SettingError(f"{name} must be at least {minimum}, got {value}")
     return value
+
+
+def max_s(family: Family) -> int:
+    """Largest s run without --allow-large-s (env SKABELUND_MAX_S)."""
+    return env_int("SKABELUND_MAX_S", DEFAULT_MAX_S[family], minimum=1)
 
 
 def max_elements_cap(override: int | None = None) -> int:

@@ -18,14 +18,8 @@ fewer runs of one class than rows (the prime-m blocks hold nearly every
 row), comes as ClassRuns, and each of its runs is written by one join of
 its values, without a join per row.
 
-validate_export has two paths with one verdict.  A str whose records array
-is in render_json's own layout, the template records joined by ",\n" inside
-a head that parses to one object with no repeated key, is checked by one
-regular-expression split: the head and the distinct (delta, genus, kind,
-order) texts are parsed, not the records.  Any other text, and any text
-that fails a check there, goes to json.loads and _check_document, the only
-code that raises, so the accepted texts and the error messages are those
-of that path alone.
+validate_export rebuilds the export a text's head names and compares the
+two: render_json is the definition of a valid export.
 
 Output is deterministic: records follow the catalog enumeration order, the
 genus spectrum is sorted and deduplicated, and both export formats (CSV and
@@ -42,9 +36,8 @@ brute-force oracle (oracle.py, _kernels.py, iota.py).
 from __future__ import annotations
 
 import json
-import re
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from itertools import chain, repeat, starmap
+from itertools import chain, repeat, starmap, zip_longest
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -58,6 +51,7 @@ from .catalog import (
     kind_of,
 )
 from .curves import CurveParams, Family, make_params
+from .settings import max_s
 
 # delta_sigma_cm is not called here; pipebench's tracer test reads this binding
 from .singer import ClassRuns, SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
@@ -296,79 +290,73 @@ def _exact_record(entry) -> bool:
 
 
 def validate_export(text: str | bytes) -> None:
-    """Check a JSON export and every record's Riemann-Hurwitz identity.
+    """Check that text is the JSON export this version writes for the curve
+    and kind filter its head names, or raise ValueError.
 
-    Every value the identity reads must be an exact int (a float or bool
-    would compare equal to one) within make_record's bounds (order >= 1,
-    genus >= 0, delta >= 0), and the genera must be the records' spectrum.
-    Any malformed document raises ValueError.
+    family, s and families_covered name the export (no kind: the export with
+    no records; one: that kind's; more: the whole catalog's), and an s past
+    max_s(family) raises before the curve is built.  Text equal to that
+    export passes.  Any other text must pass _check_document, whose messages
+    name the first record with a non-int order, genus or delta or a failing
+    Riemann-Hurwitz identity, and then dump as the export does with
+    json.dumps(doc, sort_keys=True, indent=1), so a float or bool fails; the
+    message names the first record that differs.
 
-    Two paths give the same verdict.  A str whose records array is in
-    render_json's own layout (_passes_in_render_layout) is checked without
-    building a dict per record.  Every other text, and any text that path
-    does not pass, is parsed by json.loads and checked by _check_document,
-    which alone raises; its message names the first record that fails.
+    This certifies "this is the export this version writes".  Whether its
+    genera are right is the job of the oracle and verify_tables.
     """
-    if _passes_in_render_layout(text):
-        return
+    if type(text) is str:
+        # the head, with the records array emptied; nothing read from it is
+        # trusted, since only the text of the export it names passes here
+        start, end = text.find('"records": ['), text.rfind("]")
+        try:
+            head = json.loads(text[:start] + '"records": []' + text[end + 1 :])
+            if type(head) is dict and text == _export_named_by(head):
+                return
+        except (ValueError, RecursionError):
+            pass
     try:
         doc = json.loads(text)
     except RecursionError:
         raise ValueError("export is nested too deeply to parse") from None
     _check_document(doc)
+    want = _export_named_by(doc)
+    if json.dumps(doc, sort_keys=True, indent=1) + "\n" != want:
+        raise ValueError(_first_difference(doc, json.loads(want)))
 
 
-# render_json's records, one record per match.  The group is the text of a
-# record's delta, genus, kind and order, so split alternates "" with it where
-# records follow each other in this layout.  [0-9], not \d, which also
-# matches digits JSON refuses; no leading zero, sign, fraction or exponent.
-# Each record is followed by ",\n" and the next record, or by the "\n ]" that
-# closes the array.  The digit, kind and params repeats are possessive (*+,
-# ++; Python 3.11): the character after each cannot continue it, so giving
-# back what one took never finds a match, and the split is that of the
-# greedy pattern without the backtracking through every record's integers.
-_JSON_RECORDS_OPEN = '\n "records": [\n'
-_JSON_RECORD = (
-    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]++",\n   "order": INT),'
-    r"\n   \"params\": \[\n    INT(?:,\n    INT)*+\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
-).replace("INT", "(?:0|[1-9][0-9]*+)")
+_FAMILIES = {family.value: family for family in Family}
 
 
-def _passes_in_render_layout(text) -> bool:
-    """True if text is a str in render_json's layout that passes every check
-    of _check_document; False sends it to the json path.
+def _export_named_by(head: dict) -> str:
+    """render_json of the report head's family, s and families_covered name;
+    ValueError if they name no curve within max_s."""
+    name, s, covered = head.get("family"), head.get("s"), head.get("families_covered")
+    family = _FAMILIES.get(name) if type(name) is str else None
+    if family is None:
+        raise ValueError(f"unknown family {name!r}")
+    if type(s) is not int or s < 1:
+        raise ValueError(f"s {s!r} is not a positive integer")
+    cap = max_s(family)
+    if s > cap:
+        raise ValueError(f"s={s} exceeds the cap {cap} for {family.value} (SKABELUND_MAX_S)")
+    if covered == []:
+        return render_json(SpectrumReport(make_params(family, s), (), (), COMPLETENESS_NOTE))
+    one = type(covered) is list and len(covered) == 1 and type(covered[0]) is str
+    return render_json(compute_spectrum(family, s, covered[0] if one else None))
 
-    After _JSON_RECORDS_OPEN the text must hold _JSON_RECORD matches alone up
-    to the array's close, so it is JSON if its head, the text with the array
-    emptied, is.  The head must parse to a single object with no key twice,
-    so that array is the document's "records".  _check_document then sees
-    the head with one record per distinct (delta, genus, kind, order) text,
-    and passes it exactly when it passes the whole document, since each check
-    reads only the distinct values.
-    """
-    if type(text) is not str:
-        return False
-    # re compiles the pattern on the first call and keeps it
-    parts = re.split(_JSON_RECORD, text)
-    # the text before the first record, then per record its group and the
-    # text after it: "" for every record but the last
-    if not (parts[0].endswith(_JSON_RECORDS_OPEN) and parts.count("") == len(parts) // 2 - 1):
-        return False
-    objects = []
 
-    def keep(pairs):
-        objects.append(pairs)
-        return dict(pairs)
+def _first_difference(doc: dict, want: dict) -> str:
+    """Where doc first differs from want: its first record, else a head key."""
 
-    try:
-        doc = json.loads(parts[0] + parts[-1], object_pairs_hook=keep)
-        if type(doc) is not dict or objects != [list(doc.items())]:
-            return False
-        doc["records"] = [json.loads(f"{{{t}}}") for t in set(parts[1:-1:2])]
-        _check_document(doc)
-    except (ValueError, RecursionError):
-        return False
-    return True
+    def same(a, b):
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    for i, (got, wanted) in enumerate(zip_longest(doc["records"], want["records"])):
+        if not same(got, wanted):
+            return f"record {i} is {got}, where this version writes {wanted}"
+    key = next(k for k in sorted(doc.keys() | want.keys()) if not same(doc.get(k), want.get(k)))
+    return f"{key} is {doc.get(key)!r}, where this version writes {want.get(key)!r}"
 
 
 def _check_document(doc) -> None:

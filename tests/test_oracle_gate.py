@@ -48,7 +48,6 @@ from hypothesis import strategies as st
 from skabelund import _kernels, oracle
 from skabelund.arith import divisors, is_prime
 from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
-from skabelund.cli import DEFAULT_MAX_S
 from skabelund.curves import CurveParams, Family, make_params, seven_divides_m
 from skabelund.iota import (
     OrderClassRee,
@@ -71,7 +70,7 @@ from skabelund.oracle import (
     f8_mul,
     max_elements_cap,
 )
-from skabelund.settings import DEFAULT_MAX_CLOSURE_M
+from skabelund.settings import DEFAULT_MAX_CLOSURE_M, DEFAULT_MAX_S
 from skabelund.suite import run_oracle_suite, sample_standard_exponents
 
 from references import bit_positions, materialize_skew_subgroup

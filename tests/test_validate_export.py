@@ -1,82 +1,300 @@
-"""validate_export's two paths give one verdict.
+"""validate_export accepts the export this version writes and nothing else.
 
-A str export in render_json's own layout is checked by
-_passes_in_render_layout without a dict per record; every other text goes to
-json.loads and _check_document, the reference here.  On any text, damaged or
-not, validate_export must accept exactly when the reference does, or raise
-the same ValueError message.
+It rebuilds the export a text's head names and compares: a text equal to
+render_json's passes, and any other text passes only if json.loads gives a
+document that passes _check_document and dumps, with sort_keys and indent=1,
+to that export.  Every damage to the rows, even one that keeps every record
+balanced and the genus list right, must raise ValueError, in render_json's
+layout and in compact JSON alike.
 """
 
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skabelund import Family, compute_spectrum, render_json, validate_export
+from skabelund import Family, compute_spectrum, render_json, spectrum, validate_export
 from skabelund.catalog import KINDS_BY_NAME
-from skabelund.spectrum import _JSON_RECORD, _check_document, _passes_in_render_layout
+from skabelund.spectrum import _check_document
 
 KIND_FILTERS = [None, *KINDS_BY_NAME]
+GATE_CURVES = [(Family.SUZUKI, s) for s in (1, 2, 3)] + [(Family.REE, s) for s in (1, 2)]
 
 
-def outcome(check, text):
-    """None if check accepts text, else the message of its ValueError."""
+def render_layout(doc):
+    """doc as render_json writes it."""
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+LAYOUTS = pytest.mark.parametrize(
+    "dump", [render_layout, json.dumps], ids=["render_json", "compact"]
+)
+
+
+def outcome(text):
+    """None if validate_export accepts text, else its one-line message."""
     try:
-        check(text)
+        validate_export(text)
     except ValueError as exc:
+        assert "\n" not in str(exc)
         return str(exc)
     return None
 
 
-def json_path(text):
-    _check_document(json.loads(text))
-
-
-def assert_same_verdict(text):
-    assert outcome(validate_export, text) == outcome(json_path, text)
-
-
-# --- every export takes the fast path ----------------------------------------
-
-
-@pytest.mark.parametrize(
-    "family,s",
-    [(Family.SUZUKI, s) for s in range(1, 5)] + [(Family.REE, s) for s in range(1, 4)],
-    ids=lambda x: getattr(x, "value", x),
-)
-def test_every_render_json_export_takes_the_fast_path(family, s):
-    """A change to render_json's template that the layout pattern does not
-    follow fails here, instead of sending every export to the json path."""
-    for kind in KIND_FILTERS:
-        report = compute_spectrum(family, s, kind)
-        text = render_json(report)
-        # an empty records array is written "[]" and takes the json path
-        assert _passes_in_render_layout(text) is (report.record_count > 0), kind
-        assert validate_export(text) is None
-
-
-# --- equivalence gate: one mutation of an export -----------------------------
+def export(family, s, kind=None):
+    return render_json(compute_spectrum(family, s, kind))
 
 
 @pytest.fixture(scope="module")
-def gate_exports():
+def gate_docs():
+    """Every export of the gate curves, each kind filter included, parsed."""
     return [
-        render_json(compute_spectrum(family, s, kind))
-        for family, s_max in ((Family.SUZUKI, 3), (Family.REE, 2))
-        for s in range(1, s_max + 1)
-        for kind in KIND_FILTERS
+        json.loads(export(family, s, kind)) for family, s in GATE_CURVES for kind in KIND_FILTERS
     ]
 
 
+def rebalanced(doc):
+    """doc with each record's delta set so that Riemann-Hurwitz holds and the
+    genus list set to the records' spectrum: what _check_document checks."""
+    for record in doc["records"]:
+        record["delta"] = doc["ambient_degree"] - record["order"] * (2 * record["genus"] - 2)
+    doc["genera"] = sorted({record["genus"] for record in doc["records"]})
+    return doc
+
+
+def assert_rows_damage_is_caught(doc, dump):
+    """doc passes every check of the parsed document (_check_document), yet
+    validate_export names the first record that is not the export's."""
+    _check_document(doc)
+    message = outcome(dump(doc))
+    assert message is not None and message.startswith("record "), message
+
+
+# --- the exports this version writes pass --------------------------------------
+
+
+@pytest.mark.parametrize("family,s", GATE_CURVES, ids=lambda x: getattr(x, "value", x))
+def test_every_export_passes_in_both_layouts(family, s):
+    for kind in KIND_FILTERS:
+        text = export(family, s, kind)
+        assert outcome(text) is None, kind
+        assert outcome(json.dumps(json.loads(text))) is None, kind
+        assert outcome(text.encode()) is None, kind
+
+
+SUZUKI1 = export(Family.SUZUKI, 1)
+
+SAME_DOCUMENT = {
+    "minus-zero": lambda t: t.replace('"delta": 0,', '"delta": -0,', 1),
+    "whitespace": lambda t: t.replace(",\n", " ,\r\n\t "),
+    "no-whitespace": lambda t: json.dumps(json.loads(t), separators=(",", ":")),
+    "keys-reversed": lambda t: json.dumps(dict(reversed(json.loads(t).items()))),
+    "records-key-twice": lambda t: t.replace("{\n", '{\n "records": [],\n', 1),
+    "bytes": str.encode,
+}
+
+
+@pytest.mark.parametrize("name", SAME_DOCUMENT)
+def test_the_same_document_written_otherwise_passes(name):
+    text = SAME_DOCUMENT[name](SUZUKI1)
+    assert text != SUZUKI1
+    assert outcome(text) is None
+
+
+def test_an_export_without_records_passes_and_one_record_more_fails():
+    report = compute_spectrum(Family.REE, 1, "n2-skew-full")  # 7 does not divide m = 19
+    assert report.record_count == 0
+    text = render_json(report)
+    assert outcome(text) is None
+    doc = json.loads(text)
+    doc["records"].append(json.loads(SUZUKI1)["records"][0])
+    for dump in (render_layout, json.dumps):
+        assert outcome(dump(rebalanced(doc))).startswith("record 0 ")
+
+
+# --- damage to the rows raises ---------------------------------------------------
+
+
+def suzuki2_doc():
+    return json.loads(export(Family.SUZUKI, 2))
+
+
+def drop_one_repeat_another(doc):
+    records = doc["records"]
+    records[3] = dict(records[5])
+    return doc
+
+
+def swap_two(doc):
+    records = doc["records"]
+    records[3], records[5] = records[5], records[3]
+    return doc
+
+
+def params_999(doc):
+    records = doc["records"]
+    i = next(i for i, r in enumerate(records) if r["kind"] == "sigma-cm")
+    records[i]["params"] = [999, 999, 999]
+    return doc
+
+
+@LAYOUTS
+@pytest.mark.parametrize("damage", [drop_one_repeat_another, swap_two, params_999])
+def test_rows_that_are_not_the_catalog_are_caught(damage, dump):
+    """Each damage keeps the record count, every Riemann-Hurwitz identity and
+    the genus list, so checks of the parsed document alone accept all three."""
+    doc = damage(suzuki2_doc())
+    assert len(doc["records"]) == len(suzuki2_doc()["records"])
+    assert doc["genera"] == suzuki2_doc()["genera"]
+    assert_rows_damage_is_caught(doc, dump)
+
+
+FIRST_PARAM = '"params": [\n    1,'
+
+
+def closing_with(text, member):
+    """text with one more top-level member before the final brace."""
+    assert text.endswith("\n}\n")
+    return text[: -len("\n}\n")] + ",\n " + member + "\n}\n"
+
+
+# damage that _check_document or json.loads already caught keeps its verdict
+NAMED_DAMAGE = {
+    "leading-zero": lambda t: t.replace('"genus": 2,', '"genus": 07,', 1),
+    "leading-zero-in-params": lambda t: t.replace(FIRST_PARAM, FIRST_PARAM[:-2] + "01,", 1),
+    "non-ascii-digit": lambda t: t.replace(FIRST_PARAM, FIRST_PARAM[:-1] + "\u0661,", 1),
+    "exponent": lambda t: t.replace('"delta": 340,', '"delta": 34e1,', 1),
+    "escaped-duplicate-records": lambda t: closing_with(t, '"rec\\u006frds": []'),
+    "records-in-a-nested-object": lambda t: t.replace(
+        '\n "records": [\n', '\n "records": [],\n "x": {\n "records": [\n', 1
+    ).replace('\n ],\n "s"', '\n ]},\n "s"', 1),
+    "records-not-comma-separated": lambda t: t.replace("},\n  {", "}  {", 1),
+    "trailing-comma": lambda t: t.replace('}\n ],\n "s"', '},\n\n ],\n "s"', 1),
+    "trailing-text": lambda t: t + "{}",
+}
+
+
+@pytest.mark.parametrize("name", NAMED_DAMAGE)
+def test_named_damage_is_caught(name):
+    text = NAMED_DAMAGE[name](SUZUKI1)
+    assert text != SUZUKI1
+    assert outcome(text) is not None
+
+
+# --- the head names a curve within the caps --------------------------------------
+
+
+def suzuki1_with(**head):
+    return dict(json.loads(SUZUKI1), **head)
+
+
+HEAD_DAMAGE = {
+    "unknown-family": ({"family": "hermitian"}, "unknown family 'hermitian'"),
+    "no-family": ({"family": None}, "unknown family None"),
+    "s-float": ({"s": 1.0}, "s 1.0 is not a positive integer"),
+    "s-string": ({"s": "1"}, "s '1' is not a positive integer"),
+    "s-bool": ({"s": True}, "s True is not a positive integer"),
+    "s-0": ({"s": 0}, "s 0 is not a positive integer"),
+    "q": ({"q": 9}, "q is 9, where this version writes 8"),
+    "m": ({"m": 7}, "m is 7, where this version writes 5"),
+    "another-kind": ({"families_covered": ["b0-cyclic"]}, "record 0 is "),
+    "note": ({"completeness_note": ""}, "completeness_note is '', where this version writes "),
+}
+
+
+@LAYOUTS
+@pytest.mark.parametrize("name", HEAD_DAMAGE)
+def test_a_head_this_version_does_not_write_is_caught(name, dump):
+    head, message = HEAD_DAMAGE[name]
+    assert outcome(dump(suzuki1_with(**head))).startswith(message)
+
+
+@LAYOUTS
+def test_an_ambient_degree_make_params_does_not_give_is_caught(dump):
+    ambient = suzuki1_with()["ambient_degree"]
+    assert outcome(dump(suzuki1_with(ambient_degree=ambient + 1))).startswith(
+        "Riemann-Hurwitz identity fails for "
+    )
+    empty = json.loads(export(Family.REE, 1, "n2-skew-full"))
+    empty["ambient_degree"] += 1
+    assert outcome(dump(empty)).startswith("ambient_degree is ")
+
+
+@LAYOUTS
+def test_an_s_past_the_cap_is_refused_before_the_curve_is_built(dump, monkeypatch):
+    monkeypatch.delenv("SKABELUND_MAX_S", raising=False)
+
+    def refuse(*args):
+        raise AssertionError("make_params called")
+
+    monkeypatch.setattr(spectrum, "make_params", refuse)
+    monkeypatch.setattr(spectrum, "compute_spectrum", refuse)
+    text = dump(suzuki1_with(s=1_000_000))
+    start = time.perf_counter()
+    message = outcome(text)
+    assert time.perf_counter() - start < 0.5
+    assert message == "s=1000000 exceeds the cap 6 for suzuki (SKABELUND_MAX_S)"
+
+
+def test_the_cap_follows_the_setting(monkeypatch):
+    text = export(Family.REE, 2)
+    monkeypatch.setenv("SKABELUND_MAX_S", "1")
+    assert outcome(text) == "s=2 exceeds the cap 1 for ree (SKABELUND_MAX_S)"
+    monkeypatch.setenv("SKABELUND_MAX_S", "2")
+    assert outcome(text) is None
+
+
+# --- the mutation gate -----------------------------------------------------------
+
+
+def mutate(data, doc):
+    """doc, which has records, with one mutation of its rows drawn by data,
+    rebalanced."""
+    records = doc["records"]
+    n = len(records)
+    mutations = ["params", "order", "genus", "repeat", "drop"] + (["swap"] if n > 1 else [])
+    mutation = data.draw(st.sampled_from(mutations))
+    i = data.draw(st.integers(0, n - 1))
+    if mutation == "drop":
+        del records[i]
+    elif mutation == "repeat":
+        records.insert(data.draw(st.integers(0, n)), dict(records[i]))
+    elif mutation == "swap":
+        j = data.draw(st.integers(0, n - 1).filter(lambda j: j != i))
+        records[i], records[j] = records[j], records[i]
+    elif mutation == "params":
+        params = records[i]["params"]
+        k = data.draw(st.integers(0, len(params) - 1))
+        params[k] = data.draw(st.integers(0, 2 * doc["m"]).filter(lambda v: v != params[k]))
+    else:
+        # an order or genus another record of the curve has, or a small one
+        values = {r[mutation] for r in records} | {1, 2, 3}
+        records[i][mutation] = data.draw(st.sampled_from(sorted(values - {records[i][mutation]})))
+    return rebalanced(doc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_every_single_mutation_is_caught(gate_docs, data):
+    """Exports without records are the subject of
+    test_an_export_without_records_passes_and_one_record_more_fails."""
+    doc = data.draw(st.sampled_from([doc for doc in gate_docs if doc["records"]]))
+    doc = mutate(data, json.loads(json.dumps(doc)))
+    dump = data.draw(st.sampled_from([render_layout, json.dumps]))
+    try:
+        _check_document(doc)
+    except ValueError:
+        assert outcome(dump(doc)) is not None  # a delta or genus out of range
+    else:
+        assert_rows_damage_is_caught(doc, dump)
+
+
 # where render_json's layout joins its parts: a one-character change there
-# is the likeliest to slip past a layout check
+# is the likeliest to slip past a check of the text
 LANDMARKS = re.compile(r'^|\n "records": \[|,\n  \{|\n   \]\n  \}|\n \]|\n\}\n\Z')
-RECORD = re.compile(
-    r'  \{\n   "delta": ([0-9]+),\n   "genus": ([0-9]+),\n   "kind": "[^"]*",'
-    r'\n   "order": ([0-9]+),\n   "params": \[[^\]]*\]\n  \}'
-)
 CHARACTERS = st.one_of(st.sampled_from('0123456789-+.eE ,:\n{}[]"\\u\u0663'), st.characters())
 
 
@@ -96,123 +314,13 @@ def one_character_edit(data, text):
     return text[:offset] + char + text[offset + (edit == "replace") :]
 
 
-def swap_adjacent_records(data, records, text):
-    i = data.draw(st.integers(0, len(records) - 2))
-    a, b = records[i], records[i + 1]
-    return text[: a.start()] + b[0] + text[a.end() : b.start()] + a[0] + text[b.end() :]
-
-
-def change_one_digit(data, records, text, rebalance):
-    """Change one digit of a record's delta, genus or order; with rebalance,
-    rewrite its delta so that Riemann-Hurwitz holds again."""
-    record = data.draw(st.sampled_from(records))
-    group = data.draw(st.sampled_from([1, 2, 3]))  # delta, genus, order
-    at = data.draw(st.integers(record.start(group), record.end(group) - 1))
-    digit = data.draw(st.sampled_from("0123456789"))
-    edits = {group: text[record.start(group) : at] + digit + text[at + 1 : record.end(group)]}
-    if rebalance and group != 1:
-        ambient = json.loads(text)["ambient_degree"]
-        genus, order = (int(edits.get(g, record[g])) for g in (2, 3))
-        edits[1] = str(ambient - order * (2 * genus - 2))
-    for g in sorted(edits, key=record.start, reverse=True):
-        text = text[: record.start(g)] + edits[g] + text[record.end(g) :]
-    return text
-
-
-def draw_mutation(data, texts):
-    """One of texts with one mutation drawn by data."""
-    text = data.draw(st.sampled_from(texts))
-    records = list(RECORD.finditer(text))
-    mutations = ["character"]
-    if len(records) > 1:
-        mutations.append("swap")
-    if records:
-        mutations += ["digit", "rebalanced digit"]
-    mutation = data.draw(st.sampled_from(mutations))
-    if mutation == "character":
-        return one_character_edit(data, text)
-    if mutation == "swap":
-        return swap_adjacent_records(data, records, text)
-    return change_one_digit(data, records, text, rebalance=mutation == "rebalanced digit")
-
-
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_one_mutation_gives_the_json_path_verdict(gate_exports, data):
-    assert_same_verdict(draw_mutation(data, gate_exports))
-
-
-# --- named damage in render_json's layout ------------------------------------
-
-
-def suzuki1_export():
-    return render_json(compute_spectrum(Family.SUZUKI, 1))
-
-
-def closing_with(text, member):
-    """text with one more top-level member before the final brace."""
-    assert text.endswith("\n}\n")
-    return text[: -len("\n}\n")] + ",\n " + member + "\n}\n"
-
-
-FIRST_PARAM = '"params": [\n    1,'
-NAMED_DAMAGE = {
-    "leading-zero": lambda t: t.replace('"genus": 2,', '"genus": 07,', 1),
-    "leading-zero-in-params": lambda t: t.replace(FIRST_PARAM, FIRST_PARAM[:-2] + "01,", 1),
-    "non-ascii-digit": lambda t: t.replace(FIRST_PARAM, FIRST_PARAM[:-1] + "\u0661,", 1),
-    "exponent": lambda t: t.replace('"delta": 340,', '"delta": 34e1,', 1),
-    "minus-zero": lambda t: t.replace('"delta": 0,', '"delta": -0,', 1),
-    "escaped-duplicate-records": lambda t: closing_with(t, '"rec\\u006frds": []'),
-    "records-key-twice": lambda t: t.replace("{\n", '{\n "records": [],\n', 1),
-    "records-in-a-nested-object": lambda t: t.replace(
-        '\n "records": [\n', '\n "records": [],\n "x": {\n "records": [\n', 1
-    ).replace('\n ],\n "s"', '\n ]},\n "s"', 1),
-    "records-not-comma-separated": lambda t: t.replace("},\n  {", "}  {", 1),
-    "trailing-comma": lambda t: t.replace("}\n ],\n \"s\"", '},\n\n ],\n "s"', 1),
-    "trailing-text": lambda t: t + "{}",
-    "bytes": str.encode,
-}
-ACCEPTED = {"minus-zero", "records-key-twice", "bytes"}  # by json.loads and the checks
-
-
-@pytest.mark.parametrize("name", NAMED_DAMAGE)
-def test_named_damage_takes_the_json_path(name):
-    text = NAMED_DAMAGE[name](suzuki1_export())
-    assert text != suzuki1_export()
-    assert not _passes_in_render_layout(text)
-    assert (outcome(json_path, text) is None) is (name in ACCEPTED)
-    assert_same_verdict(text)
-
-
-# --- the possessive layout pattern splits as the backtracking one did --------
-
-# _JSON_RECORD as written before its quantifiers were made possessive
-BACKTRACKING_RECORD = (
-    r'  \{\n   ("delta": INT,\n   "genus": INT,\n   "kind": "[a-z0-9-]+",\n   "order": INT),'
-    r"\n   \"params\": \[\n    INT(?:,\n    INT)*\n   \]\n  \}(?:,\n(?=  \{)|(?=\n \]))"
-).replace("INT", "(?:0|[1-9][0-9]*)")
-
-
-def assert_same_split(text):
-    assert re.split(_JSON_RECORD, text) == re.split(BACKTRACKING_RECORD, text)
-
-
-@pytest.mark.parametrize(
-    "family,s",
-    [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 5)],
-    ids=lambda x: getattr(x, "value", x),
-)
-def test_possessive_pattern_splits_every_export_alike(family, s):
-    for kind in KIND_FILTERS:
-        assert_same_split(render_json(compute_spectrum(family, s, kind)))
-
-
-@pytest.mark.parametrize("name", [n for n in NAMED_DAMAGE if n != "bytes"])
-def test_possessive_pattern_splits_named_damage_alike(name):
-    assert_same_split(NAMED_DAMAGE[name](suzuki1_export()))
-
-
-@settings(max_examples=400, deadline=None)
-@given(data=st.data())
-def test_possessive_pattern_splits_one_mutation_alike(gate_exports, data):
-    assert_same_split(draw_mutation(data, gate_exports))
+def test_one_character_edit_passes_only_if_the_document_is_unchanged(gate_docs, data):
+    text = render_layout(data.draw(st.sampled_from(gate_docs)))
+    edited = one_character_edit(data, text)
+    try:
+        unchanged = render_layout(json.loads(edited)) == text
+    except ValueError:
+        unchanged = False
+    assert (outcome(edited) is None) is unchanged
