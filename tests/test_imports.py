@@ -1,8 +1,10 @@
 """Every name a module imports is used: read in the module, listed in its
 __all__, or marked `# noqa: F401` on its own line; and no statement list
-imports one name twice, since the second binding hides the first.  No linter
-runs on the sources, so this catches the imports a refactor leaves behind,
-in the package, its tests and pipebench."""
+imports one name twice, since the second binding hides the first.  Every
+private name (_x) a package module defines at module level is read by some
+package module.  No linter runs on the sources, so this catches the imports
+and helpers a refactor leaves behind, in the package, its tests and
+pipebench."""
 
 import ast
 from pathlib import Path
@@ -73,3 +75,58 @@ def test_the_check_sees_unused_names():
 )
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    """The private names (_x, not __x__) a module defines at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
+
+
+def _reads(tree: ast.Module) -> set[str]:
+    """The names a module reads: as a name, an attribute or an import."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            reads.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            reads.update(alias.name for alias in node.names)
+    return reads
+
+
+def dead_private_names(sources: dict[str, str]) -> list[str]:
+    """module:name for each module-level private name of sources (module name
+    to source text) that no module of sources reads."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set().union(*map(_reads, trees.values()))
+    return [
+        f"{module}:{name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in read
+    ]
+
+
+def test_the_check_sees_dead_private_names():
+    assert dead_private_names({"a": "_x = 1\n_y: int = 2\nprint(_y)\n"}) == ["a:_x"]
+    assert dead_private_names({"a": "def _f():\n    pass\n", "b": "from a import _f\n"}) == []
+    assert dead_private_names({"a": "class _C:\n    pass\n", "b": "import a\na._C()\n"}) == []
+    # a definition is no read, public and dunder names are not checked
+    assert dead_private_names({"a": "def _f():\n    _g = 1\n\nclass _C: ...\n"}) == [
+        "a:_f",
+        "a:_C",
+    ]
+    assert dead_private_names({"a": "__all__ = []\nx = 1\n"}) == []
+
+
+def test_every_private_name_of_the_package_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert dead_private_names(sources) == []

@@ -22,7 +22,6 @@ from skabelund.spectrum import (
     CSV_HEADER,
     SCHEMA_VERSION,
     ReferenceTable,
-    _check_document,
     compute_spectrum,
     evaluate_descriptor,
     render_csv,
@@ -604,85 +603,94 @@ def test_one_corrupted_member_of_a_class_is_caught(suzuki4_doc, where, dump):
 
     broken = json.loads(json.dumps(suzuki4_doc))
     broken["records"][i]["genus"] += 1
-    message = one_line_value_error(dump(broken))
-    assert message == f"Riemann-Hurwitz identity fails for {broken['records'][i]}"
+    wanted = suzuki4_doc["records"][i]
+    assert one_line_value_error(dump(broken)) == (
+        f"record {i} is {broken['records'][i]}, where this version writes {wanted}"
+    )
 
     # a float equal to the genus passes the identity and hides in the set
     broken = json.loads(json.dumps(suzuki4_doc))
     broken["records"][i]["genus"] = float(broken["records"][i]["genus"])
-    assert f"record {i} " in one_line_value_error(dump(broken))
+    assert one_line_value_error(dump(broken)) == (
+        f"record {i} is {broken['records'][i]}, where this version writes {wanted}"
+    )
 
 
-TINY = {
-    "schema_version": SCHEMA_VERSION,
-    "ambient_degree": 10,
-    "genera": [1],
-    "records": [{"kind": "x", "order": 1, "genus": 1, "delta": 10, "params": [1]}] * 3,
-}
+SUZUKI1 = json.loads(render_json(compute_spectrum(Family.SUZUKI, 1)))
+# records 7 and 8 are the trivial subgroup: order 1, delta 0, genus 196
+TRIVIAL = (7, 8)
 
 
-def tiny_with(i, key, value):
-    doc = json.loads(json.dumps(TINY))
+def suzuki1_with(i, key, value):
+    doc = json.loads(json.dumps(SUZUKI1))
     doc["records"][i][key] = value
     return doc
+
+
+def record_error(i, doc):
+    """The message naming record i of doc, the first that is not SUZUKI1's."""
+    return f"record {i} is {doc['records'][i]}, where this version writes {SUZUKI1['records'][i]}"
 
 
 @pytest.mark.parametrize(
     "key,value,dump",
     in_both_layouts(
         [
-            # equal to the int they replace, so the identity and a set both pass
+            # equal to the int they replace, so only their type tells them apart
             pytest.param("order", 1.0, id="order-1.0"),
-            pytest.param("genus", 1.0, id="genus-1.0"),
-            pytest.param("delta", 10.0, id="delta-10.0"),
+            pytest.param("genus", 196.0, id="genus-196.0"),
+            pytest.param("delta", 0.0, id="delta-0.0"),
             pytest.param("order", True, id="order-True"),
-            pytest.param("genus", True, id="genus-True"),
+            pytest.param("delta", False, id="delta-False"),
             # unequal to the int they replace
             pytest.param("delta", True, id="delta-True"),
-            pytest.param("genus", "1", id="genus-1"),
+            pytest.param("genus", "196", id="genus-196"),
             pytest.param("delta", None, id="delta-None"),
             pytest.param("order", [1], id="order-value8"),
         ]
     ),
 )
 def test_non_integer_record_values_are_rejected(key, value, dump):
-    # TINY passes every check of the parsed document but is no curve's export
-    _check_document(json.loads(dump(TINY)))
-    assert one_line_value_error(dump(TINY)) == "unknown family None"
-    for i in range(3):
-        message = one_line_value_error(dump(tiny_with(i, key, value)))
-        assert message.startswith(f"record {i} has no integer order, genus and delta")
+    for i in TRIVIAL:
+        record = SUZUKI1["records"][i]
+        assert (record["order"], record["genus"], record["delta"]) == (1, 196, 0)
+        doc = suzuki1_with(i, key, value)
+        assert one_line_value_error(dump(doc)) == record_error(i, doc)
+
+
+AMBIENT = SUZUKI1["ambient_degree"]
 
 
 @pytest.mark.parametrize(
     "order,genus,delta",
-    [(0, 1, 10), (-1, 1, 10), (1, -3, 18), (1, 7, -2)],
+    [(0, 1, AMBIENT), (-1, 1, AMBIENT), (1, -3, AMBIENT + 8), (1, AMBIENT // 2 + 2, -2)],
     ids=["order-0", "order-negative", "genus-negative", "delta-negative"],
 )
 def test_records_no_subgroup_can_have_are_rejected(order, genus, delta):
     """Each record balances Riemann-Hurwitz and the spectrum matches, but
     make_record would refuse it: order >= 1, genus >= 0 and delta >= 0."""
-    assert TINY["ambient_degree"] == order * (2 * genus - 2) + delta
-    doc = json.loads(json.dumps(TINY))
+    assert AMBIENT == order * (2 * genus - 2) + delta
+    doc = json.loads(json.dumps(SUZUKI1))
     doc["records"][1].update(order=order, genus=genus, delta=delta)
-    doc["genera"] = sorted({1, genus})
-    message = one_line_value_error(json.dumps(doc))
-    assert message == f"order, genus or delta out of range for {doc['records'][1]}"
+    doc["genera"] = sorted({r["genus"] for r in doc["records"]})
+    assert one_line_value_error(json.dumps(doc)) == record_error(1, doc)
 
 
 @pytest.mark.parametrize(
     "key,value",
     [
-        ("ambient_degree", 10.0),
-        ("genera", [1.0]),
+        ("ambient_degree", float(SUZUKI1["ambient_degree"])),
+        ("genera", [*SUZUKI1["genera"][:-1], float(SUZUKI1["genera"][-1])]),
         ("genera", [True]),
         ("schema_version", True),
         ("schema_version", 1.0),
     ],
 )
 def test_non_integer_document_values_are_rejected(key, value):
-    doc = dict(TINY, **{key: value})
-    one_line_value_error(json.dumps(doc))
+    doc = dict(SUZUKI1, **{key: value})
+    assert one_line_value_error(json.dumps(doc)) == (
+        f"{key} is {value!r}, where this version writes {SUZUKI1[key]!r}"
+    )
 
 
 @pytest.mark.parametrize(
@@ -699,17 +707,31 @@ def test_non_object_documents_are_rejected(text):
 
 @pytest.mark.parametrize("key", ["ambient_degree", "genera", "records"])
 def test_missing_document_keys_are_rejected(key):
-    doc = {k: v for k, v in TINY.items() if k != key}
-    assert repr(key) in one_line_value_error(json.dumps(doc))
+    doc = {k: v for k, v in SUZUKI1.items() if k != key}
+    wanted = "16 records" if key == "records" else repr(SUZUKI1[key])
+    assert one_line_value_error(json.dumps(doc)) == (
+        f"{key} is missing, where this version writes {wanted}"
+    )
+
+
+@pytest.mark.parametrize("dump", [json.dumps, render_layout], ids=["compact", "render_json"])
+def test_a_type_only_difference_before_a_value_difference_is_named_first(dump):
+    doc = suzuki1_with(2, "genus", float(SUZUKI1["records"][2]["genus"]))
+    doc["records"][5]["genus"] += 1
+    assert one_line_value_error(dump(doc)) == record_error(2, doc)
 
 
 @pytest.mark.parametrize("key", ["order", "genus", "delta"])
 def test_missing_record_keys_are_rejected(key):
-    doc = json.loads(json.dumps(TINY))
+    doc = json.loads(json.dumps(SUZUKI1))
     del doc["records"][1][key]
-    assert one_line_value_error(json.dumps(doc)).startswith("record 1 ")
+    assert one_line_value_error(json.dumps(doc)) == record_error(1, doc)
 
 
 @pytest.mark.parametrize("records", [{}, 3, None, [[1, 3, 10]], [7]])
 def test_malformed_record_lists_are_rejected(records):
-    one_line_value_error(json.dumps(dict(TINY, records=records)))
+    message = one_line_value_error(json.dumps(dict(SUZUKI1, records=records)))
+    if type(records) is list:
+        assert message.startswith(f"record 0 is {records[0]}, where this version writes ")
+    else:
+        assert message == f"records is {records!r}, where this version writes 16 records"
