@@ -4,9 +4,10 @@ Everything here works on Python ints, so all results stay exact for the
 magnitudes this package produces (up to ~q^4 for the Suzuki family and ~q^6
 for the Ree family, well beyond 64 bits for large field sizes).
 
-is_prime and factorize use trial division, so both keep an LRU cache:
-their callers ask about the same few numbers (the primes of m, m itself and
-q-1) over and over, and no record class stores a result.
+factorize is the package's one trial division, and it keeps an LRU cache:
+its callers ask about the same few numbers (the primes of m, m itself and
+q-1) over and over, and no record class stores a result.  is_prime(n) reads
+factorize(n), so it shares that cache; valuation(p, n) checks p with it.
 """
 
 from __future__ import annotations
@@ -24,27 +25,9 @@ Valuation = Union[int, float]
 Factorization = tuple[tuple[int, int], ...]
 
 
-@functools.lru_cache(maxsize=4096)
 def is_prime(n: int) -> bool:
-    """Deterministic primality by trial division (intended for n up to ~10^14).
-
-    Cached: valuation() re-validates its prime argument on every call, and
-    its callers ask about the same few primes of m over and over: the
-    oracle's CRT-product check once per sampled subgroup, power and prime,
-    and the Singer square once per divisor of m and prime of m.
-    """
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether n is prime: n >= 2 and factorize(n), which caches, is n alone."""
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @functools.lru_cache(maxsize=4096)

@@ -17,8 +17,9 @@ not cataloged; spectrum reports carry a completeness note to that effect.
 
 Each descriptor is the flat tuple of its export parameters.  KINDS defines
 each cataloged kind once: its name, descriptor class (whose _fields are the
-parameters), curve family, enumerator and closed-form evaluator.  The CLI,
-the spectrum pipeline and the exports read that table.
+parameters), curve family, enumerator, conditions and closed form.  The
+closed forms and the oracle's censuses check a descriptor by
+check_descriptor first; the CLI, the spectrum and the exports read KINDS.
 """
 
 from __future__ import annotations
@@ -148,11 +149,9 @@ def make_record(
 
     ambient_degree = |H|*(2g - 2) + delta must solve for an integer g >= 0,
     and |H| must divide the full automorphism group order; anything else is
-    a formula or implementation fault and aborts loudly.  A descriptor field
-    that is not an int (a float or a bool) is bad input: ValueError.
+    a formula or implementation fault and aborts loudly.  The descriptor is
+    taken as valid: its closed form has checked it (check_descriptor).
     """
-    if set(map(type, descriptor)) != {int}:
-        raise ValueError(f"descriptor fields must be int, got {descriptor!r}")
     remainder = params.ambient_degree - delta
     if remainder % (2 * order) != 0:
         raise NonIntegralGenusError(
@@ -238,6 +237,32 @@ def _skew(cls):
     )
 
 
+def _divides(name: str, value: int, total_name: str, total: int) -> None:
+    # a negative divisor still divides: m % -n == 0
+    if value < 1 or total % value != 0:
+        raise ValueError(f"{name}={value} does not divide {total_name}={total}")
+
+
+def _check_b0(params: CurveParams, h: B0Cyclic | B0Dihedral) -> None:
+    _divides("d", h.d, "q-1", params.q - 1)
+    _divides("n", h.n, "m", params.m)
+
+
+def _check_n2_nonskew(params: CurveParams, h: N2NonSkew) -> None:
+    _divides("n", h.n, "m", params.m)
+    if h.k_order not in N2_SUBGROUP_ORDERS:
+        orders = ", ".join(map(str, N2_SUBGROUP_ORDERS))
+        raise ValueError(f"k_order={h.k_order} not one of {orders}")
+
+
+def _check_skew(params: CurveParams, h: N2SkewFull | N2SkewCyclic) -> None:
+    # when 7 does not divide m, no w >= 1 passes
+    if h.w < 1 or params.m % (7 * h.w) != 0:
+        raise ValueError(f"w={h.w} violates 7w | m for m={params.m}")
+    if not 1 <= h.i <= 6:
+        raise ValueError(f"i={h.i} out of range 1..6")
+
+
 class DescriptorKind(NamedTuple):
     """One cataloged subgroup family: everything the package knows of a kind.
 
@@ -251,6 +276,8 @@ class DescriptorKind(NamedTuple):
     family: Family | None  # the curve family that has the kind; None: both
     # (params, divisors of m) -> the kind's descriptors on that curve, in order
     enumerate: Callable[[CurveParams, list[int]], Iterable[SubgroupDescriptor]]
+    # (params, descriptor of int fields): ValueError unless it is enumerated
+    check: Callable[[CurveParams, SubgroupDescriptor], None]
     evaluate: Callable[[CurveParams, SubgroupDescriptor], GenusRecord]
 
 
@@ -258,31 +285,34 @@ KINDS: tuple[DescriptorKind, ...] = (
     DescriptorKind(
         "sigma-cm", SigmaCm, None,
         lambda params, m_divs: enumerate_standard_exponents(params.m),
+        lambda params, h: h.validate(params.m),
         lambda params, h: singer.sigma_cm_record(params, h),
     ),
     DescriptorKind(
-        "b0-cyclic", B0Cyclic, Family.SUZUKI, _b0(B0Cyclic),
+        "b0-cyclic", B0Cyclic, Family.SUZUKI, _b0(B0Cyclic), _check_b0,
         lambda params, h: genus_suzuki.genus_b0_cyclic(params, h.d, h.n),
     ),
     DescriptorKind(
-        "b0-dihedral", B0Dihedral, Family.SUZUKI, _b0(B0Dihedral),
+        "b0-dihedral", B0Dihedral, Family.SUZUKI, _b0(B0Dihedral), _check_b0,
         lambda params, h: genus_suzuki.genus_b0_dihedral(params, h.d, h.n),
     ),
     DescriptorKind(
         "psl28", Psl28, Family.REE, lambda params, m_divs: map(Psl28, m_divs),
+        lambda params, h: _divides("n", h.n, "m", params.m),
         lambda params, h: genus_ree.genus_psl28(params, h.n),
     ),
     DescriptorKind(
         "n2-nonskew", N2NonSkew, Family.REE,
         lambda params, m_divs: (N2NonSkew(k, n) for k in N2_SUBGROUP_ORDERS for n in m_divs),
+        _check_n2_nonskew,
         lambda params, h: genus_ree.genus_n2_nonskew(params, h.k_order, h.n),
     ),
     DescriptorKind(
-        "n2-skew-full", N2SkewFull, Family.REE, _skew(N2SkewFull),
+        "n2-skew-full", N2SkewFull, Family.REE, _skew(N2SkewFull), _check_skew,
         lambda params, h: genus_ree.genus_n2_skew_full(params, h.i, h.w),
     ),
     DescriptorKind(
-        "n2-skew-cyclic", N2SkewCyclic, Family.REE, _skew(N2SkewCyclic),
+        "n2-skew-cyclic", N2SkewCyclic, Family.REE, _skew(N2SkewCyclic), _check_skew,
         lambda params, h: genus_ree.genus_n2_skew_cyclic(params, h.i, h.w),
     ),
 )
@@ -300,15 +330,28 @@ def kind_of(descriptor: SubgroupDescriptor) -> DescriptorKind:
 
 
 def check_kind_family(name: str | None, family: Family) -> None:
-    """Raise ValueError when the kind called name belongs to the other curve
-    family; None, or a name KINDS does not hold, passes for the caller to
-    handle."""
+    """Raise ValueError unless name is None or names a kind the family has."""
     kind = KINDS_BY_NAME.get(name)
+    if kind is None and name is not None:
+        raise ValueError(f"unknown subgroup family {name!r}")
     if kind is not None and kind.family not in (None, family):
         raise ValueError(
             f"subgroup family {name!r} is a {kind.family.value} kind, "
             f"not a {family.value} one"
         )
+
+
+def check_descriptor(params: CurveParams, h: SubgroupDescriptor) -> None:
+    """Raise ValueError unless h names a subgroup of the curve.  In order:
+    every field is an int (a float or a bool would pass the arithmetic), the
+    kind is of the curve's family, and DescriptorKind.check passes."""
+    kind = kind_of(h)
+    for field in h:
+        if type(field) is not int:
+            raise ValueError(f"descriptor fields must be int, got {h!r}")
+    if kind.family not in (None, params.family):
+        check_kind_family(kind.name, params.family)
+    kind.check(params, h)
 
 
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:

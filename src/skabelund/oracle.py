@@ -34,6 +34,11 @@ E is closed from {0} by doubling on one m-bit int, and its census counts
 the buckets, not the elements.  The element-by-element closure in the
 tests (tests/test_oracle_gate.py) stays the reference it must match.
 
+The censuses take a catalog descriptor h, checked first by
+catalog.check_descriptor: delta_b0_census(params, h) a B0Cyclic or B0Dihedral,
+delta_census(params, h) a Psl28 or N2NonSkew, delta_skew_census(params, h) an
+N2SkewFull or N2SkewCyclic.
+
 The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
 field with eight elements by semilinear affine maps x -> a*x^(2^j) + b, and
@@ -50,8 +55,9 @@ from itertools import repeat
 from operator import countOf, mod
 
 from . import _kernels
-from .catalog import SigmaCm, subgroup_order_sigma
-from .curves import CurveParams, Family
+from .catalog import B0Cyclic, B0Dihedral, N2NonSkew, N2SkewCyclic, N2SkewFull, Psl28, SigmaCm
+from .catalog import check_descriptor, subgroup_order_sigma
+from .curves import CurveParams
 from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
     OrderClassRee,
     OrderClassSz,
@@ -145,7 +151,13 @@ def _class_weight_sum(
     return total
 
 
-def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
+def _require(h, *classes: type) -> None:
+    """ValueError unless h is of one of classes, the kinds a census sums."""
+    if type(h) not in classes:
+        raise ValueError(f"expected {' or '.join(c.__name__ for c in classes)}, got {h!r}")
+
+
+def delta_b0_census(params: CurveParams, h: B0Cyclic | B0Dihedral) -> int:
     """Different degree of C_d x C_n or D_d x C_n (Suzuki) by census summation.
 
     q-1 is odd, so the d-1 non-identity rotations all have odd order
@@ -155,38 +167,33 @@ def delta_b0_census(params: CurveParams, d: int, n: int, dihedral: bool) -> int:
     with k = 0 (mod m), so a coset weighs its k = 0 element once and its
     k = 1 weight n-1 times (_class_weight_sum); the tau powers are the k != 0.
     """
-    if params.family is not Family.SUZUKI:
-        raise ValueError("delta_b0_census needs Suzuki parameters")
-    if d < 1 or n < 1 or (params.q - 1) % d != 0 or params.m % n != 0:
-        raise ValueError(f"invalid divisors (d={d}, n={n})")
+    check_descriptor(params, h)
+    _require(h, B0Cyclic, B0Dihedral)
+    d, n = h
     total = _class_weight_sum(iota_suzuki, params, OrderClassSz.TAU, 0, n - 1)
     total += (d - 1) * _class_weight_sum(
         iota_suzuki, params, OrderClassSz.DIVIDES_Q_MINUS_1, 1, n - 1
     )
-    if dihedral:
-        total += d * _class_weight_sum(
-            iota_suzuki, params, OrderClassSz.ORDER2, 1, n - 1
-        )
+    if type(h) is B0Dihedral:
+        total += d * _class_weight_sum(iota_suzuki, params, OrderClassSz.ORDER2, 1, n - 1)
     return total
 
 
-def delta_census(group_tag: str, params: CurveParams, n: int) -> int:
+def delta_census(params: CurveParams, h: Psl28 | N2NonSkew) -> int:
     """Different degree of (Ree(3)-subgroup) x C_n by census summation.
 
     Each census entry contributes its count times the weight sum of one
     full C_n coset, sigma*tau^k for k in range(n) (see _ree_coset_sum); the
     tau-only coset (k != 0) is added once.
     """
-    if params.family is not Family.REE:
-        raise ValueError("delta_census needs Ree parameters")
-    if n < 1 or params.m % n != 0:
-        raise ValueError(f"n={n} does not divide m={params.m}")
-    cen = census_table(group_tag)
-    total = _ree_coset_sum(params, (1, None), n)
+    check_descriptor(params, h)
+    _require(h, Psl28, N2NonSkew)
+    cen = census_table("psl28" if type(h) is Psl28 else f"n2_{h.k_order}")
+    total = _ree_coset_sum(params, (1, None), h.n)
     for order, count in cen.counts:
         if order != 1:
             key = (order, cen.order3_central if order == 3 else None)
-            total += count * _ree_coset_sum(params, key, n)
+            total += count * _ree_coset_sum(params, key, h.n)
     return total
 
 
@@ -253,21 +260,12 @@ del _c, _v
 
 
 def _skew_generators(
-    params: CurveParams, variant: str, i: int, w: int
+    params: CurveParams, h: N2SkewFull | N2SkewCyclic
 ) -> list[tuple[int, int, int]]:
-    if params.family is not Family.REE:
-        raise ValueError("skew subgroups need Ree parameters")
-    m = params.m
-    if m % 7 != 0:
-        raise ValueError("skew subgroups require 7 | m")
-    if w < 1 or m % (7 * w) != 0:
-        raise ValueError(f"w={w} violates 7w | m for m={m}")
-    if not 1 <= i <= 6:
-        raise ValueError(f"i={i} out of range 1..6")
-    if variant not in ("full", "cyclic"):
-        raise ValueError(f"unknown variant {variant!r}")
-    gens = [(F8_GENERATOR, 0, (i * w) % m)]
-    if variant == "full":
+    """Generators (a, b, e) of h: r*tau^(i*w), and for N2SkewFull also the
+    translations s1, s2, s3."""
+    gens = [(F8_GENERATOR, 0, (h.i * h.w) % params.m)]
+    if type(h) is N2SkewFull:
         gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
     return gens
 
@@ -319,7 +317,7 @@ def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int
     return {part: rotate(kernel, e) for part, e in reps.items()}
 
 
-def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
+def delta_skew_census(params: CurveParams, h: N2SkewFull | N2SkewCyclic) -> int:
     """Different degree of a skew subgroup by element-level weight summation.
 
     Involution cosets weigh q+1 per element, pure tau powers q^3+1, and the
@@ -334,10 +332,12 @@ def delta_skew_census(params: CurveParams, variant: str, i: int, w: int) -> int:
     buckets (b != 0) are summed into one count and weighed with the pure
     tau powers from at most three reads of iota_ree.
     """
+    check_descriptor(params, h)
+    _require(h, N2SkewFull, N2SkewCyclic)
     m = params.m
-    buckets = _close_skew(m, _skew_generators(params, variant, i, w))
+    buckets = _close_skew(m, _skew_generators(params, h))
     order = sum(bits.bit_count() for bits in buckets.values())
-    expected_order = (56 if variant == "full" else 7) * (m // (7 * w))
+    expected_order = (56 if type(h) is N2SkewFull else 7) * (m // (7 * h.w))
     assert order == expected_order, (
         f"closure produced {order} elements, expected {expected_order}"
     )

@@ -118,10 +118,10 @@ class SpectrumReport(NamedTuple):
 def compute_spectrum(
     family: Family, s: int, family_filter: str | None = None
 ) -> SpectrumReport:
-    """Evaluate every cataloged descriptor (optionally one kind only)."""
+    """Evaluate every cataloged descriptor (optionally one kind only).  A
+    kind that is unknown or of the other curve family raises ValueError."""
     params = make_params(family, s)
-    if family_filter is not None and family_filter not in KINDS_BY_NAME:
-        raise ValueError(f"unknown subgroup family {family_filter!r}")
+    check_kind_family(family_filter, family)
     kinds = [
         kind
         for kind in KINDS
@@ -429,8 +429,6 @@ def verify_tables(
         if not table.kinds:
             raise ValueError(f"{where}: no subgroup family given")
         try:
-            for name in table.kinds:
-                check_kind_family(name, table.family)
             genera = set().union(
                 *(compute_spectrum(table.family, table.s, kind).genera for kind in table.kinds)
             )

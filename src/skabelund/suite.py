@@ -22,6 +22,12 @@ from typing import NamedTuple
 from .arith import divisors, valuation
 from .catalog import (
     N2_SUBGROUP_ORDERS,
+    B0Cyclic,
+    B0Dihedral,
+    N2NonSkew,
+    N2SkewCyclic,
+    N2SkewFull,
+    Psl28,
     SigmaCm,
     enumerate_standard_exponents,
     standard_exponent_blocks,
@@ -140,6 +146,8 @@ def run_oracle_suite(
 
     bad = []
     for se in sampled:
+        # (p, v_p(n2)) per prime of m, the same for every power
+        n2_parts = [(p, valuation(p, se.n2)) for p, _e in params.m_factors]
         for d in range(len(params.q_powers)):
             count = count_congruence_solutions(
                 params, se, d, max_elements=cap, scans=scans
@@ -148,8 +156,8 @@ def run_oracle_suite(
             # so the count is checked against a formulation of its own
             x = se.n1 * params.q_powers[d] - se.a
             prod = 1
-            for p, _e in params.m_factors:
-                prod *= p ** int(min(valuation(p, x), valuation(p, se.n2)))
+            for p, v in n2_parts:
+                prod *= p ** int(min(valuation(p, x), v))
             if count * se.n1 * se.n2 != params.m * prod:
                 bad.append(f"{se} d={d}: {count} vs {params.m * prod}")
     checks.append(
@@ -193,11 +201,11 @@ def run_oracle_suite(
         for d in divisors(params.q - 1):
             for n in divisors(params.m):
                 if genus_b0_cyclic(params, d, n).delta != delta_b0_census(
-                    params, d, n, dihedral=False
+                    params, B0Cyclic(d, n)
                 ):
                     bad.append(f"cyclic d={d} n={n}")
                 if genus_b0_dihedral(params, d, n).delta != delta_b0_census(
-                    params, d, n, dihedral=True
+                    params, B0Dihedral(d, n)
                 ):
                     bad.append(f"dihedral d={d} n={n}")
         checks.append(
@@ -223,11 +231,11 @@ def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
 
     bad = []
     for n in divisors(params.m):
-        if genus_psl28(params, n).delta != delta_census("psl28", params, n):
+        if genus_psl28(params, n).delta != delta_census(params, Psl28(n)):
             bad.append(f"psl28 n={n}")
         for k_order in N2_SUBGROUP_ORDERS:
             formula = genus_n2_nonskew(params, k_order, n).delta
-            if formula != delta_census(f"n2_{k_order}", params, n):
+            if formula != delta_census(params, N2NonSkew(k_order, n)):
                 bad.append(f"n2_{k_order} n={n}")
     checks.append(
         _verdict("PSL(2,8)/N2 products: closed form vs census summation", bad, "all divisors of m")
@@ -246,9 +254,9 @@ def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
     for i, w in pairs:
         full = genus_n2_skew_full(params, i, w)
         cyclic = genus_n2_skew_cyclic(params, i, w)
-        if full.delta != delta_skew_census(params, "full", i, w):
+        if full.delta != delta_skew_census(params, N2SkewFull(i, w)):
             bad.append(f"full i={i} w={w}")
-        if cyclic.delta != delta_skew_census(params, "cyclic", i, w):
+        if cyclic.delta != delta_skew_census(params, N2SkewCyclic(i, w)):
             bad.append(f"cyclic i={i} w={w}")
         n1 = params.m // 7
         reduced = genus_sigma_cm_ree(params, SigmaCm(n1, 7 * w, (i * w) % (7 * w)))

@@ -5,8 +5,12 @@ closure."""
 
 from itertools import compress
 
+from skabelund.catalog import N2SkewCyclic, N2SkewFull
 from skabelund.iota import iota_sigma_element
 from skabelund.oracle import _close_skew, _skew_generators
+
+# the skew descriptor class of each variant name the tests loop over
+SKEW_CLASSES = {"full": N2SkewFull, "cyclic": N2SkewCyclic}
 
 
 def product_of(factors):
@@ -49,5 +53,5 @@ def materialize_skew_subgroup(params, variant, i, w):
     (an element of the order-56 subgroup of N2) paired with tau^e, read off
     the buckets of the oracle's bitset closure (oracle._close_skew).
     """
-    buckets = _close_skew(params.m, _skew_generators(params, variant, i, w))
+    buckets = _close_skew(params.m, _skew_generators(params, SKEW_CLASSES[variant](i, w)))
     return {(a, b, e) for (a, b), bits in buckets.items() for e in bit_positions(bits)}

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 from skabelund.arith import is_prime, valuation
 from skabelund.catalog import (
     B0Cyclic,
+    N2SkewFull,
     SigmaCm,
     enumerate_descriptors,
     enumerate_standard_exponents,
@@ -194,7 +195,7 @@ def test_criterion_8_skew_laws():
                 full_genera.add(genus_n2_skew_full(params, i, w).genus)
             assert len(full_genera) == 1  # independent of i
             # delta branch: nonzero exactly when 7 does not divide n
-            census_delta = delta_skew_census(params, "full", 1, w)
+            census_delta = delta_skew_census(params, N2SkewFull(1, w))
             tau_and_involutions = (n - 1) * (params.q**3 + 1) + 7 * n * (params.q + 1)
             branch = census_delta - tau_and_involutions
             assert branch == (0 if n % 7 == 0 else 48 * params.m)

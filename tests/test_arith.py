@@ -48,6 +48,17 @@ def test_valuation_examples():
     assert min(valuation(5, 0), valuation(5, 25)) == 2  # min(inf, e) = e
 
 
+def test_is_prime_agrees_with_a_sieve():
+    limit = 10**4
+    sieve = [False, False] + [True] * (limit - 2)
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(range(p * p, limit, p))
+    assert [n for n in range(-2, limit) if is_prime(n)] == [
+        n for n in range(limit) if sieve[n]
+    ]
+
+
 def test_valuation_rejects_composite():
     with pytest.raises(ValueError):
         valuation(6, 12)

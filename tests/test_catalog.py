@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from skabelund.arith import divisors, is_prime
 from skabelund import suite
 from skabelund.catalog import (
+    KINDS,
+    N2_SUBGROUP_ORDERS,
     B0Cyclic,
     B0Dihedral,
     N2NonSkew,
@@ -15,6 +18,7 @@ from skabelund.catalog import (
     NonIntegralGenusError,
     Psl28,
     SigmaCm,
+    check_descriptor,
     enumerate_descriptors,
     enumerate_standard_exponents,
     kind_of,
@@ -26,6 +30,7 @@ from skabelund.catalog import (
 from skabelund.curves import Family, make_params
 from skabelund.genus_ree import genus_sigma_cm_ree
 from skabelund.genus_suzuki import genus_sigma_cm_suzuki
+from skabelund.oracle import delta_b0_census, delta_census, delta_skew_census
 from skabelund.spectrum import compute_spectrum, evaluate_descriptor, render_csv
 
 
@@ -238,5 +243,64 @@ def test_a_descriptor_field_that_is_not_an_int_yields_no_record(curve, bad):
     params = make_params(*curve)
     good = type(bad)(*map(int, bad))
     assert evaluate_descriptor(params, good).descriptor == good
-    with pytest.raises((ValueError, TypeError)):
+    with pytest.raises(ValueError, match="descriptor fields must be int"):
         evaluate_descriptor(params, bad)
+
+
+# the oracle census that sums each kind other than sigma-cm
+CENSUS_OF = {
+    B0Cyclic: delta_b0_census,
+    B0Dihedral: delta_b0_census,
+    Psl28: delta_census,
+    N2NonSkew: delta_census,
+    N2SkewFull: delta_skew_census,
+    N2SkewCyclic: delta_skew_census,
+}
+CENSUS_NON_INT_CASES = [(curve, bad) for curve, bad in NON_INT_CASES if type(bad) in CENSUS_OF]
+
+
+@pytest.mark.parametrize(
+    "curve, bad", CENSUS_NON_INT_CASES, ids=[repr(bad) for _, bad in CENSUS_NON_INT_CASES]
+)
+def test_a_descriptor_field_that_is_not_an_int_reaches_no_census(curve, bad):
+    params = make_params(*curve)
+    census = CENSUS_OF[type(bad)]
+    good = type(bad)(*map(int, bad))
+    assert census(params, good) == evaluate_descriptor(params, good).delta
+    with pytest.raises(ValueError, match="descriptor fields must be int"):
+        census(params, bad)
+
+
+def field_window(params):
+    """0, -1 and the numbers in play - the divisors of m and of q-1, the N2
+    subgroup orders, 1..7 - with their neighbours."""
+    in_play = [*divisors(params.m), *divisors(params.q - 1), *N2_SUBGROUP_ORDERS, *range(1, 8)]
+    return sorted({0, -1} | {x + step for x in in_play for step in (-1, 0, 1)})
+
+
+WINDOW_CURVES = [(Family.SUZUKI, s) for s in (1, 2)] + [(Family.REE, s) for s in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda kind: kind.name)
+@pytest.mark.parametrize(
+    "family, s", WINDOW_CURVES, ids=[f"{f.value}-{s}" for f, s in WINDOW_CURVES]
+)
+def test_check_descriptor_accepts_exactly_the_enumerated_descriptors(family, s, kind):
+    """Over a window of field values, the enumerator and the check define
+    the same descriptors: a kind of the other family has none."""
+    params = make_params(family, s)
+    window = field_window(params)
+    listed = set()
+    if kind.family in (None, family):
+        every = set(kind.enumerate(params, divisors(params.m)))
+        listed = {h for h in every if set(h) <= set(window)}
+        assert bool(listed) == bool(every)  # the window holds some of the kind
+    accepted = set()
+    for values in itertools.product(window, repeat=len(kind.cls._fields)):
+        h = kind.cls(*values)
+        try:
+            check_descriptor(params, h)
+        except ValueError:
+            continue
+        accepted.add(h)
+    assert accepted == listed

@@ -175,7 +175,7 @@ def test_out_of_range_descriptor_is_a_one_line_error():
     assert_one_line_error(done, "a=7 out of range")
     with pytest.raises(SystemExit, match="does not divide q-1"):
         main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "b0-cyclic:2,1"])
-    with pytest.raises(SystemExit, match="need Ree parameters"):
+    with pytest.raises(SystemExit, match="'psl28' is a ree kind, not a suzuki one"):
         main(["genus", "--family", "suzuki", "--s", "1", "--descriptor", "psl28:1"])
 
 

@@ -1,6 +1,13 @@
 import pytest
 
-from skabelund.catalog import SigmaCm, enumerate_standard_exponents
+from skabelund.catalog import (
+    N2NonSkew,
+    N2SkewCyclic,
+    N2SkewFull,
+    Psl28,
+    SigmaCm,
+    enumerate_standard_exponents,
+)
 from skabelund.curves import Family, ambient_genus, make_params
 from skabelund.genus_ree import (
     genus_n2_nonskew,
@@ -49,7 +56,7 @@ def test_psl28_census_equivalence_s2():
 
     for n in divisors(R2.m):
         record = genus_psl28(R2, n)
-        assert record.delta == delta_census("psl28", R2, n)
+        assert record.delta == delta_census(R2, Psl28(n))
         assert R2.ambient_degree == record.order * (2 * record.genus - 2) + record.delta
 
 
@@ -70,7 +77,7 @@ def test_n2_nonskew_census_equivalence():
         for k_order in (168, 56, 24, 12, 8, 4):
             for n in divisors(params.m):
                 assert genus_n2_nonskew(params, k_order, n).delta == delta_census(
-                    f"n2_{k_order}", params, n
+                    params, N2NonSkew(k_order, n)
                 )
 
 
@@ -103,10 +110,10 @@ def test_skew_cyclic_reduction_law():
 
 
 def test_skew_census_equivalence():
-    for variant, fn in (("full", genus_n2_skew_full), ("cyclic", genus_n2_skew_cyclic)):
+    for cls, fn in ((N2SkewFull, genus_n2_skew_full), (N2SkewCyclic, genus_n2_skew_cyclic)):
         for w in (1, 31):
             for i in (1, 3, 6):
-                assert fn(R2, i, w).delta == delta_skew_census(R2, variant, i, w)
+                assert fn(R2, i, w).delta == delta_skew_census(R2, cls(i, w))
 
 
 def test_skew_delta_branch():
@@ -120,10 +127,10 @@ def test_skew_delta_branch():
     full = genus_n2_skew_full(r3, 1, 1)
     n = r3.m // 7
     assert full.delta == (n - 1) * (r3.q**3 + 1) + 7 * n * (r3.q + 1)
-    assert full.delta == delta_skew_census(r3, "full", 1, 1)
+    assert full.delta == delta_skew_census(r3, N2SkewFull(1, 1))
     cyclic = genus_n2_skew_cyclic(r3, 1, 1)
     assert cyclic.delta == (n - 1) * (r3.q**3 + 1)
-    assert cyclic.delta == delta_skew_census(r3, "cyclic", 1, 1)
+    assert cyclic.delta == delta_skew_census(r3, N2SkewCyclic(1, 1))
 
 
 def test_rh_integrality_sweep_s2():

@@ -1,6 +1,8 @@
 import pytest
 
 from skabelund.catalog import (
+    B0Cyclic,
+    B0Dihedral,
     NonIntegralGenusError,
     SigmaCm,
     enumerate_standard_exponents,
@@ -90,10 +92,10 @@ def test_b0_census_equivalence():
         for d in divisors(params.q - 1):
             for n in divisors(params.m):
                 assert genus_b0_cyclic(params, d, n).delta == delta_b0_census(
-                    params, d, n, dihedral=False
+                    params, B0Cyclic(d, n)
                 )
                 assert genus_b0_dihedral(params, d, n).delta == delta_b0_census(
-                    params, d, n, dihedral=True
+                    params, B0Dihedral(d, n)
                 )
 
 

@@ -4,7 +4,8 @@ imports one name twice, since the second binding hides the first.  Every
 private name (_x) a package module defines at module level is read by some
 package module.  No linter runs on the sources, so this catches the imports
 and helpers a refactor leaves behind, in the package, its tests and
-pipebench."""
+pipebench.  And a subgroup kind's conditions are raised from catalog.py
+only, so no module restates them beside catalog.check_descriptor."""
 
 import ast
 from pathlib import Path
@@ -130,3 +131,49 @@ def test_the_check_sees_dead_private_names():
 def test_every_private_name_of_the_package_is_read():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     assert dead_private_names(sources) == []
+
+
+# the messages of the kind conditions catalog.check_descriptor checks
+KIND_CONDITION_PHRASES = ("does not divide", "violates 7w | m", "out of range 1..6", "not one of")
+
+
+def kind_condition_raises(sources: dict[str, str]) -> list[str]:
+    """module:line of each raise outside catalog whose message text (its
+    string constants, f-string parts included) holds a kind-condition
+    phrase, in sources (module name to source text)."""
+    found = []
+    for module, source in sources.items():
+        if module == "catalog":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                text = "".join(
+                    part.value
+                    for part in ast.walk(node.exc)
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                )
+                if any(phrase in text for phrase in KIND_CONDITION_PHRASES):
+                    found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def _package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def test_the_check_sees_a_restated_kind_condition():
+    sources = _package_sources()
+    assert kind_condition_raises({"catalog": sources["catalog"]}) == []
+    lines = sources["oracle"].count("\n")
+    restated = sources["oracle"] + (
+        "\n\ndef _check_w(m, w):\n"
+        "    if m % (7 * w):\n"
+        '        raise ValueError(f"w={w} violates 7w | m for m={m}")\n'
+    )
+    assert kind_condition_raises({"oracle": restated}) == [f"oracle:{lines + 5}"]
+    assert kind_condition_raises({"a": "raise ValueError('x does not divide y')\n"}) == ["a:1"]
+    assert kind_condition_raises({"a": "raise ValueError('x is no divisor of y')\n"}) == []
+
+
+def test_kind_conditions_are_raised_from_the_catalog_only():
+    assert kind_condition_raises(_package_sources()) == []

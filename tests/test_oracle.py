@@ -5,6 +5,11 @@ import pytest
 
 import skabelund
 from skabelund.catalog import (
+    B0Cyclic,
+    B0Dihedral,
+    N2NonSkew,
+    N2SkewFull,
+    Psl28,
     SigmaCm,
     enumerate_standard_exponents,
     standard_exponent_elements,
@@ -175,28 +180,28 @@ def test_element_cap(monkeypatch):
 
 
 def test_delta_census_values():
-    assert delta_census("psl28", R1, 1) == 44548
-    assert delta_census("n2_168", R1, 1) == 10948
-    assert delta_census("n2_56", R1, 1) == 196  # 7 involutions x (q+1)
+    assert delta_census(R1, Psl28(1)) == 44548
+    assert delta_census(R1, N2NonSkew(168, 1)) == 10948
+    assert delta_census(R1, N2NonSkew(56, 1)) == 196  # 7 involutions x (q+1)
     with pytest.raises(ValueError):
-        delta_census("n2_7", R1, 1)
+        delta_census(R1, N2NonSkew(7, 1))
     with pytest.raises(ValueError):
-        delta_census("psl28", S1, 1)
-    with pytest.raises(ValueError, match="delta_b0_census needs Suzuki parameters"):
-        delta_b0_census(R1, 1, 1, False)
+        delta_census(S1, Psl28(1))
+    with pytest.raises(ValueError, match="'b0-cyclic' is a suzuki kind, not a ree one"):
+        delta_b0_census(R1, B0Cyclic(1, 1))
 
 
 @pytest.mark.parametrize(
     "census_sum, args, message",
     [
-        (delta_census, ("psl28", R1, -1), "n=-1 does not divide m=19"),
-        (delta_census, ("n2_168", R1, -19), "n=-19 does not divide m=19"),
-        (delta_census, ("n2_4", R1, 0), "n=0 does not divide m=19"),
-        (delta_b0_census, (S1, -7, 5, False), r"invalid divisors \(d=-7, n=5\)"),
-        (delta_b0_census, (S1, 0, 5, True), r"invalid divisors \(d=0, n=5\)"),
-        (delta_b0_census, (S1, 7, -5, False), r"invalid divisors \(d=7, n=-5\)"),
-        (delta_b0_census, (S1, -1, -1, True), r"invalid divisors \(d=-1, n=-1\)"),
-        (delta_b0_census, (S1, 1, 0, False), r"invalid divisors \(d=1, n=0\)"),
+        (delta_census, (R1, Psl28(-1)), "n=-1 does not divide m=19"),
+        (delta_census, (R1, N2NonSkew(168, -19)), "n=-19 does not divide m=19"),
+        (delta_census, (R1, N2NonSkew(4, 0)), "n=0 does not divide m=19"),
+        (delta_b0_census, (S1, B0Cyclic(-7, 5)), "d=-7 does not divide q-1=7"),
+        (delta_b0_census, (S1, B0Dihedral(0, 5)), "d=0 does not divide q-1=7"),
+        (delta_b0_census, (S1, B0Cyclic(7, -5)), "n=-5 does not divide m=5"),
+        (delta_b0_census, (S1, B0Dihedral(-1, -1)), "d=-1 does not divide q-1=7"),
+        (delta_b0_census, (S1, B0Cyclic(1, 0)), "n=0 does not divide m=5"),
     ],
 )
 def test_census_sums_reject_sizes_below_one(census_sum, args, message):
@@ -230,21 +235,21 @@ def test_skew_materialization_orders():
 
 
 def test_skew_census_i_invariance():
-    assert delta_skew_census(R2, "full", 1, 31) == delta_skew_census(R2, "full", 5, 31)
+    assert delta_skew_census(R2, N2SkewFull(1, 31)) == delta_skew_census(R2, N2SkewFull(5, 31))
     with pytest.raises(ValueError):
-        delta_skew_census(R1, "full", 1, 1)  # 7 does not divide m = 19
-    with pytest.raises(ValueError):
-        delta_skew_census(R2, "half", 1, 1)
-    with pytest.raises(ValueError, match="skew subgroups need Ree parameters"):
-        delta_skew_census(S2, "full", 1, 1)
+        delta_skew_census(R1, N2SkewFull(1, 1))  # 7 does not divide m = 19
+    with pytest.raises(ValueError, match=r"expected N2SkewFull or N2SkewCyclic, got N2NonSkew"):
+        delta_skew_census(R2, N2NonSkew(56, 1))
+    with pytest.raises(ValueError, match="'n2-skew-full' is a ree kind, not a suzuki one"):
+        delta_skew_census(S2, N2SkewFull(1, 1))
     with pytest.raises(ValueError, match=r"w=2 violates 7w \| m"):
-        delta_skew_census(R2, "full", 1, 2)  # m = 217 = 7 * 31
+        delta_skew_census(R2, N2SkewFull(1, 2))  # m = 217 = 7 * 31
     with pytest.raises(ValueError, match=r"i=7 out of range 1\.\.6"):
-        delta_skew_census(R2, "full", 7, 1)
+        delta_skew_census(R2, N2SkewFull(7, 1))
     # w < 1: w = 0 would divide by zero, and -1, -31 pass 7w | m
     for w in (0, -1, -31):
         with pytest.raises(ValueError, match=rf"^w={w} violates 7w \| m for m=217$"):
-            delta_skew_census(R2, "full", 1, w)
+            delta_skew_census(R2, N2SkewFull(1, w))
 
 
 def test_permutation_censuses_match_tables():

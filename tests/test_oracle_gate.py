@@ -47,7 +47,14 @@ from hypothesis import strategies as st
 
 from skabelund import _kernels, oracle
 from skabelund.arith import divisors, is_prime
-from skabelund.catalog import enumerate_standard_exponents, subgroup_order_sigma
+from skabelund.catalog import (
+    B0Cyclic,
+    B0Dihedral,
+    N2NonSkew,
+    Psl28,
+    enumerate_standard_exponents,
+    subgroup_order_sigma,
+)
 from skabelund.curves import CurveParams, Family, make_params, seven_divides_m
 from skabelund.iota import (
     OrderClassRee,
@@ -73,7 +80,7 @@ from skabelund.oracle import (
 from skabelund.settings import DEFAULT_MAX_CLOSURE_M, DEFAULT_MAX_S
 from skabelund.suite import run_oracle_suite, sample_standard_exponents
 
-from references import bit_positions, materialize_skew_subgroup
+from references import SKEW_CLASSES, bit_positions, materialize_skew_subgroup
 from sampling import sample_evenly
 
 # --- references: the nested-loop kernels ------------------------------------
@@ -550,7 +557,8 @@ def test_b0_census_matches_the_element_loops(s):
     for d in divisors(params.q - 1):
         for n in divisors(params.m):
             for dihedral in (False, True):
-                assert delta_b0_census(params, d, n, dihedral) == ref_delta_b0_census(
+                h = (B0Dihedral if dihedral else B0Cyclic)(d, n)
+                assert delta_b0_census(params, h) == ref_delta_b0_census(
                     params, d, n, dihedral
                 ), (d, n, dihedral)
 
@@ -558,10 +566,11 @@ def test_b0_census_matches_the_element_loops(s):
 @pytest.mark.parametrize("s", range(1, 5))
 def test_ree_census_matches_the_element_loops(s):
     params = make_params(Family.REE, s)
-    tags = ("psl28", "n2_168", "n2_56", "n2_24", "n2_12", "n2_8", "n2_4")
     for n in divisors(params.m):
-        for tag in tags:
-            assert delta_census(tag, params, n) == ref_delta_census(tag, params, n), (tag, n)
+        for tag, h in [("psl28", Psl28(n))] + [
+            (f"n2_{k}", N2NonSkew(k, n)) for k in (168, 56, 24, 12, 8, 4)
+        ]:
+            assert delta_census(params, h) == ref_delta_census(tag, params, n), (tag, n)
 
 
 @pytest.mark.parametrize("s", [2, 3])  # the Ree s <= 4 with 7 | m
@@ -574,9 +583,9 @@ def test_skew_census_matches_the_element_loop(s, default_caps):
             continue
         for i in range(1, 7):
             for variant in ("full", "cyclic"):
-                assert delta_skew_census(params, variant, i, w) == ref_delta_skew_census(
-                    params, variant, i, w
-                ), (variant, i, w)
+                assert delta_skew_census(
+                    params, SKEW_CLASSES[variant](i, w)
+                ) == ref_delta_skew_census(params, variant, i, w), (variant, i, w)
 
 
 def _raised_at_zero(params, order_class, k):
@@ -598,7 +607,7 @@ def test_skew_census_weighs_each_bucket_at_k_0_and_elsewhere(s, monkeypatch, def
         if 56 * (params.m // (7 * w)) > cap:
             continue
         for variant in ("full", "cyclic"):
-            assert delta_skew_census(params, variant, 1, w) == ref_delta_skew_census(
+            assert delta_skew_census(params, SKEW_CLASSES[variant](1, w)) == ref_delta_skew_census(
                 params, variant, 1, w, iota=_raised_at_zero
             ), (variant, w)
 
@@ -816,7 +825,7 @@ def test_skew_buckets_match_the_element_closure_on_every_suite_case(s, default_c
             continue
         for i in range(1, 7):
             for variant in ("full", "cyclic"):
-                gens = _skew_generators(params, variant, i, w)
+                gens = _skew_generators(params, SKEW_CLASSES[variant](i, w))
                 expected = {}
                 for a, b, e in ref_close_affine(m, gens):
                     expected.setdefault((a, b), set()).add(e)

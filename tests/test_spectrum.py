@@ -9,6 +9,9 @@ import pytest
 from skabelund import suite
 from skabelund.catalog import (
     KINDS_BY_NAME,
+    B0Dihedral,
+    N2NonSkew,
+    N2SkewCyclic,
     SigmaCm,
     enumerate_descriptors,
     enumerate_standard_exponents,
@@ -56,6 +59,18 @@ def test_family_filter():
     assert all(kind_of(r.descriptor).name == "sigma-cm" for r in report.records)
     with pytest.raises(ValueError):
         compute_spectrum(Family.SUZUKI, 1, "frobenius")
+
+
+@pytest.mark.parametrize(
+    "family, kind, owner",
+    [(Family.SUZUKI, "psl28", Family.REE), (Family.REE, "b0-dihedral", Family.SUZUKI)],
+)
+def test_a_kind_of_the_other_family_gives_no_spectrum(family, kind, owner):
+    """Not an empty report, whose export would validate: the kind names no
+    subgroup of the curve."""
+    message = f"^subgroup family '{kind}' is a {owner.value} kind, not a {family.value} one$"
+    with pytest.raises(ValueError, match=message):
+        compute_spectrum(family, 1, kind)
 
 
 def test_rh_identity_on_every_record():
@@ -270,7 +285,7 @@ BROKEN_CHECKS = [
         "B0 products: closed form vs census summation",
         "delta_b0_census",
         lambda: _off_by_one(
-            "delta_b0_census", lambda params, d, n, dihedral: (d, n, dihedral) == (1, 5, True)
+            "delta_b0_census", lambda params, h: h == B0Dihedral(1, 5)
         ),
         "dihedral d=1 n=5",
     ),
@@ -292,7 +307,7 @@ BROKEN_CHECKS = [
         (Family.REE, 2),
         "PSL(2,8)/N2 products: closed form vs census summation",
         "delta_census",
-        lambda: _off_by_one("delta_census", lambda tag, params, n: (tag, n) == ("n2_56", 7)),
+        lambda: _off_by_one("delta_census", lambda params, h: h == N2NonSkew(56, 7)),
         "n2_56 n=7",
     ),
     (
@@ -307,7 +322,7 @@ BROKEN_CHECKS = [
         "skew subgroups: closed forms vs element-level census and reduction",
         "delta_skew_census",
         lambda: _off_by_one(
-            "delta_skew_census", lambda params, variant, i, w: (variant, i, w) == ("cyclic", 3, 1)
+            "delta_skew_census", lambda params, h: h == N2SkewCyclic(3, 1)
         ),
         "cyclic i=3 w=1",
     ),
@@ -514,11 +529,18 @@ def test_streamed_exports_equal_per_record_exports(family, s, expansions):
 @pytest.mark.parametrize("kind", list(KINDS_BY_NAME))
 @pytest.mark.parametrize("s", [1, 2])
 def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s, expansions):
+    owner = KINDS_BY_NAME[kind].family
+    if owner not in (None, family):
+        # a kind of the other curve family has no spectrum to export
+        message = f"^subgroup family '{kind}' is a {owner.value} kind, not a {family.value} one$"
+        with pytest.raises(ValueError, match=message):
+            compute_spectrum(family, s, kind)
+        return
     assert_exports_match_reference(family, s, kind, expansions)
 
 
 def test_exports_of_a_kind_without_records():
-    report = compute_spectrum(Family.REE, 1, "b0-cyclic")
+    report = compute_spectrum(Family.REE, 1, "n2-skew-full")  # 7 does not divide m = 19
     assert report.record_count == 0
     text = render_json(report)
     assert validate_export(text) is None
