@@ -26,31 +26,37 @@ code it checks.
 
 One step, or one column (n2 = m, the dominant shape in the Ree oracle),
 gives each row at most one pair, so the count is the number of rows some
-step hits.  Several steps on several columns may give one row several
-pairs, so the pairs (i, i*r mod m) of every step's hit rows, with the
-unfolded r, are collected and counted once each; memory is bounded by the
-distinct pairs found, at most |H|, which the oracle's element cap limits.
+step hits: for one folded step the length of its hit range, with no set
+built.  Several steps on several columns may give one row several pairs,
+so the pairs (i, i*r mod m) of every step's hit rows, with the unfolded
+r, are collected and counted once each; memory is bounded by the distinct
+pairs found, at most |H|, which the oracle's element cap limits.
 
 A caller that counts the same rows several times (the oracle suite checks
-each sampled subgroup twice, with the same steps) may pass one scans dict
-to every call: each row scan is then run once and its hit rows kept in the
-dict, keyed by (modulus, rows, folded step), and each modulus's divisor
-list is built once and kept under the key (modulus,).  Its lifetime is the
-caller's; nothing here caches across calls on its own.
+each sampled subgroup twice, with the same steps: once in
+sigma_cm_iota_counts, once in one congruence_count per special power) may
+pass one scans dict to every call: each row scan is then run once and its
+hit rows kept in the dict, keyed by (modulus, rows, folded step), and
+each modulus's divisor list is built once and kept under the key
+(modulus,).  Its lifetime is the caller's; nothing here caches across
+calls on its own.
 
 Subgroup closure enumeration represents a subgroup of C_m x C_m as an
 m*m-bit integer (bit x*m+y set iff the element (x, y) belongs), so that
 translating the whole set by a group element costs a handful of wide-int
-shift/mask operations instead of one operation per member.  Orders are
-counted, not derived: a coordinate x has order the least k >= 1 with
-k*x = 0 (mod m), and a pair (x, y) the least multiple of x's order that
-also sends y to 0.  Each cyclic subgroup is walked once: walking <g> of
-order n marks every member of order n, since each of them generates <g>,
-and a marked element is never walked as a generator.  The joins C1 + C2
-of two cyclic subgroups then need no closure when the answer is known:
-the join has |C1|*|C2| / |C1 & C2| elements, the found subgroups are kept
-by size, and a found subgroup of that size holding both C1 and C2 is the
-join itself.  A join that is built by doubling asserts that size.
+shift/mask operations instead of one operation per member.  The subgroups
+are returned in that form: the oracle suite compares them with
+catalog.standard_exponent_elements, which builds the same masks, so no
+set bit is ever extracted.  Orders are counted, not derived: a coordinate
+x has order the least k >= 1 with k*x = 0 (mod m), and a pair (x, y) the
+least multiple of x's order that also sends y to 0.  Each cyclic subgroup
+is walked once: walking <g> of order n marks every member of order n,
+since each of them generates <g>, and a marked element is never walked as
+a generator.  The joins C1 + C2 of two cyclic subgroups then need no
+closure when the answer is known: the join has |C1|*|C2| / |C1 & C2|
+elements, the found subgroups are kept by size, and a found subgroup of
+that size holding both C1 and C2 is the join itself.  A join that is built
+by doubling asserts that size.
 """
 
 from __future__ import annotations
@@ -108,14 +114,19 @@ def _pair_count(
     Each step's row scan mod n2 gives its hit rows (see the module
     docstring); a zero step hits every row.  One step or one column: a row
     has at most one such pair, so the count is the number of hit rows
-    outside skip_rows.  Several steps on several columns: the pair of row i
-    under step r is (i, i*r mod m), and the distinct pairs over every
-    step's hit rows outside skip_rows are counted, at most |H| of them.
+    outside skip_rows: for one folded step the length of its hit range
+    less the skip rows in it, for several the size of the union of their
+    hit rows.  Several steps on several columns: the pair of row i under
+    step r is (i, i*r mod m), and the distinct pairs over every step's hit
+    rows outside skip_rows are counted, at most |H| of them.
     """
     if m // n2 == 1 or len(steps) == 1:
         folded = {min(r % n2, n2 - r % n2) for r in steps}
         if 0 in folded:
             return rows - len(skip_rows)
+        if len(folded) == 1:
+            hit = _vanishing_rows(n2, rows, folded.pop(), scans)
+            return len(hit) - sum(i in hit for i in skip_rows)
         hit_rows: set[int] = set()
         for r in folded:
             hit_rows.update(_vanishing_rows(n2, rows, r, scans))
@@ -180,8 +191,9 @@ def _translate(mask: int, tx: int, ty: int, m: int, full: int, row_low) -> int:
     return mask
 
 
-def cm_subgroups(m: int) -> set[tuple[int, ...]]:
-    """All subgroups of C_m x C_m by closure, as sorted tuples of x*m+y codes.
+def cm_subgroups(m: int) -> set[int]:
+    """All subgroups of C_m x C_m by closure, as m*m-bit masks: bit x*m+y is
+    set for each element (x, y) of a subgroup.
 
     Every subgroup of a rank-2 abelian group is generated by two elements,
     so the full set is obtained as pairwise joins of the cyclic subgroups;
@@ -256,13 +268,4 @@ def cm_subgroups(m: int) -> set[tuple[int, ...]]:
             assert joined.bit_count() == size, (m, size)
             known.append(joined)
 
-    out = set()
-    for masks in by_size.values():
-        for mask in masks:
-            indices = []
-            while mask:
-                low_bit = mask & -mask
-                indices.append(low_bit.bit_length() - 1)
-                mask ^= low_bit
-            out.add(tuple(indices))
-    return out
+    return {mask for masks in by_size.values() for mask in masks}

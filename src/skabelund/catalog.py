@@ -210,19 +210,21 @@ def subgroup_order_sigma(m: int, se: SigmaCm) -> int:
     return order
 
 
-def standard_exponent_elements(m: int, se: SigmaCm) -> frozenset[tuple[int, int]]:
-    """Element set of <sigma^n1 tau^a, tau^n2> as exponent pairs (A, B) mod m.
+def standard_exponent_elements(m: int, se: SigmaCm) -> int:
+    """Element set of <sigma^n1 tau^a, tau^n2> as an m*m-bit mask: bit A*m+B
+    is set for each element sigma^A tau^B, exponents mod m (the form of
+    oracle.enumerate_subgroups_bruteforce).
 
     Elements are written uniquely as (sigma^n1 tau^a)^i (tau^n2)^j with
-    0 <= i < m/n1 and 0 <= j < m/n2.
+    0 <= i < m/n1 and 0 <= j < m/n2, so the mask is built row by row: row
+    A = i*n1 holds the column pattern sum_j 2^(j*n2) rotated by i*a mod m.
+    The pattern repeats every n2 bits, so that rotation is a shift by
+    i*a mod n2.
     """
     se.validate(m)
     n1, n2, a = se.n1, se.n2, se.a
-    return frozenset(
-        ((i * n1) % m, (i * a + j * n2) % m)
-        for i in range(m // n1)
-        for j in range(m // n2)
-    )
+    pattern = sum(1 << j for j in range(0, m, n2))
+    return sum(pattern << (i * n1 * m + i * a % n2) for i in range(m // n1))
 
 
 def _b0(cls):

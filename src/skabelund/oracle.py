@@ -36,8 +36,17 @@ tests (tests/test_oracle_gate.py) stays the reference it must match.
 
 The censuses take a catalog descriptor h, checked first by
 catalog.check_descriptor: delta_b0_census(params, h) a B0Cyclic or B0Dihedral,
-delta_census(params, h) a Psl28 or N2NonSkew, delta_skew_census(params, h) an
-N2SkewFull or N2SkewCyclic.
+delta_census(params, h) a Psl28 or N2NonSkew, delta_skew_census(params, h,
+images=None) an N2SkewFull or N2SkewCyclic.  The six Singer image masks a
+skew census weighs by depend on the curve only: a caller censusing several
+skew subgroups of one curve builds them once with skew_image_masks and
+passes them in.
+
+count_congruence_solutions(params, se) validates se and checks the element
+cap once, and returns one count per special power, in q_powers order.
+Subgroup closure works on m*m-bit masks, bit A*m+B set for the element
+(A, B): enumerate_subgroups_bruteforce returns the kernel's masks as they
+are, and catalog.standard_exponent_elements builds the same form.
 
 The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
@@ -103,34 +112,36 @@ def delta_sigma_cm_bruteforce(
 def count_congruence_solutions(
     params: CurveParams,
     se: SigmaCm,
-    d: int,
     max_elements: int | None = None,
     scans: dict | None = None,
-) -> int:
-    """Number of pairs (i, j) in the fundamental domain of the subgroup with
-    j*n2 = i*(n1*q^d - a) (mod m), including (0, 0).  scans as for
+) -> tuple[int, ...]:
+    """For each special power q^d, in q_powers order, the number of pairs
+    (i, j) in the fundamental domain of the subgroup with
+    j*n2 = i*(n1*q^d - a) (mod m), including (0, 0).  se is validated and
+    the element cap checked once for all the powers.  scans as for
     delta_sigma_cm_bruteforce."""
-    order = subgroup_order_sigma(params.m, se)  # validates se before d
-    if not 0 <= d < len(params.q_powers):
-        raise ValueError(f"d={d} out of range for {params.family.value}")
+    order = subgroup_order_sigma(params.m, se)  # validates se
     cap = max_elements_cap(max_elements)
     if order > cap:
         raise BruteForceCapError(f"subgroup exceeds brute-force cap {cap}")
-    rhs = (se.n1 * params.q_powers[d] - se.a) % params.m
-    return _kernels.congruence_count(params.m, se.n1, se.n2, rhs, scans=scans)
+    m, n1, n2, a = params.m, se.n1, se.n2, se.a
+    # a list comprehension, not a generator: with a generator object per
+    # call the peak RSS of repeated Ree suites rose by 0.13 MiB
+    return tuple([
+        _kernels.congruence_count(m, n1, n2, (n1 * qd - a) % m, scans=scans)
+        for qd in params.q_powers
+    ])
 
 
-def enumerate_subgroups_bruteforce(m: int) -> set[frozenset[tuple[int, int]]]:
-    """All subgroups of C_m x C_m as element sets, found by set closure."""
+def enumerate_subgroups_bruteforce(m: int) -> set[int]:
+    """All subgroups of C_m x C_m, found by set closure, as m*m-bit masks
+    with bit A*m+B set for each element (A, B) (see _kernels.cm_subgroups)."""
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     limit = max_closure_m()
     if m > limit:
         raise BruteForceCapError(f"m={m} exceeds closure cap {limit}")
-    return {
-        frozenset(divmod(code, m) for code in codes)
-        for codes in _kernels.cm_subgroups(m)
-    }
+    return _kernels.cm_subgroups(m)
 
 
 def _class_weight_sum(
@@ -317,7 +328,21 @@ def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int
     return {part: rotate(kernel, e) for part, e in reps.items()}
 
 
-def delta_skew_census(params: CurveParams, h: N2SkewFull | N2SkewCyclic) -> int:
+def skew_image_masks(params: CurveParams) -> dict[int, int]:
+    """{c: m-bit int with bit B set at each image B of sigma^(c*m/7)} for
+    c = 1..6, the singer_images a skew census weighs its a != 1 buckets by.
+    They depend on the curve only, so a caller censusing several skew
+    subgroups of one curve builds them once and passes them to each
+    delta_skew_census; m must be a multiple of 7."""
+    m = params.m
+    return {
+        c: sum(1 << b for b in singer_images(params, c * (m // 7))) for c in range(1, 7)
+    }
+
+
+def delta_skew_census(
+    params: CurveParams, h: N2SkewFull | N2SkewCyclic, images: dict[int, int] | None = None
+) -> int:
     """Different degree of a skew subgroup by element-level weight summation.
 
     Involution cosets weigh q+1 per element, pure tau powers q^3+1, and the
@@ -330,7 +355,8 @@ def delta_skew_census(params: CurveParams, h: N2SkewFull | N2SkewCyclic) -> int:
     a = g^c.  The a = 1 buckets weigh by order class and by whether
     e = 0 mod m, which for e in range(m) is bit 0 only: the involution
     buckets (b != 0) are summed into one count and weighed with the pure
-    tau powers from at most three reads of iota_ree.
+    tau powers from at most three reads of iota_ree.  images is
+    skew_image_masks(params), built here when not given.
     """
     check_descriptor(params, h)
     _require(h, N2SkewFull, N2SkewCyclic)
@@ -342,14 +368,12 @@ def delta_skew_census(params: CurveParams, h: N2SkewFull | N2SkewCyclic) -> int:
         f"closure produced {order} elements, expected {expected_order}"
     )
     tau = buckets.pop((1, 0)) & ~1  # the identity has no weight
-    # bit B set at each image B of sigma^(c*m/7), c = 1..6
-    image_masks = {
-        c: sum(1 << b for b in singer_images(params, c * (m // 7))) for c in range(1, 7)
-    }
+    if images is None:
+        images = skew_image_masks(params)
     total = involutions = at_zero = 0
     for (a, _), bits in buckets.items():
         if a != 1:
-            total += m * (bits & image_masks[_F8_LOG[a]]).bit_count()
+            total += m * (bits & images[_F8_LOG[a]]).bit_count()
         else:
             involutions += bits.bit_count()
             at_zero += bits & 1  # bit e stands for tau^e, e in range(m)

@@ -289,7 +289,8 @@ def validate_export(text: str | bytes) -> None:
 
     family, s and families_covered name the export (no kind: the export with
     no records; one: that kind's; more: the whole catalog's), and an s past
-    max_s(family) raises before the curve is built.  The message names the
+    max_s(family) raises before the curve is built, and before the records
+    are parsed when the head parses on its own.  The message names the
     first record that differs, else the first head key.
 
     This certifies "this is the export this version writes".  Whether its
@@ -303,6 +304,8 @@ def validate_export(text: str | bytes) -> None:
             head = json.loads(text[:start] + '"records": []' + text[end + 1 :])
             if type(head) is dict and text == _export_named_by(head):
                 return
+        except _PastTheCap:
+            raise
         except (ValueError, RecursionError):
             pass
     try:
@@ -319,6 +322,11 @@ def validate_export(text: str | bytes) -> None:
 _FAMILIES = {family.value: family for family in Family}
 
 
+class _PastTheCap(ValueError):
+    """The curve a head names has an s past max_s: no parse of the records
+    can change that, so validate_export raises it from the head alone."""
+
+
 def _export_named_by(head: dict) -> str:
     """render_json of the report head's family, s and families_covered name;
     ValueError if they name no curve within max_s."""
@@ -330,7 +338,7 @@ def _export_named_by(head: dict) -> str:
         raise ValueError(f"s {s!r} is not a positive integer")
     cap = max_s(family)
     if s > cap:
-        raise ValueError(f"s={s} exceeds the cap {cap} for {family.value} (SKABELUND_MAX_S)")
+        raise _PastTheCap(f"s={s} exceeds the cap {cap} for {family.value} (SKABELUND_MAX_S)")
     if covered == []:
         return render_json(SpectrumReport(make_params(family, s), (), (), COMPLETENESS_NOTE))
     one = type(covered) is list and len(covered) == 1 and type(covered[0]) is str

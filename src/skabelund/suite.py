@@ -9,9 +9,22 @@ the skew subgroups (Ree).  A check fails naming each case whose two sides
 differ, and a check whose cases the element cap left empty fails too.
 
 The oracle itself (oracle.py) takes no valuation and no closed form; this
-module compares it with both.  The spectrum pipeline, the CLI's spectrum,
-genus and verify-tables commands and `import skabelund` do not load this
-module or the oracle: spectrum.run_oracle_suite imports it on its first call.
+module compares it with both.  The congruence check's side of the
+comparison is a product of p-parts p^min(v_p(x), v_p(n2)) over the primes
+of m, each found by this module's own division loop (_p_part), not by
+arith.valuation.
+
+Work that depends on less than one case is done once: a sampled subgroup's
+congruence counts come from one count_congruence_solutions call, one count
+per special power; the closure check compares m*m-bit element masks (bit
+A*m+B set for (A, B)) from enumerate_subgroups_bruteforce and
+standard_exponent_elements; and the skew check builds the curve's six
+Singer image masks once (skew_image_masks) and passes them to every
+delta_skew_census.
+
+The spectrum pipeline, the CLI's spectrum, genus and verify-tables commands
+and `import skabelund` do not load this module or the oracle:
+spectrum.run_oracle_suite imports it on its first call.
 """
 
 from __future__ import annotations
@@ -19,7 +32,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .arith import divisors, valuation
+from .arith import divisors
 from .catalog import (
     N2_SUBGROUP_ORDERS,
     B0Cyclic,
@@ -51,6 +64,7 @@ from .oracle import (
     delta_skew_census,
     enumerate_subgroups_bruteforce,
     realize_census,
+    skew_image_masks,
 )
 from .settings import max_closure_m, max_elements_cap
 from .singer import delta_sigma_cm
@@ -109,6 +123,17 @@ def _verdict(
     return OracleCheck(name, True, summary)
 
 
+def _p_part(x: int, p: int, pe: int) -> int:
+    """p^min(v_p(x), e) for pe = p^e, p prime: x divided by p while p
+    divides it, at most e times.  That is gcd(x, pe), and x = 0 gives pe
+    with no infinite valuation."""
+    part = 1
+    while part < pe and x % p == 0:
+        x //= p
+        part *= p
+    return part
+
+
 def _tally(what: str, cases: list) -> str:
     return f"{what}: {len(cases)}" + (f", first {cases[0]}" if cases else "")
 
@@ -145,19 +170,18 @@ def run_oracle_suite(
     )
 
     bad = []
+    m_parts = [(p, p**e) for p, e in params.m_factors]
     for se in sampled:
-        # (p, v_p(n2)) per prime of m, the same for every power
-        n2_parts = [(p, valuation(p, se.n2)) for p, _e in params.m_factors]
-        for d in range(len(params.q_powers)):
-            count = count_congruence_solutions(
-                params, se, d, max_elements=cap, scans=scans
-            )
+        counts = count_congruence_solutions(params, se, max_elements=cap, scans=scans)
+        # (p, p^v_p(n2)) per prime of m, the same for every power; n2 | m
+        n2_parts = [(p, _p_part(se.n2, p, pe)) for p, pe in m_parts]
+        for d, (qd, count) in enumerate(zip(params.q_powers, counts)):
             # the product prime by prime, not the gcd delta_sigma_cm takes,
             # so the count is checked against a formulation of its own
-            x = se.n1 * params.q_powers[d] - se.a
+            x = se.n1 * qd - se.a
             prod = 1
-            for p, v in n2_parts:
-                prod *= p ** int(min(valuation(p, x), v))
+            for p, pe in n2_parts:
+                prod *= _p_part(x, p, pe)
             if count * se.n1 * se.n2 != params.m * prod:
                 bad.append(f"{se} d={d}: {count} vs {params.m * prod}")
     checks.append(
@@ -182,7 +206,7 @@ def run_oracle_suite(
                 extra.append(se)
             generated.add(elements)
         # missing subgroups are named by order, the smallest first
-        missing = [f"of order {n}" for n in sorted(map(len, subgroups - generated))]
+        missing = [f"of order {n}" for n in sorted(map(int.bit_count, subgroups - generated))]
         tallies = [
             _tally("closure subgroups no triple generates", missing),
             _tally("generated sets not closure subgroups", extra),
@@ -251,12 +275,13 @@ def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
         for i in range(1, 7)
         if 56 * (params.m // (7 * w)) <= cap
     ]
+    images = skew_image_masks(params)  # the curve's, shared by every census
     for i, w in pairs:
         full = genus_n2_skew_full(params, i, w)
         cyclic = genus_n2_skew_cyclic(params, i, w)
-        if full.delta != delta_skew_census(params, N2SkewFull(i, w)):
+        if full.delta != delta_skew_census(params, N2SkewFull(i, w), images):
             bad.append(f"full i={i} w={w}")
-        if cyclic.delta != delta_skew_census(params, N2SkewCyclic(i, w)):
+        if cyclic.delta != delta_skew_census(params, N2SkewCyclic(i, w), images):
             bad.append(f"cyclic i={i} w={w}")
         n1 = params.m // 7
         reduced = genus_sigma_cm_ree(params, SigmaCm(n1, 7 * w, (i * w) % (7 * w)))

@@ -5,7 +5,10 @@ private name (_x) a package module defines at module level is read by some
 package module.  No linter runs on the sources, so this catches the imports
 and helpers a refactor leaves behind, in the package, its tests and
 pipebench.  And a subgroup kind's conditions are raised from catalog.py
-only, so no module restates them beside catalog.check_descriptor."""
+only, so no module restates them beside catalog.check_descriptor.  And the
+oracle suite names no valuation: its congruence check forms each p-part by
+its own division loop, so it shares no valuation with the Singer-square
+closed forms it checks (singer._p_parts)."""
 
 import ast
 from pathlib import Path
@@ -177,3 +180,30 @@ def test_the_check_sees_a_restated_kind_condition():
 
 def test_kind_conditions_are_raised_from_the_catalog_only():
     assert kind_condition_raises(_package_sources()) == []
+
+
+def valuation_names(source: str) -> list[str]:
+    """The identifiers of source (names, attributes, imported names and
+    aliases, arguments) that hold "valuation" in any case, sorted."""
+    return sorted(
+        {
+            value
+            for node in ast.walk(ast.parse(source))
+            for field in ("id", "attr", "name", "asname", "arg")
+            if isinstance(value := getattr(node, field, None), str)
+            and "valuation" in value.lower()
+        }
+    )
+
+
+def test_the_check_sees_a_valuation_readded_to_the_suite():
+    source = (PACKAGE / "suite.py").read_text()
+    readded = source + "\n\ndef _capped(p, x, e):\n    return min(arith.valuation(p, x), e)\n"
+    assert valuation_names(readded) == ["valuation"]
+    assert valuation_names("from .arith import valuation as v\nv(2, 4)\n") == ["valuation"]
+    assert valuation_names("from .arith import INFINITE_VALUATION\n") == ["INFINITE_VALUATION"]
+    assert valuation_names('"""a valuation named in a docstring"""\n') == []
+
+
+def test_the_suite_names_no_valuation():
+    assert valuation_names((PACKAGE / "suite.py").read_text()) == []

@@ -31,7 +31,7 @@ from skabelund.oracle import (
 )
 from skabelund.singer import delta_sigma_cm
 
-from references import delta_sigma_cm_direct, materialize_skew_subgroup
+from references import bit_positions, delta_sigma_cm_direct, materialize_skew_subgroup
 
 S1 = make_params(Family.SUZUKI, 1)
 S2 = make_params(Family.SUZUKI, 2)
@@ -92,16 +92,14 @@ def test_delta_bruteforce_matches_direct_iota_summation():
 
 
 def test_congruence_count_examples():
-    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1), 0) == 5
-    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1), 1) == 1
-    assert count_congruence_solutions(S2, SigmaCm(5, 5, 0), 2) == 5
-    with pytest.raises(ValueError):
-        count_congruence_solutions(S1, SigmaCm(1, 5, 1), 4)
-    with pytest.raises(ValueError):
-        count_congruence_solutions(R1, SigmaCm(1, 19, 1), 6)
-    # a bad triple is reported before a bad d
+    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1))[0] == 5
+    assert count_congruence_solutions(S1, SigmaCm(1, 5, 1))[1] == 1
+    assert count_congruence_solutions(S2, SigmaCm(5, 5, 0))[2] == 5
+    # one count per special power
+    assert len(count_congruence_solutions(S1, SigmaCm(1, 5, 1))) == len(S1.q_powers) == 4
+    assert len(count_congruence_solutions(R1, SigmaCm(1, 19, 1))) == len(R1.q_powers) == 6
     with pytest.raises(ValueError, match=r"a=7 out of range"):
-        count_congruence_solutions(S1, SigmaCm(1, 5, 7), 4)
+        count_congruence_solutions(S1, SigmaCm(1, 5, 7))
 
 
 NON_INT_FIELDS = [
@@ -116,7 +114,7 @@ SINGER_ENTRY_POINTS = {
     "standard_exponent_elements": lambda se: standard_exponent_elements(S1.m, se),
     "delta_sigma_cm": lambda se: delta_sigma_cm(S1, se),
     "delta_sigma_cm_bruteforce": lambda se: delta_sigma_cm_bruteforce(S1, se),
-    "count_congruence_solutions": lambda se: count_congruence_solutions(S1, se, 0),
+    "count_congruence_solutions": lambda se: count_congruence_solutions(S1, se),
 }
 
 
@@ -131,8 +129,9 @@ def test_singer_entry_points_reject_non_int_fields(entry, se):
 
 def test_congruence_count_includes_origin():
     for se in enumerate_standard_exponents(5):
+        counts = count_congruence_solutions(S1, se)
         for d in range(4):
-            assert count_congruence_solutions(S1, se, d) >= 1
+            assert counts[d] >= 1
 
 
 def test_subgroup_closure_counts():
@@ -145,7 +144,8 @@ def test_subgroup_closure_counts():
 
 def test_subgroups_are_actual_subgroups():
     for m in (6, 12):
-        for elements in enumerate_subgroups_bruteforce(m):
+        for mask in enumerate_subgroups_bruteforce(m):
+            elements = {divmod(code, m) for code in bit_positions(mask)}
             assert (0, 0) in elements
             assert m * m % len(elements) == 0
             for x1, y1 in elements:
@@ -175,7 +175,7 @@ def test_element_cap(monkeypatch):
     with pytest.raises(BruteForceCapError):
         delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0))  # |H| = 361
     with pytest.raises(BruteForceCapError, match="subgroup exceeds brute-force cap 100"):
-        count_congruence_solutions(R1, SigmaCm(1, 1, 0), 0)
+        count_congruence_solutions(R1, SigmaCm(1, 1, 0))
     assert delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0), max_elements=400)
 
 
@@ -285,7 +285,7 @@ def test_congruence_crt_law_small():
                 prod = 1
                 for p, _e in params.m_factors:
                     prod *= p ** int(min(valuation(p, x), valuation(p, se.n2)))
-                count = count_congruence_solutions(params, se, d)
+                count = count_congruence_solutions(params, se)[d]
                 assert count * se.n1 * se.n2 == params.m * prod
 
 

@@ -17,7 +17,14 @@ the oracle suite makes for Suzuki s <= 6 and Ree s <= 5.  The subgroup
 closure, which walks each cyclic subgroup once and skips every join a found
 subgroup of the join's size already holds, must find the subgroups the
 pairwise closure (ref_cm_subgroups) finds for every m up to the default
-closure cap, 60.  The skew closure, which takes each subgroup's buckets as
+closure cap, 60, and each triple's element mask
+(catalog.standard_exponent_elements) must decode to the pairs of its
+fundamental domain for every m <= 25.  The per-subgroup congruence counts
+must equal the nested-loop count power by power on every subgroup the
+suite samples for Suzuki s <= 6 and Ree s <= 4, the suite's p-part loop
+must equal gcd(x, p^v) (x = 0 included), and every skew census the suite
+runs with the curve's image masks must equal the census that builds its
+own.  The skew closure, which takes each subgroup's buckets as
 cosets of one kernel bitset by Schreier's lemma, must match the
 element-by-element closure (ref_close_affine, which stays the reference)
 on random affine generators and bucket by bucket on every skew case the
@@ -45,7 +52,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from skabelund import _kernels, oracle
+from skabelund import _kernels, oracle, suite
 from skabelund.arith import divisors, is_prime
 from skabelund.catalog import (
     B0Cyclic,
@@ -53,6 +60,7 @@ from skabelund.catalog import (
     N2NonSkew,
     Psl28,
     enumerate_standard_exponents,
+    standard_exponent_elements,
     subgroup_order_sigma,
 )
 from skabelund.curves import CurveParams, Family, make_params, seven_divides_m
@@ -76,9 +84,10 @@ from skabelund.oracle import (
     delta_skew_census,
     f8_mul,
     max_elements_cap,
+    skew_image_masks,
 )
 from skabelund.settings import DEFAULT_MAX_CLOSURE_M, DEFAULT_MAX_S
-from skabelund.suite import run_oracle_suite, sample_standard_exponents
+from skabelund.suite import SAMPLE_LIMIT, run_oracle_suite, sample_standard_exponents
 
 from references import SKEW_CLASSES, bit_positions, materialize_skew_subgroup
 from sampling import sample_evenly
@@ -458,7 +467,80 @@ def test_subgroup_closure_matches_the_pairwise_closure(m):
     """Every m the closure cap admits by default: the counted walk and the
     size-indexed join skip find exactly the subgroups the pairwise closure
     finds."""
-    assert _kernels.cm_subgroups(m) == ref_cm_subgroups(m)
+    found = {tuple(bit_positions(mask)) for mask in _kernels.cm_subgroups(m)}
+    assert found == ref_cm_subgroups(m)
+
+
+@pytest.mark.parametrize("m", range(1, 26))
+def test_standard_exponent_masks_decode_to_their_pair_sets(m):
+    """The row-by-row mask of each triple holds exactly the pairs
+    ((i*n1) mod m, (i*a + j*n2) mod m) of its fundamental domain."""
+    for se in enumerate_standard_exponents(m):
+        pairs = {
+            ((i * se.n1) % m, (i * se.a + j * se.n2) % m)
+            for i in range(m // se.n1)
+            for j in range(m // se.n2)
+        }
+        mask = standard_exponent_elements(m, se)
+        assert {divmod(code, m) for code in bit_positions(mask)} == pairs, se
+
+
+# --- the suite's per-subgroup and per-curve work ------------------------------
+
+
+@pytest.mark.parametrize(
+    "family, s", ORACLE_CURVES, ids=[f"{f.value}-{s}" for f, s in ORACLE_CURVES]
+)
+def test_congruence_counts_per_subgroup_match_the_nested_loop(family, s, default_caps):
+    """One tuple per sampled subgroup, one entry per special power, each the
+    nested-loop count of that power."""
+    params = make_params(family, s)
+    sampled = sample_standard_exponents(params.m, max_elements_cap(), SAMPLE_LIMIT)
+    assert sampled
+    for se in sampled:
+        expected = tuple(
+            ref_congruence_count(params.m, se.n1, se.n2, se.n1 * qd - se.a)
+            for qd in params.q_powers
+        )
+        assert oracle.count_congruence_solutions(params, se) == expected, se
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([2, 3, 5, 7, 13, 37, 97, 241, 387631]),
+    st.integers(0, 12),
+    st.integers(0, 15),
+    st.one_of(st.just(0), st.integers(-(10**30), 10**30)),
+)
+@example(2, 0, 0, 0)  # p^0 = 1
+@example(5, 3, 0, 0)  # x = 0: p^v, with no infinite valuation
+@example(3, 4, 7, 1)  # v_p(x) above v
+@example(13, 2, 1, -5)  # a negative x
+def test_suite_p_part_is_the_gcd_with_the_prime_power(p, v, k, y):
+    """The suite's division loop gives p^min(v_p(x), v) = gcd(x, p^v)."""
+    x = p**k * y
+    assert suite._p_part(x, p, p**v) == math.gcd(x, p**v)
+
+
+@pytest.mark.parametrize("s", range(1, DEFAULT_MAX_S[Family.REE] + 1))
+def test_skew_census_with_the_curve_images_equals_the_census_without(
+    s, monkeypatch, default_caps
+):
+    """Every skew census the suite runs is passed the curve's image masks,
+    and gives what the census that builds its own gives."""
+    calls = []
+
+    def recording(params, h, *images):
+        calls.append((params, h, images))
+        return delta_skew_census(params, h, *images)
+
+    monkeypatch.setattr(suite, "delta_skew_census", recording)
+    params = make_params(Family.REE, s)
+    run_oracle_suite(Family.REE, s)
+    assert bool(calls) == seven_divides_m(params)
+    for params, h, images in calls:
+        assert images == (skew_image_masks(params),)
+        assert delta_skew_census(params, h, *images) == delta_skew_census(params, h), h
 
 
 # --- the row scan against its definition --------------------------------------

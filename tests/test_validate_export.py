@@ -254,6 +254,28 @@ def test_the_cap_follows_the_setting(monkeypatch):
     assert outcome(text) is None
 
 
+def test_an_s_past_the_cap_is_refused_from_the_head_alone(monkeypatch):
+    """The head names the curve, so an s past the cap is refused after one
+    parse of the head, not of the whole text: records that would not even
+    parse get the same one-line message."""
+    text = export(Family.REE, 2)
+    monkeypatch.setenv("SKABELUND_MAX_S", "1")
+    parsed = []
+    loads = json.loads
+
+    def recording(source, *args, **kwargs):
+        parsed.append(len(source))
+        return loads(source, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.json, "loads", recording)
+    message = "s=2 exceeds the cap 1 for ree (SKABELUND_MAX_S)"
+    assert outcome(text) == message
+    assert len(parsed) == 1 and parsed[0] < len(text) // 10
+    records = text.index('"records": [') + len('"records": [')
+    assert outcome(text[:records] + "not json, " + text[records:]) == message
+    assert len(parsed) == 2
+
+
 # --- the mutation gate -----------------------------------------------------------
 
 
