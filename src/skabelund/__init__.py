@@ -10,7 +10,7 @@ against brute-force ramification oracles, and reproduces the published
 genus tables.
 """
 
-from .arith import INFINITE_VALUATION, divisors, factorize, valuation
+from .arith import divisors, factorize, valuation
 from .catalog import (
     B0Cyclic,
     B0Dihedral,
@@ -56,7 +56,6 @@ __all__ = [
     "CurveParams",
     "Family",
     "GenusRecord",
-    "INFINITE_VALUATION",
     "N2NonSkew",
     "N2SkewCyclic",
     "N2SkewFull",

@@ -1,8 +1,9 @@
 """Exact integer arithmetic helpers: factorization, divisors, p-adic valuations.
 
-Everything here works on Python ints, so all results stay exact for the
-magnitudes this package produces (up to ~q^4 for the Suzuki family and ~q^6
-for the Ree family, well beyond 64 bits for large field sizes).
+Everything here takes and returns Python ints, so all results stay exact
+for the magnitudes this package produces (up to ~q^4 for the Suzuki family
+and ~q^6 for the Ree family, well beyond 64 bits for large field sizes).
+valuation(p, 0) is infinite and has no int, so it raises.
 
 factorize is the package's one trial division, and it keeps an LRU cache:
 its callers ask about the same few numbers (the primes of m, m itself and
@@ -13,14 +14,6 @@ factorize(n), so it shares that cache; valuation(p, n) checks p with it.
 from __future__ import annotations
 
 import functools
-import math
-from typing import Union
-
-# v_p(0) = infinity: every power of p divides 0.  Returned by valuation() so
-# that min(valuation(p, x), valuation(p, n)) is correct when x == 0.
-INFINITE_VALUATION = math.inf
-
-Valuation = Union[int, float]
 
 Factorization = tuple[tuple[int, int], ...]
 
@@ -65,12 +58,12 @@ def factorize(n: int) -> Factorization:
     return tuple(out)
 
 
-def valuation(p: int, n: int) -> Valuation:
-    """Largest e such that p**e divides n; INFINITE_VALUATION when n == 0."""
+def valuation(p: int, n: int) -> int:
+    """Largest e such that p**e divides n != 0."""
     if not is_prime(p):
         raise ValueError(f"valuation needs a prime, got {p}")
     if n == 0:
-        return INFINITE_VALUATION
+        raise ValueError(f"valuation of 0 at {p} is infinite")
     n = abs(n)
     e = 0
     while n % p == 0:

@@ -149,31 +149,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("spectrum", help="compute and export a genus spectrum")
-    sp.add_argument("--family", type=_family, required=True, choices=list(Family))
-    sp.add_argument("--s", type=int, required=True)
+    # the curve options of spectrum, genus and oracle
+    curve = argparse.ArgumentParser(add_help=False)
+    names = "{" + ",".join(f.value for f in Family) + "}"
+    curve.add_argument("--family", type=_family, required=True, metavar=names)
+    curve.add_argument("--s", type=int, required=True)
+    curve.add_argument("--allow-large-s", action="store_true")
+
+    sp = sub.add_parser("spectrum", parents=[curve], help="compute and export a genus spectrum")
     sp.add_argument("--subgroup-family", default=None, help="restrict to one kind")
     sp.add_argument("--format", choices=("csv", "json", "table"), default="table")
     sp.add_argument("--out", default=None, help="write to file instead of stdout")
-    sp.add_argument("--allow-large-s", action="store_true")
     sp.set_defaults(func=_cmd_spectrum)
 
     vt = sub.add_parser("verify-tables", help="verify the embedded reference genera")
     vt.add_argument("--s-max", type=int, default=4)
     vt.set_defaults(func=_cmd_verify_tables)
 
-    gn = sub.add_parser("genus", help="evaluate one subgroup descriptor")
-    gn.add_argument("--family", type=_family, required=True, choices=list(Family))
-    gn.add_argument("--s", type=int, required=True)
+    gn = sub.add_parser("genus", parents=[curve], help="evaluate one subgroup descriptor")
     gn.add_argument("--descriptor", required=True, help="kind:params, e.g. sigma-cm:1,5,1")
-    gn.add_argument("--allow-large-s", action="store_true")
     gn.set_defaults(func=_cmd_genus)
 
-    orc = sub.add_parser("oracle", help="run brute-force equivalence checks")
-    orc.add_argument("--family", type=_family, required=True, choices=list(Family))
-    orc.add_argument("--s", type=int, required=True)
+    orc = sub.add_parser("oracle", parents=[curve], help="run brute-force equivalence checks")
     orc.add_argument("--max-elements", type=int, default=None)
-    orc.add_argument("--allow-large-s", action="store_true")
     orc.set_defaults(func=_cmd_oracle)
     return parser
 

@@ -64,35 +64,20 @@ def make_params(family: Family, s: int) -> CurveParams:
         raise ValueError(f"s must be an integer, got {s!r}")
     if s < 1:
         raise ValueError(f"s must be >= 1, got {s}")
-    if family is Family.SUZUKI:
-        p = 2
-        q0 = 2**s
-        q = 2 * q0**2
-        m = q - 2 * q0 + 1
-        field_exponent = 4
-        ambient_degree = (q**2 + 1) * (q - 2)
-        aut_order = q**2 * (q**2 + 1) * (q - 1) * m
-        # q^2+1 = (q - 2q0 + 1)(q + 2q0 + 1)
-        assert m * (q + 2 * q0 + 1) == q**2 + 1
-    elif family is Family.REE:
-        p = 3
-        q0 = 3**s
-        q = 3 * q0**2
-        m = q - 3 * q0 + 1
-        field_exponent = 6
-        ambient_degree = (q**3 + 1) * (q - 2)
-        aut_order = q**3 * (q**3 + 1) * (q - 1) * m
-        # q^3+1 = (q + 1)(q + 3q0 + 1)(q - 3q0 + 1)
-        assert m * (q + 1) * (q + 3 * q0 + 1) == q**3 + 1
-    else:
+    if not isinstance(family, Family):
         raise ValueError(f"unknown family {family!r}")
-
-    assert q == p ** (2 * s + 1)
+    p = 2 if family is Family.SUZUKI else 3  # the characteristic: q = p^(2s+1)
+    q0 = p**s
+    q = p * q0**2
+    m = q - p * q0 + 1
+    field_exponent = 2 * p
+    # m divides q^p+1: q^2+1 = (q - 2q0 + 1)(q + 2q0 + 1) (Suzuki) and
+    # q^3+1 = (q + 1)(q + 3q0 + 1)(q - 3q0 + 1) (Ree)
+    assert (q**p + 1) % m == 0
     if math.gcd(m, q - 1) != 1:
         raise ArithmeticError(f"gcd(m, q-1) != 1 for s={s}")
-    half = field_exponent // 2
-    if pow(q, 2 * half, m) != 1:
-        raise ArithmeticError(f"q does not have order dividing {2 * half} mod m")
+    if pow(q, field_exponent, m) != 1:
+        raise ArithmeticError(f"q does not have order dividing {field_exponent} mod m")
 
     return CurveParams(
         family=family,
@@ -101,9 +86,9 @@ def make_params(family: Family, s: int) -> CurveParams:
         q=q,
         m=m,
         field_exponent=field_exponent,
-        ambient_degree=ambient_degree,
-        q_powers=tuple(pow(q, d, m) for d in range(2 * half)),
-        aut_order=aut_order,
+        ambient_degree=(q**p + 1) * (q - 2),
+        q_powers=tuple(pow(q, d, m) for d in range(field_exponent)),
+        aut_order=q**p * (q**p + 1) * (q - 1) * m,
     )
 
 

@@ -3,7 +3,7 @@
 The CLI and validate_export read the curve-size cap SKABELUND_MAX_S through
 max_s; the oracle reads its two brute-force caps through max_elements_cap
 and max_closure_m.  A value that is not an integer, or is below its minimum,
-raises SettingError.
+raises SettingError; so does an oracle cap override that is not an int.
 """
 
 from __future__ import annotations
@@ -41,8 +41,14 @@ def max_s(family: Family) -> int:
 
 
 def max_elements_cap(override: int | None = None) -> int:
-    """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS)."""
+    """Per-subgroup element-enumeration cap (env SKABELUND_MAX_ELEMENTS).
+
+    An override must be an int; it may be negative, which no subgroup fits.
+    """
     if override is not None:
+        # not isinstance: True is an int, and would cap at one element
+        if type(override) is not int:
+            raise SettingError(f"max_elements must be an integer, got {override!r}")
         return override
     return env_int("SKABELUND_MAX_ELEMENTS", DEFAULT_MAX_ELEMENTS, minimum=0)
 

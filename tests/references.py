@@ -1,10 +1,11 @@
 """Slow reference versions of package functions, kept for the tests that pin
-the package to them: the product of a factorization, the per-element
-Singer-square delta, and the element set of a skew subgroup's bitset
-closure."""
+the package to them: the product of a factorization, the capped p-part
+product that a gcd equals, the per-element Singer-square delta, and the
+element set of a skew subgroup's bitset closure."""
 
 from itertools import compress
 
+from skabelund.arith import valuation
 from skabelund.catalog import N2SkewCyclic, N2SkewFull
 from skabelund.iota import iota_sigma_element
 from skabelund.oracle import _close_skew, _skew_generators
@@ -19,6 +20,20 @@ def product_of(factors):
     for p, e in factors:
         n *= p**e
     return n
+
+
+def capped_p_parts(x, n, primes):
+    """Product over p of primes of p^min(v_p(x), v_p(n)), for n != 0.
+
+    Every power of p divides x = 0, so there the p-part is p^v_p(n).  Built
+    from arith.valuation alone, it shares nothing with math.gcd (the closed
+    form) or with the oracle suite's own division loop (suite._p_part).
+    """
+    prod = 1
+    for p in primes:
+        cap = valuation(p, n)
+        prod *= p**cap if x == 0 else p ** min(valuation(p, x), cap)
+    return prod
 
 
 def delta_sigma_cm_direct(params, se):

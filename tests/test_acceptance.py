@@ -7,7 +7,7 @@ every expected value is an exact integer, never a tolerance.
 import time
 from contextlib import contextmanager
 
-from skabelund.arith import is_prime, valuation
+from skabelund.arith import is_prime
 from skabelund.catalog import (
     B0Cyclic,
     N2SkewFull,
@@ -36,6 +36,7 @@ from skabelund.oracle import (
 from skabelund.singer import delta_sigma_cm
 from skabelund.spectrum import evaluate_descriptor
 
+from references import capped_p_parts
 from sampling import sample_evenly
 
 MAX_ELEMENTS = 400_000
@@ -113,10 +114,7 @@ def test_criterion_4_oracle_equivalence():
 
 def _crt_product(params, se, d):
     x = se.n1 * params.q_powers[d] - se.a
-    prod = 1
-    for p, _e in params.m_factors:
-        prod *= p ** int(min(valuation(p, x), valuation(p, se.n2)))
-    return params.m * prod
+    return params.m * capped_p_parts(x, se.n2, (p for p, _e in params.m_factors))
 
 
 def test_criterion_5_congruence_count_law():

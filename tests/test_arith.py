@@ -4,15 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skabelund.arith import (
-    INFINITE_VALUATION,
-    divisors,
-    factorize,
-    is_prime,
-    valuation,
-)
+from skabelund.arith import divisors, factorize, is_prime, valuation
 
-from references import product_of
+from references import capped_p_parts, product_of
 
 
 def test_factorize_examples():
@@ -44,8 +38,22 @@ def test_factorize_product_roundtrip(n):
 def test_valuation_examples():
     assert valuation(5, 50) == 2
     assert valuation(5, 7) == 0
-    assert valuation(5, 0) == INFINITE_VALUATION
-    assert min(valuation(5, 0), valuation(5, 25)) == 2  # min(inf, e) = e
+
+
+def test_valuation_of_zero_raises():
+    # v_p(0) is infinite: every power of p divides 0, and no int says so
+    with pytest.raises(ValueError) as info:
+        valuation(5, 0)
+    assert str(info.value) == "valuation of 0 at 5 is infinite"
+
+
+def test_capped_p_parts_takes_zero_as_divisible_by_every_power():
+    assert capped_p_parts(0, 25, [5]) == 25
+    assert capped_p_parts(0, 5 * 25, [5]) == 125
+    assert capped_p_parts(0, 12, [2, 3]) == 12
+    assert capped_p_parts(50, 25, [5]) == 25
+    assert capped_p_parts(10, 125 * 4, [2, 5]) == 10
+    assert capped_p_parts(7, 25, [5]) == 1
 
 
 def test_is_prime_agrees_with_a_sieve():

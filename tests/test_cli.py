@@ -87,6 +87,23 @@ def test_oracle_max_elements_flag(capsys):
                  "--max-elements", "50"]) == 0
 
 
+@pytest.mark.parametrize("command", ["spectrum", "genus", "oracle"])
+def test_help_shows_the_family_names_users_type(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--help"])
+    assert info.value.code == 0
+    out = capsys.readouterr().out
+    assert "--family {suzuki,ree}" in out and "Family." not in out
+
+
+@pytest.mark.parametrize("command", ["spectrum", "genus", "oracle"])
+def test_an_unknown_family_is_named(command, capsys):
+    with pytest.raises(SystemExit) as info:
+        main([command, "--family", "SUZUKI", "--s", "1"])
+    assert info.value.code == 2
+    assert "argument --family: unknown family 'SUZUKI'" in capsys.readouterr().err
+
+
 def test_s_cap_enforced():
     with pytest.raises(SystemExit):
         main(["spectrum", "--family", "suzuki", "--s", "7"])

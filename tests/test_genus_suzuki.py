@@ -109,7 +109,7 @@ def test_oracle_equivalence_all_triples_small_s():
 
 
 def test_nu_with_exact_zero_argument():
-    # a = n1*q^d exactly: valuation(p, 0) must act as +infinity, capped by v_p(n2)
+    # a = n1*q^d exactly: every power of p divides 0, so the p-part is p^v_p(n2)
     record = genus_sigma_cm_suzuki(S1, SigmaCm(1, 5, 1))
     assert record.delta == 20  # the d=0 term contributes (5*5/5 - 1)*5
 

@@ -8,7 +8,9 @@ pipebench.  And a subgroup kind's conditions are raised from catalog.py
 only, so no module restates them beside catalog.check_descriptor.  And the
 oracle suite names no valuation: its congruence check forms each p-part by
 its own division loop, so it shares no valuation with the Singer-square
-closed forms it checks (singer._p_parts)."""
+closed forms it checks (singer._p_parts).  And no package module brings in
+a float (a float literal, true division, math.inf, math.nan or the name
+float): every genus and delta is an exact int."""
 
 import ast
 from pathlib import Path
@@ -207,3 +209,52 @@ def test_the_check_sees_a_valuation_readded_to_the_suite():
 
 def test_the_suite_names_no_valuation():
     assert valuation_names((PACKAGE / "suite.py").read_text()) == []
+
+
+def float_uses(source: str) -> list[tuple[int, str]]:
+    """(line, what) for each place source brings in a float: a float
+    literal, a true division (/ or /=), math.inf or math.nan (read or
+    imported), or the name float; in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, repr(node.value)))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "/"))
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("inf", "nan")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "math"
+        ):
+            found.append((node.lineno, f"math.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            names = [alias.name for alias in node.names if alias.name in ("inf", "nan")]
+            found += [(node.lineno, f"math.{name}") for name in names]
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append((node.lineno, "float"))
+    return sorted(found)
+
+
+def test_the_check_sees_a_float_readded_to_the_package():
+    source = (PACKAGE / "arith.py").read_text()
+    lines = source.count("\n")
+    readded = source + "\nimport math\n\nINFINITE_VALUATION = math.inf\n"
+    assert float_uses(readded) == [(lines + 4, "math.inf")]
+    halved = source + "\n\ndef _half(x):\n    return x / 2\n"
+    assert float_uses(halved) == [(lines + 4, "/")]
+    assert float_uses("x = 1.5\ny = 2\ny /= 2\nz = float('nan')\n") == [
+        (1, "1.5"),
+        (3, "/"),
+        (4, "float"),
+    ]
+    assert float_uses("from math import inf, isqrt\nn = math.nan\n") == [
+        (1, "math.inf"),
+        (2, "math.nan"),
+    ]
+    assert float_uses("n = 7 // 2\n'''a / in a docstring, 1.5'''\n") == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_the_package_holds_no_float(path):
+    assert float_uses(path.read_text()) == []

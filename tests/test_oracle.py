@@ -29,9 +29,16 @@ from skabelund.oracle import (
     f8_mul,
     realize_census,
 )
+from skabelund.settings import SettingError
 from skabelund.singer import delta_sigma_cm
+from skabelund.spectrum import run_oracle_suite
 
-from references import bit_positions, delta_sigma_cm_direct, materialize_skew_subgroup
+from references import (
+    bit_positions,
+    capped_p_parts,
+    delta_sigma_cm_direct,
+    materialize_skew_subgroup,
+)
 
 S1 = make_params(Family.SUZUKI, 1)
 S2 = make_params(Family.SUZUKI, 2)
@@ -179,6 +186,22 @@ def test_element_cap(monkeypatch):
     assert delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0), max_elements=400)
 
 
+@pytest.mark.parametrize("cap", [2.5, 400.0, True, "400"], ids=repr)
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda cap: run_oracle_suite(Family.SUZUKI, 1, max_elements=cap),
+        lambda cap: delta_sigma_cm_bruteforce(S1, SigmaCm(5, 5, 0), max_elements=cap),
+        lambda cap: count_congruence_solutions(S1, SigmaCm(5, 5, 0), max_elements=cap),
+    ],
+    ids=["run_oracle_suite", "delta_sigma_cm_bruteforce", "count_congruence_solutions"],
+)
+def test_an_element_cap_that_is_not_an_int_is_refused(run, cap):
+    with pytest.raises(SettingError) as info:
+        run(cap)
+    assert str(info.value) == f"max_elements must be an integer, got {cap!r}"
+
+
 def test_delta_census_values():
     assert delta_census(R1, Psl28(1)) == 44548
     assert delta_census(R1, N2NonSkew(168, 1)) == 10948
@@ -276,15 +299,12 @@ def test_a_caller_cannot_change_the_cached_census():
 
 def test_congruence_crt_law_small():
     # count * n1 * n2 = m * prod p^nu for every triple and power
-    from skabelund.arith import valuation
-
     for params in (S1, S2, R1):
+        primes = [p for p, _e in params.m_factors]
         for se in enumerate_standard_exponents(params.m):
             for d in range(len(params.q_powers)):
                 x = se.n1 * params.q_powers[d] - se.a
-                prod = 1
-                for p, _e in params.m_factors:
-                    prod *= p ** int(min(valuation(p, x), valuation(p, se.n2)))
+                prod = capped_p_parts(x, se.n2, primes)
                 count = count_congruence_solutions(params, se)[d]
                 assert count * se.n1 * se.n2 == params.m * prod
 

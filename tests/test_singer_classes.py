@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund import singer
-from skabelund.arith import divisors, is_prime, valuation
+from skabelund.arith import divisors, is_prime
 from skabelund.catalog import (
     GenusRecord,
     SigmaCm,
@@ -31,6 +31,8 @@ from skabelund.singer import (
     square_blocks,
 )
 from skabelund.spectrum import compute_spectrum, evaluate_descriptor
+
+from references import capped_p_parts
 
 # every (family, s) within the default caps of the CLI
 WITHIN_CAPS = [(Family.SUZUKI, s) for s in range(1, 7)] + [(Family.REE, s) for s in range(1, 6)]
@@ -124,12 +126,10 @@ def delta_by_valuations(params, se):
     prod_l p_l^min(v_{p_l}(n1*q^d - a), v_{p_l}(n2)): the reference for the
     one-gcd-per-power evaluation."""
     m, n1, n2, a = params.m, se.n1, se.n2, se.a
+    primes = [p for p, _e in params.m_factors]
     total = (m // n2 - 1) * params.tau_iota
     for qd in params.q_powers:
-        x = n1 * qd - a
-        prod = 1
-        for p, _e in params.m_factors:
-            prod *= p ** int(min(valuation(p, x), valuation(p, n2)))
+        prod = capped_p_parts(n1 * qd - a, n2, primes)
         assert m * prod % (n1 * n2) == 0
         total += (m * prod // (n1 * n2) - 1) * m
     return total
@@ -204,10 +204,7 @@ def around(n):
 def test_gcd_is_the_product_of_capped_valuations(data):
     factors, n2 = data.draw(divisor_of_curve_m())
     x = data.draw(around(n2))
-    prod = 1
-    for p, _e in factors:
-        prod *= p ** int(min(valuation(p, x), valuation(p, n2)))
-    assert math.gcd(x, n2) == prod
+    assert math.gcd(x, n2) == capped_p_parts(x, n2, (p for p, _e in factors))
 
 
 PRIMES = [p for p in range(2, 200) if is_prime(p)] + sorted(
@@ -221,7 +218,7 @@ def test_gcd_with_a_prime_power_is_its_p_part(data):
     p = data.draw(st.sampled_from(PRIMES))
     e = data.draw(st.integers(min_value=1, max_value=6))
     x = data.draw(around(p**e))
-    assert math.gcd(x, p**e) == p ** min(valuation(p, x), e)
+    assert math.gcd(x, p**e) == capped_p_parts(x, p**e, [p])
 
 
 @st.composite
