@@ -282,7 +282,7 @@ def render_table(report: SpectrumReport) -> str:
     return "\n".join(rows) + "\n"
 
 
-def validate_export(text: str | bytes) -> None:
+def validate_export(text: str | bytes | bytearray) -> None:
     """Check that text is the JSON export this version writes, or raise
     ValueError: the document it parses to must be, value for value and type
     for type, render_json's for the curve and kind filter its head names.
@@ -291,23 +291,29 @@ def validate_export(text: str | bytes) -> None:
     no records; one: that kind's; more: the whole catalog's), and an s past
     max_s(family) raises before the curve is built, and before the records
     are parsed when the head parses on its own.  The message names the
-    first record that differs, else the first head key.
+    first record that differs, else the first head key.  bytes and
+    bytearray are decoded as json.loads decodes them and take the same path.
 
     This certifies "this is the export this version writes".  Whether its
     genera are right is the job of the oracle and verify_tables.
     """
-    if type(text) is str:
-        # the head, with the records array emptied; nothing read from it is
-        # trusted, since only the text of the export it names passes here
-        start, end = text.find('"records": ['), text.rfind("]")
-        try:
-            head = json.loads(text[:start] + '"records": []' + text[end + 1 :])
-            if type(head) is dict and text == _export_named_by(head):
-                return
-        except _PastTheCap:
-            raise
-        except (ValueError, RecursionError):
-            pass
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")  # as json.loads does
+    elif not isinstance(text, str):
+        raise TypeError(
+            f"the JSON object must be str, bytes or bytearray, not {type(text).__name__}"
+        )
+    # the head, with the records array emptied; nothing read from it is
+    # trusted, since only the text of the export it names passes here
+    start, end = text.find('"records": ['), text.rfind("]")
+    try:
+        head = json.loads(text[:start] + '"records": []' + text[end + 1 :])
+        if type(head) is dict and text == _export_named_by(head):
+            return
+    except _PastTheCap:
+        raise
+    except (ValueError, RecursionError):
+        pass
     try:
         doc = json.loads(text)
     except RecursionError:

@@ -8,6 +8,11 @@ SAMPLE_LIMIT subgroups, the standard-exponent subgroups against closure
 the skew subgroups (Ree).  A check fails naming each case whose two sides
 differ, and a check whose cases the element cap left empty fails too.
 
+The cases come from the catalog: each kind's descriptors from its KINDS
+enumerator and its closed form from its KINDS evaluator, and the order
+censuses from iota.CENSUS_TABLE.  This module names each kind's census and
+failure text only (_CENSUS_CHECKS).
+
 The oracle itself (oracle.py) takes no valuation and no closed form; this
 module compares it with both.  The congruence check's side of the
 comparison is a product of p-parts p^min(v_p(x), v_p(n2)) over the primes
@@ -33,29 +38,9 @@ from collections.abc import Sequence
 from typing import NamedTuple
 
 from .arith import divisors
-from .catalog import (
-    N2_SUBGROUP_ORDERS,
-    B0Cyclic,
-    B0Dihedral,
-    N2NonSkew,
-    N2SkewCyclic,
-    N2SkewFull,
-    Psl28,
-    SigmaCm,
-    enumerate_standard_exponents,
-    standard_exponent_blocks,
-    standard_exponent_elements,
-)
+from .catalog import KINDS_BY_NAME, SigmaCm, standard_exponent_blocks, standard_exponent_elements
 from .curves import CurveParams, Family, make_params, seven_divides_m
-from .genus_ree import (
-    genus_n2_nonskew,
-    genus_n2_skew_cyclic,
-    genus_n2_skew_full,
-    genus_psl28,
-    genus_sigma_cm_ree,
-)
-from .genus_suzuki import genus_b0_cyclic, genus_b0_dihedral
-from .iota import census
+from .iota import CENSUS_TABLE
 from .oracle import (
     count_congruence_solutions,
     delta_b0_census,
@@ -194,11 +179,12 @@ def run_oracle_suite(
         )
     )
 
+    m_divs = divisors(params.m)
     if params.m <= max_closure_m():
         subgroups = enumerate_subgroups_bruteforce(params.m)
         generated: set = set()
         extra, repeats = [], []
-        for se in enumerate_standard_exponents(params.m):
+        for se in KINDS_BY_NAME["sigma-cm"].enumerate(params, m_divs):
             elements = standard_exponent_elements(params.m, se)
             if elements in generated:
                 repeats.append(se)
@@ -220,77 +206,80 @@ def run_oracle_suite(
             )
         )
 
-    if family is Family.SUZUKI:
+    if family is Family.REE:
         bad = []
-        for d in divisors(params.q - 1):
-            for n in divisors(params.m):
-                if genus_b0_cyclic(params, d, n).delta != delta_b0_census(
-                    params, B0Cyclic(d, n)
-                ):
-                    bad.append(f"cyclic d={d} n={n}")
-                if genus_b0_dihedral(params, d, n).delta != delta_b0_census(
-                    params, B0Dihedral(d, n)
-                ):
-                    bad.append(f"dihedral d={d} n={n}")
-        checks.append(
-            _verdict("B0 products: closed form vs census summation", bad, "all divisor pairs")
-        )
-    else:
-        checks.extend(_ree_census_checks(params))
-        if seven_divides_m(params):
-            checks.append(_skew_check(params, cap))
+        for tag, table in CENSUS_TABLE.items():
+            realized = realize_census(tag)
+            if dict(table.counts) != realized or sum(realized.values()) != table.group_order:
+                bad.append(f"{tag}: table {dict(table.counts)} vs realized {realized}")
+        summary = f"{len(CENSUS_TABLE)} groups realized"
+        checks.append(_verdict("order censuses: tables vs permutation realizations", bad, summary))
+    checks.append(_census_check(params, m_divs))
+    if family is Family.REE and seven_divides_m(params):
+        checks.append(_skew_check(params, m_divs, cap))
     return checks
 
 
-def _ree_census_checks(params: CurveParams) -> list[OracleCheck]:
-    bad = []
-    for tag in ("psl28", *(f"n2_{k_order}" for k_order in N2_SUBGROUP_ORDERS)):
-        table = census(tag)
-        realized = realize_census(tag)
-        if dict(table.counts) != realized or sum(realized.values()) != table.group_order:
-            bad.append(f"{tag}: table {dict(table.counts)} vs realized {realized}")
-    checks = [
-        _verdict("order censuses: tables vs permutation realizations", bad, "7 groups realized")
-    ]
+# Per family, the check of its census kinds: (check name, summary, {kind
+# name: (census, failure text of a descriptor's fields)}), kinds in KINDS
+# order.  Each census looks its oracle function up on this module at call
+# time, so a patched or traced census is the one that runs.
+_CENSUS_CHECKS = {
+    Family.SUZUKI: (
+        "B0 products: closed form vs census summation",
+        "all divisor pairs",
+        {
+            "b0-cyclic": (lambda params, h: delta_b0_census(params, h), "cyclic d={} n={}"),
+            "b0-dihedral": (lambda params, h: delta_b0_census(params, h), "dihedral d={} n={}"),
+        },
+    ),
+    Family.REE: (
+        "PSL(2,8)/N2 products: closed form vs census summation",
+        "all divisors of m",
+        {
+            "psl28": (lambda params, h: delta_census(params, h), "psl28 n={}"),
+            "n2-nonskew": (lambda params, h: delta_census(params, h), "n2_{} n={}"),
+        },
+    ),
+}
 
+
+def _census_check(params: CurveParams, m_divs: list[int]) -> OracleCheck:
+    """Each descriptor its KINDS enumerator lists, kind by kind: the KINDS
+    evaluator's delta against the census sum."""
+    name, summary, censuses = _CENSUS_CHECKS[params.family]
     bad = []
-    for n in divisors(params.m):
-        if genus_psl28(params, n).delta != delta_census(params, Psl28(n)):
-            bad.append(f"psl28 n={n}")
-        for k_order in N2_SUBGROUP_ORDERS:
-            formula = genus_n2_nonskew(params, k_order, n).delta
-            if formula != delta_census(params, N2NonSkew(k_order, n)):
-                bad.append(f"n2_{k_order} n={n}")
-    checks.append(
-        _verdict("PSL(2,8)/N2 products: closed form vs census summation", bad, "all divisors of m")
+    for kind_name, (census, text) in censuses.items():
+        kind = KINDS_BY_NAME[kind_name]
+        for h in kind.enumerate(params, m_divs):
+            if kind.evaluate(params, h).delta != census(params, h):
+                bad.append(text.format(*h))
+    return _verdict(name, bad, summary)
+
+
+def _skew_check(params: CurveParams, m_divs: list[int], cap: int) -> OracleCheck:
+    """The n2-skew-full pairs (i, w) whose record has order <= cap: both skew
+    closed forms against the census, and the cyclic one against the Singer
+    square triple (m/7, 7w, iw mod 7w) it reduces to."""
+    full_kind, cyclic_kind, sigma_kind = (
+        KINDS_BY_NAME[name] for name in ("n2-skew-full", "n2-skew-cyclic", "sigma-cm")
     )
-    return checks
-
-
-def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
-    bad = []
-    pairs = [
-        (i, w)
-        for w in divisors(params.m // 7)
-        for i in range(1, 7)
-        if 56 * (params.m // (7 * w)) <= cap
-    ]
     images = skew_image_masks(params)  # the curve's, shared by every census
-    for i, w in pairs:
-        full = genus_n2_skew_full(params, i, w)
-        cyclic = genus_n2_skew_cyclic(params, i, w)
-        if full.delta != delta_skew_census(params, N2SkewFull(i, w), images):
+    pairs, bad = [], []
+    for h in full_kind.enumerate(params, m_divs):
+        full = full_kind.evaluate(params, h)
+        if full.order > cap:
+            continue
+        pairs.append(h)
+        i, w = h
+        cyclic_h = cyclic_kind.cls(*h)
+        cyclic = cyclic_kind.evaluate(params, cyclic_h)
+        if full.delta != delta_skew_census(params, h, images):
             bad.append(f"full i={i} w={w}")
-        if cyclic.delta != delta_skew_census(params, N2SkewCyclic(i, w), images):
+        if cyclic.delta != delta_skew_census(params, cyclic_h, images):
             bad.append(f"cyclic i={i} w={w}")
-        n1 = params.m // 7
-        reduced = genus_sigma_cm_ree(params, SigmaCm(n1, 7 * w, (i * w) % (7 * w)))
+        reduced = sigma_kind.evaluate(params, SigmaCm(params.m // 7, 7 * w, i * w % (7 * w)))
         if (cyclic.genus, cyclic.delta) != (reduced.genus, reduced.delta):
             bad.append(f"cyclic-reduction i={i} w={w}")
-    return _verdict(
-        "skew subgroups: closed forms vs element-level census and reduction",
-        bad,
-        f"{len(pairs)} (i, w) pairs",
-        pairs,
-        cap,
-    )
+    name = "skew subgroups: closed forms vs element-level census and reduction"
+    return _verdict(name, bad, f"{len(pairs)} (i, w) pairs", pairs, cap)

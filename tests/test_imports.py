@@ -8,7 +8,9 @@ pipebench.  And a subgroup kind's conditions are raised from catalog.py
 only, so no module restates them beside catalog.check_descriptor.  And the
 oracle suite names no valuation: its congruence check forms each p-part by
 its own division loop, so it shares no valuation with the Singer-square
-closed forms it checks (singer._p_parts).  And no package module brings in
+closed forms it checks (singer._p_parts).  And the suite takes its kinds
+from KINDS alone: it imports no genus module and names no descriptor class
+but SigmaCm and no N2_SUBGROUP_ORDERS.  And no package module brings in
 a float (a float literal, true division, math.inf, math.nan or the name
 float): every genus and delta is an exact int."""
 
@@ -18,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import skabelund
+from skabelund.catalog import KINDS
 
 PACKAGE = Path(skabelund.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -209,6 +212,54 @@ def test_the_check_sees_a_valuation_readded_to_the_suite():
 
 def test_the_suite_names_no_valuation():
     assert valuation_names((PACKAGE / "suite.py").read_text()) == []
+
+
+GENUS_MODULES = ("genus_ree", "genus_suzuki")
+# what the suite reads from KINDS instead: the kinds' descriptor classes but
+# SigmaCm (the sample builds triples) and the N2 subgroup orders
+KIND_NAMES = {kind.cls.__name__ for kind in KINDS} - {"SigmaCm"} | {"N2_SUBGROUP_ORDERS"}
+
+
+def kind_restatements(source: str) -> list[str]:
+    """What source takes of the kinds besides KINDS, sorted: each name it
+    imports from a genus module (as module.name), each genus module it
+    imports, and each identifier of KIND_NAMES it holds."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if module in GENUS_MODULES:
+                    found.add(f"{module}.{alias.name}")
+                elif alias.name in GENUS_MODULES or alias.name in KIND_NAMES:
+                    found.add(alias.name)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.rpartition(".")[2] in GENUS_MODULES)
+        elif isinstance(node, ast.Name) and node.id in KIND_NAMES:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in KIND_NAMES:
+            found.add(node.attr)
+    return sorted(found)
+
+
+def test_the_check_sees_a_kind_restated_in_the_suite():
+    source = (PACKAGE / "suite.py").read_text()
+    readded = source + "\nfrom .genus_suzuki import genus_b0_cyclic\n"
+    assert kind_restatements(readded) == ["genus_suzuki.genus_b0_cyclic"]
+    assert kind_restatements("from . import genus_ree\nimport skabelund.genus_suzuki\n") == [
+        "genus_ree",
+        "skabelund.genus_suzuki",
+    ]
+    assert kind_restatements("from .catalog import N2_SUBGROUP_ORDERS as orders\n") == [
+        "N2_SUBGROUP_ORDERS"
+    ]
+    assert kind_restatements("h = catalog.Psl28(7)\nk = B0Cyclic(1, 5)\n") == ["B0Cyclic", "Psl28"]
+    docstring = '"""genus_ree and N2SkewFull in a docstring"""\n'
+    assert kind_restatements(docstring + "SigmaCm(1, 1, 0)\n") == []
+
+
+def test_the_suite_restates_no_kind():
+    assert kind_restatements((PACKAGE / "suite.py").read_text()) == []
 
 
 def float_uses(source: str) -> list[tuple[int, str]]:

@@ -6,20 +6,19 @@ from typing import NamedTuple
 
 import pytest
 
-from skabelund import suite
+from skabelund import catalog, genus_ree, genus_suzuki, singer, suite
+from skabelund.arith import divisors
 from skabelund.catalog import (
     KINDS_BY_NAME,
     B0Dihedral,
     N2NonSkew,
     N2SkewCyclic,
+    N2SkewFull,
     SigmaCm,
     enumerate_descriptors,
-    enumerate_standard_exponents,
     kind_of,
-    standard_exponent_elements,
 )
 from skabelund.curves import CurveParams, Family, make_params
-from skabelund.oracle import realize_census
 from skabelund.spectrum import (
     COMPLETENESS_NOTE,
     CSV_HEADER,
@@ -207,80 +206,184 @@ def test_oracle_check_that_covers_nothing_fails():
         assert "none within the element cap -5" in checks[name].detail
 
 
-def _off_by_one(target, hit):
-    """target's result plus one on the calls whose arguments satisfy hit."""
-    original = getattr(suite, target)
-    return lambda *args, **kw: original(*args, **kw) + bool(hit(*args, **kw))
+SKEW_CHECK = "skew subgroups: closed forms vs element-level census and reduction"
+# (s, cap, ok, detail): the full orders 56*m/(7w) are 56 and 1736 for Ree
+# s=2 and 56, 392, 2408 and 16856 for Ree s=3, six pairs (i, w) each
+SKEW_CAPS = [
+    (2, 55, False, "0 (i, w) pairs (none within the element cap 55)"),
+    (2, 56, True, "6 (i, w) pairs"),
+    (2, 1000, True, "6 (i, w) pairs"),
+    (2, 1736, True, "12 (i, w) pairs"),
+    (3, 391, True, "6 (i, w) pairs"),
+    (3, 392, True, "12 (i, w) pairs"),
+    (3, 2408, True, "18 (i, w) pairs"),
+    (3, 16855, True, "18 (i, w) pairs"),
+    (3, 16856, True, "24 (i, w) pairs"),
+]
 
 
-def _entry_off_by_one(target, index, hit):
-    """target's tuple with entry index plus one on the calls whose arguments
-    satisfy hit."""
-    original = getattr(suite, target)
-
-    def broken(*args, **kw):
-        counts = original(*args, **kw)
-        if hit(*args, **kw):
-            counts = (*counts[:index], counts[index] + 1, *counts[index + 1 :])
-        return counts
-
-    return broken
+@pytest.mark.parametrize(
+    "s, cap, ok, detail", SKEW_CAPS, ids=[f"ree-{s}-cap-{cap}" for s, cap, *_ in SKEW_CAPS]
+)
+def test_the_skew_check_takes_the_pairs_whose_full_order_is_within_the_cap(
+    s, cap, ok, detail, monkeypatch
+):
+    monkeypatch.delenv("SKABELUND_MAX_ELEMENTS", raising=False)
+    checks = {c.name: c for c in run_oracle_suite(Family.REE, s, max_elements=cap)}
+    assert (checks[SKEW_CHECK].ok, checks[SKEW_CHECK].detail) == (ok, detail)
 
 
-def _delta_off_by_one(target, hit):
-    """target's record with its delta plus one on the calls whose arguments
-    satisfy hit: a closed form broken for one case."""
-    original = getattr(suite, target)
+def record_censuses(monkeypatch) -> list:
+    """The descriptors the suite's census calls take, in call order."""
+    seen = []
+    for name in ("delta_b0_census", "delta_census", "delta_skew_census"):
 
-    def broken(*args):
-        record = original(*args)
-        return record._replace(delta=record.delta + 1) if hit(*args) else record
+        def recording(params, h, *rest, original=getattr(suite, name)):
+            seen.append(h)
+            return original(params, h, *rest)
 
-    return broken
-
-
-def _drop_last(m):
-    return enumerate_standard_exponents(m)[:-1]
+        monkeypatch.setattr(suite, name, recording)
+    return seen
 
 
-def _repeated_and_cut(m, se):
+CENSUS_CAP = 2408  # all skew pairs of Ree s=2, 18 of the 24 of Ree s=3
+CENSUS_CURVES = [(family, s) for family in Family for s in range(1, 5)]
+
+
+@pytest.mark.parametrize(
+    "family, s", CENSUS_CURVES, ids=[f"{f.value}-{s}" for f, s in CENSUS_CURVES]
+)
+def test_the_censuses_see_exactly_the_descriptors_kinds_lists(family, s, monkeypatch):
+    """Every descriptor enumerate_descriptors lists, kind by kind in KINDS
+    order, and each skew pair whose full order is within the cap, full then
+    cyclic: no kind but the sampled sigma-cm goes unchecked."""
+    monkeypatch.delenv("SKABELUND_MAX_ELEMENTS", raising=False)
+    seen = record_censuses(monkeypatch)
+    run_oracle_suite(family, s, max_elements=CENSUS_CAP)
+    params = make_params(family, s)
+    listed = enumerate_descriptors(params)
+    skew = [
+        (h, N2SkewCyclic(*h))
+        for h in listed
+        if type(h) is N2SkewFull and 56 * (params.m // (7 * h.w)) <= CENSUS_CAP
+    ]
+    products = [h for h in listed if type(h) not in (SigmaCm, N2SkewFull, N2SkewCyclic)]
+    assert seen == products + [h for pair in skew for h in pair]
+    assert {kind_of(h).name for h in seen} == {kind_of(h).name for h in listed} - {"sigma-cm"}
+
+
+@pytest.mark.parametrize(
+    "kind_name, curve",
+    [
+        ("b0-cyclic", (Family.SUZUKI, 2)),
+        ("b0-dihedral", (Family.SUZUKI, 2)),
+        ("psl28", (Family.REE, 2)),
+        ("n2-nonskew", (Family.REE, 2)),
+        ("n2-skew-full", (Family.REE, 2)),
+    ],
+    ids=lambda x: x if type(x) is str else f"{x[0].value}-{x[1]}",
+)
+def test_the_census_sees_only_what_the_kinds_entry_lists(kind_name, curve, monkeypatch):
+    monkeypatch.delenv("SKABELUND_MAX_ELEMENTS", raising=False)
+    kind = KINDS_BY_NAME[kind_name]
+
+    def shortened(params, m_divs):
+        return list(kind.enumerate(params, m_divs))[::2]
+
+    monkeypatch.setitem(KINDS_BY_NAME, kind_name, kind._replace(enumerate=shortened))
+    seen = record_censuses(monkeypatch)
+    checks = run_oracle_suite(*curve)
+    params = make_params(*curve)
+    listed = shortened(params, divisors(params.m))
+    assert 0 < len(listed) < len(list(kind.enumerate(params, divisors(params.m))))
+    assert [h for h in seen if type(h) is kind.cls] == listed
+    assert all(c.ok for c in checks)
+
+
+def _off_by_one(hit):
+    """The original's result plus one on the calls whose arguments satisfy hit."""
+    return lambda original: lambda *args, **kw: original(*args, **kw) + bool(hit(*args, **kw))
+
+
+def _entry_off_by_one(index, hit):
+    """The original's tuple with entry index plus one on the calls whose
+    arguments satisfy hit."""
+
+    def breaking(original):
+        def broken(*args, **kw):
+            counts = original(*args, **kw)
+            if hit(*args, **kw):
+                counts = (*counts[:index], counts[index] + 1, *counts[index + 1 :])
+            return counts
+
+        return broken
+
+    return breaking
+
+
+def _delta_off_by_one(hit):
+    """The original's record with its delta plus one on the calls whose
+    arguments satisfy hit: a closed form broken for one case."""
+
+    def breaking(original):
+        def broken(*args):
+            record = original(*args)
+            return record._replace(delta=record.delta + 1) if hit(*args) else record
+
+        return broken
+
+    return breaking
+
+
+def _drop_last(original):
+    return lambda m: original(m)[:-1]
+
+
+def _repeated_and_cut(original):
     """(1, 5, 1) generates what (1, 5, 0) does; (5, 1, 0) loses its identity."""
-    if se == SigmaCm(1, 5, 1):
-        se = SE_1_5_0
-    elements = standard_exponent_elements(m, se)
-    return elements & ~1 if se == SigmaCm(5, 1, 0) else elements
+
+    def broken(m, se):
+        if se == SigmaCm(1, 5, 1):
+            se = SE_1_5_0
+        elements = original(m, se)
+        return elements & ~1 if se == SigmaCm(5, 1, 0) else elements
+
+    return broken
 
 
-def _one_more_involution(tag):
-    realized = realize_census(tag)
-    return {**realized, 2: realized[2] + 1} if tag == "n2_8" else realized
+def _one_more_involution(original):
+    def broken(tag):
+        realized = original(tag)
+        return {**realized, 2: realized[2] + 1} if tag == "n2_8" else realized
+
+    return broken
 
 
 SE_1_5_0 = SigmaCm(1, 5, 0)
 SE_31_7_4 = SigmaCm(31, 7, 4)  # Ree s=2: m = 217 = 7 * 31
-# (curve, check name, suite attribute, broken replacement, FAIL detail)
+# (curve, check name, (module, attribute) patched, original -> broken
+# replacement, FAIL detail).  The closed forms and the sigma-cm enumerator
+# are patched where the KINDS entries look them up at call time.
 BROKEN_CHECKS = [
     (
         (Family.SUZUKI, 1),
         "singer-square delta: closed form vs element enumeration",
-        "delta_sigma_cm",
-        lambda: _off_by_one("delta_sigma_cm", lambda params, se: se == SE_1_5_0),
+        (suite, "delta_sigma_cm"),
+        _off_by_one(lambda params, se: se == SE_1_5_0),
         "SigmaCm(n1=1, n2=5, a=0): formula 1 != brute force 0",
     ),
     (
         (Family.SUZUKI, 1),
         "congruence solution count: literal loop vs CRT product",
-        "count_congruence_solutions",
-        lambda: _entry_off_by_one(
-            "count_congruence_solutions", 2, lambda params, se, **_: se == SE_1_5_0
-        ),
+        (suite, "count_congruence_solutions"),
+        _entry_off_by_one(2, lambda params, se, **_: se == SE_1_5_0),
         "SigmaCm(n1=1, n2=5, a=0) d=2: 2 vs 5",
     ),
     (
         (Family.SUZUKI, 1),
         "subgroup enumeration: standard exponents vs closure",
-        "enumerate_standard_exponents",
-        lambda: _drop_last,
+        (catalog, "enumerate_standard_exponents"),
+        _drop_last,
         "closure subgroups no triple generates: 1, first of order 1; "
         "generated sets not closure subgroups: 0; "
         "triples repeating an earlier subgroup: 0",
@@ -288,8 +391,8 @@ BROKEN_CHECKS = [
     (
         (Family.SUZUKI, 1),
         "subgroup enumeration: standard exponents vs closure",
-        "standard_exponent_elements",
-        lambda: _repeated_and_cut,
+        (suite, "standard_exponent_elements"),
+        _repeated_and_cut,
         "closure subgroups no triple generates: 2, first of order 5; "
         "generated sets not closure subgroups: 1, first SigmaCm(n1=5, n2=1, a=0); "
         "triples repeating an earlier subgroup: 1, first SigmaCm(n1=1, n2=5, a=1)",
@@ -297,69 +400,65 @@ BROKEN_CHECKS = [
     (
         (Family.SUZUKI, 1),
         "B0 products: closed form vs census summation",
-        "delta_b0_census",
-        lambda: _off_by_one(
-            "delta_b0_census", lambda params, h: h == B0Dihedral(1, 5)
-        ),
+        (suite, "delta_b0_census"),
+        _off_by_one(lambda params, h: h == B0Dihedral(1, 5)),
         "dihedral d=1 n=5",
     ),
     (
         (Family.SUZUKI, 1),
         "B0 products: closed form vs census summation",
-        "genus_b0_cyclic",
-        lambda: _delta_off_by_one("genus_b0_cyclic", lambda params, d, n: (d, n) == (7, 5)),
+        (genus_suzuki, "genus_b0_cyclic"),
+        _delta_off_by_one(lambda params, d, n: (d, n) == (7, 5)),
         "cyclic d=7 n=5",
     ),
     (
         (Family.REE, 2),
         "order censuses: tables vs permutation realizations",
-        "realize_census",
-        lambda: _one_more_involution,
+        (suite, "realize_census"),
+        _one_more_involution,
         "n2_8: table {1: 1, 2: 7} vs realized {1: 1, 2: 8}",
     ),
     (
         (Family.REE, 2),
         "PSL(2,8)/N2 products: closed form vs census summation",
-        "delta_census",
-        lambda: _off_by_one("delta_census", lambda params, h: h == N2NonSkew(56, 7)),
+        (suite, "delta_census"),
+        _off_by_one(lambda params, h: h == N2NonSkew(56, 7)),
         "n2_56 n=7",
     ),
     (
         (Family.REE, 2),
         "PSL(2,8)/N2 products: closed form vs census summation",
-        "genus_psl28",
-        lambda: _delta_off_by_one("genus_psl28", lambda params, n: n == 31),
+        (genus_ree, "genus_psl28"),
+        _delta_off_by_one(lambda params, n: n == 31),
         "psl28 n=31",
     ),
     (
         (Family.REE, 2),
         "skew subgroups: closed forms vs element-level census and reduction",
-        "delta_skew_census",
-        lambda: _off_by_one(
-            "delta_skew_census", lambda params, h, *_: h == N2SkewCyclic(3, 1)
-        ),
+        (suite, "delta_skew_census"),
+        _off_by_one(lambda params, h, *_: h == N2SkewCyclic(3, 1)),
         "cyclic i=3 w=1",
     ),
     (
         (Family.REE, 2),
         "skew subgroups: closed forms vs element-level census and reduction",
-        "genus_n2_skew_full",
-        lambda: _delta_off_by_one("genus_n2_skew_full", lambda params, i, w: (i, w) == (2, 31)),
+        (genus_ree, "genus_n2_skew_full"),
+        _delta_off_by_one(lambda params, i, w: (i, w) == (2, 31)),
         "full i=2 w=31",
     ),
     (
         (Family.REE, 2),
         "skew subgroups: closed forms vs element-level census and reduction",
-        "genus_sigma_cm_ree",
+        (singer, "sigma_cm_record"),
         # the cyclic skew subgroup (i, w) = (4, 1) is the triple (m/7, 7, 4)
-        lambda: _delta_off_by_one("genus_sigma_cm_ree", lambda params, se: se == SE_31_7_4),
+        _delta_off_by_one(lambda params, se: se == SE_31_7_4),
         "cyclic-reduction i=4 w=1",
     ),
 ]
 
 
 @pytest.mark.parametrize(
-    "curve, name, target, broken, detail", BROKEN_CHECKS, ids=[c[2] for c in BROKEN_CHECKS]
+    "curve, name, target, broken, detail", BROKEN_CHECKS, ids=[c[2][1] for c in BROKEN_CHECKS]
 )
 def test_each_oracle_check_fails_naming_its_broken_case(
     curve, name, target, broken, detail, monkeypatch
@@ -368,7 +467,8 @@ def test_each_oracle_check_fails_naming_its_broken_case(
     fails, and its detail names the broken case."""
     for setting in ("SKABELUND_MAX_ELEMENTS", "SKABELUND_MAX_CLOSURE_M"):
         monkeypatch.delenv(setting, raising=False)
-    monkeypatch.setattr(suite, target, broken())
+    module, attribute = target
+    monkeypatch.setattr(module, attribute, broken(getattr(module, attribute)))
     checks = {c.name: c for c in run_oracle_suite(*curve)}
     assert (checks[name].ok, checks[name].detail) == (False, detail)
     assert all(c.ok for c in checks.values() if c.name != name)

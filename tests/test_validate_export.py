@@ -99,6 +99,13 @@ SAME_DOCUMENT = {
     "keys-reversed": lambda t: json.dumps(dict(reversed(json.loads(t).items()))),
     "records-key-twice": lambda t: t.replace("{\n", '{\n "records": [],\n', 1),
     "bytes": str.encode,
+    # the encodings json.loads reads
+    "utf-8-bom": lambda t: t.encode("utf-8-sig"),
+    "utf-16": lambda t: t.encode("utf-16"),
+    "utf-16-be": lambda t: t.encode("utf-16-be"),
+    "utf-32": lambda t: t.encode("utf-32"),
+    "utf-32-le": lambda t: t.encode("utf-32-le"),
+    "bytearray": lambda t: bytearray(t.encode()),
 }
 
 
@@ -107,6 +114,35 @@ def test_the_same_document_written_otherwise_passes(name):
     text = SAME_DOCUMENT[name](SUZUKI1)
     assert text != SUZUKI1
     assert outcome(text) is None
+
+
+def test_bytes_that_do_not_decode_and_a_memoryview_are_refused():
+    broken = SUZUKI1.encode()[:50] + b"\xff" + SUZUKI1.encode()[50:]
+    assert outcome(broken) == (
+        "'utf-8' codec can't decode byte 0xff in position 50: invalid start byte"
+    )
+    with pytest.raises(UnicodeDecodeError):
+        validate_export(broken)
+    message = "^the JSON object must be str, bytes or bytearray, not memoryview$"
+    with pytest.raises(TypeError, match=message):
+        validate_export(memoryview(SUZUKI1.encode()))
+
+
+@pytest.mark.parametrize("convert", [str, str.encode], ids=["str", "bytes"])
+def test_an_export_passes_after_one_parse_of_its_head(convert, monkeypatch):
+    """The export this version writes passes from its head alone: one
+    json.loads of a text far shorter than the export, as str or as bytes."""
+    text = export(Family.REE, 2)
+    parsed = []
+    loads = json.loads
+
+    def recording(source, *args, **kwargs):
+        parsed.append(len(source))
+        return loads(source, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum.json, "loads", recording)
+    assert outcome(convert(text)) is None
+    assert len(parsed) == 1 and parsed[0] < len(text) // 10
 
 
 def test_an_export_without_records_passes_and_one_record_more_fails():
