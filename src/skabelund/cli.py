@@ -77,12 +77,7 @@ def _cmd_spectrum(args) -> int:
         report = compute_spectrum(args.family, args.s, args.subgroup_family)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    if args.format == "csv":
-        text = render_csv(report)
-    elif args.format == "json":
-        text = render_json(report)
-    else:
-        text = render_table(report)
+    text = {"csv": render_csv, "json": render_json, "table": render_table}[args.format](report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as handle:

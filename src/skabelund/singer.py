@@ -47,7 +47,6 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain, repeat
 from math import gcd
-from operator import mod
 from typing import NamedTuple, TypeVar
 
 from .arith import valuation
@@ -254,6 +253,21 @@ def _class_runs(
     return [(values[at:stop], texts[key]) for (at, key), stop in zip(starts, stops)]
 
 
+def _column(rows: int, step: int, pe: int, residue_ids: dict[int, int]) -> list[int]:
+    """residue_ids.get(j*step % pe, 0) for each row j, one strided slice per
+    listed residue r: with g = gcd(step, pe), its rows are j = (r/g) *
+    (step/g)^-1 (mod pe/g), and pe/g divides rows (the p-part of n2/step)."""
+    g = gcd(step, pe)
+    period = pe // g
+    inverse = pow(step // g, -1, period)
+    column = [0] * rows
+    for r, i in residue_ids.items():
+        assert r % g == 0, f"residue {r} mod {pe} is not a multiple of gcd(step, pe) = {g}"
+        j0 = r // g * inverse % period
+        column[j0::period] = repeat(i, rows // period)
+    return column
+
+
 class SingerSquare(NamedTuple):
     """Every subgroup of the Singer-cycle square of one curve, by class.
 
@@ -286,7 +300,7 @@ class SingerSquare(NamedTuple):
         class, so 2*len(residues)+1 < rows) gives a ClassRuns, found by
         walking its sorted residue map; a renderer joins each run's rows at
         once.  Every other block maps each a to its class key, one
-        residue-table column per prime.
+        residue-table column per prime, written by _column.
         """
         for block, records in zip(self.blocks, self.class_records):
             texts = {key: text_of(r) for key, r in records.items()}
@@ -294,9 +308,8 @@ class SingerSquare(NamedTuple):
             if len(block.residues) == 1 and 2 * len(block.residues[0]) + 1 < len(values):
                 yield values, ClassRuns(_class_runs(values, block.residues[0], texts))
                 continue
-            # the class key of each a, one residue-table column per prime
             columns = [
-                map(res.get, map(mod, values, repeat(pe)), repeat(0))
+                _column(len(values), block.step, pe, res)
                 for pe, res in zip(block.moduli, block.residues)
             ]
             keys = zip(*columns) if columns else repeat((), len(values))

@@ -9,14 +9,14 @@ descriptor is evaluated on its own.
 
 Each renderer has one row template, text_of(record) -> (before, after),
 read from the record alone: every row, of any kind, is before +
-str(last parameter of the descriptor) + after.  _runs yields the rows in
-catalog order as runs of (values of the last parameter, texts): one run per
-Singer block, whose texts SingerSquare.walk formats once per class, and one
-run of one row per other record.  _lines joins a block's rows in map,
-without a Python frame per row; a sparse block, one residue column with
-fewer runs of one class than rows (the prime-m blocks hold nearly every
-row), comes as ClassRuns, and each of its runs is written by one join of
-its values, without a join per row.
+str(last parameter of the descriptor) + after, after ending in the row
+separator (the table pads before + str(last parameter) to 32 columns).
+_lines, the one row path of the three formats, yields the rows in catalog
+order for one join.  A Singer block's texts are formatted once per class by
+SingerSquare.walk, which reads their classes from residue columns written
+by strided slices, and its rows are joined in map, without a Python frame
+per row; a sparse block (one residue column, fewer runs of one class than
+rows) comes as ClassRuns, each run written by one join of its values.
 
 validate_export rebuilds the export a text's head names and compares the
 two: render_json is the definition of a valid export.
@@ -36,7 +36,7 @@ brute-force oracle (oracle.py, _kernels.py, iota.py).
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator
 from itertools import chain, compress, count, repeat, starmap
 from operator import ne
 from typing import TYPE_CHECKING, NamedTuple
@@ -154,45 +154,41 @@ def compute_spectrum(
 RowText = Callable[[GenusRecord], tuple[str, str]]
 
 
-def _runs(
-    report: SpectrumReport, text_of: RowText
-) -> Iterator[tuple[Sequence[int], Iterable[tuple[str, str]]]]:
-    """The rows in catalog order, as runs of (values, texts): the row of the
-    i-th value v writes str(v) between the (before, after) of the i-th text.
-    text_of(record) gives the text of the rows whose descriptors differ from
-    record's in the last parameter alone, which is v.
+def _lines(report: SpectrumReport, text_of: RowText, width: int = 0) -> Iterator[str]:
+    """The rows in catalog order as strings, each ending in the row
+    separator that ends every after of text_of, so that an export is one
+    "".join; with width, before + str(v) is left-justified to width columns.
 
-    Each Singer block is one run over the valid a, its texts formatted once
-    per class by SingerSquare.walk, which gives a sparse block's texts as
-    ClassRuns; every other record is a run of one row.
+    The rows come as runs of (values, texts), row i being before + str(v) +
+    after for the i-th v and text: one run per Singer block, its texts
+    formatted once per class by SingerSquare.walk, and one run of one row per
+    other record.  A run's rows are str(v).join((before, after)) in map, so
+    no Python frame runs per row; a ClassRuns gives each run of one class as
+    one join of its values by after + before, before put on the first value
+    and after on the last.  The rows of a run share one before length (a
+    Singer block's kind and n1, n2), so width pads its value strings in map.
     """
-    yield from report.singer.walk(text_of)
-    for r in report.other_records:
-        yield r.descriptor[-1:], (text_of(r),)
 
-
-def _lines(report: SpectrumReport, text_of: RowText, sep: str) -> Iterator[str]:
-    """The rows of _runs as strings whose sep.join is the rows joined by sep.
-
-    A row is before + str(v) + after, which str(v).join((before, after))
-    assembles in map, so no Python frame runs per row.  A ClassRuns gives one
-    string per run of one class: its values joined by after + sep + before,
-    with before put on the first value and after on the last, so the run's
-    rows are written by one join.
-    """
+    def strings(values, before):
+        if not width:
+            return map(str, values)
+        return map(str.ljust, map(str, values), repeat(width - len(before)))
 
     def rows(values, texts):
         if type(texts) is not ClassRuns:
-            return map(str.join, map(str, values), texts)
-        strings = []
+            texts = iter(texts)
+            first = next(texts)  # every run has a row
+            return map(str.join, strings(values, first[0]), chain((first,), texts))
+        joined = []
         for run, (before, after) in texts.runs:
-            parts = [*map(str, run)]
+            parts = [*strings(run, before)]
             parts[0] = before + parts[0]
             parts[-1] += after
-            strings.append((after + sep + before).join(parts))
-        return strings
+            joined.append((after + before).join(parts))
+        return joined
 
-    return chain.from_iterable(starmap(rows, _runs(report, text_of)))
+    others = ((r.descriptor[-1:], (text_of(r),)) for r in report.other_records)
+    return chain.from_iterable(starmap(rows, chain(report.singer.walk(text_of), others)))
 
 
 def render_csv(report: SpectrumReport) -> str:
@@ -203,14 +199,13 @@ def render_csv(report: SpectrumReport) -> str:
         lead = r.descriptor[:-1]
         # three parameter columns, unused slots left empty
         before = prefix + kind_of(r.descriptor).name + "," + "".join(f"{x}," for x in lead)
-        return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}"
+        return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}\n"
 
-    lines = [CSV_HEADER, *_lines(report, text_of, "\n"), ""]  # "": the final newline
-    return "\n".join(lines)
+    return "".join([CSV_HEADER + "\n", *_lines(report, text_of)])
 
 
 _JSON_KINDS = {name: json.dumps(name) for name in KINDS_BY_NAME}
-_JSON_RECORD_TAIL = "\n   ]\n  }"
+_JSON_RECORD_TAIL = "\n   ]\n  },\n"
 
 
 def render_json(report: SpectrumReport) -> str:
@@ -249,12 +244,10 @@ def render_json(report: SpectrumReport) -> str:
     if not report.record_count:
         return head + "\n"
     before, _, after = head.partition('"records": []')
-    # one join for the whole document, the ",\n" after each record a piece
-    # of its own (the last one replaced by the close), so that no joined copy
-    # of the records is made first and kept beside the document
-    pieces = [before + '"records": [\n']
-    pieces += chain.from_iterable(zip(_lines(report, text_of, ",\n"), repeat(",\n")))
-    pieces[-1] = "\n ]" + after + "\n"
+    # one join, so that no joined copy of the records is kept beside the
+    # document; the last piece is one row, whose ",\n" gives way to the close
+    pieces = [before + '"records": [\n', *_lines(report, text_of)]
+    pieces[-1] = pieces[-1][:-2] + "\n ]" + after + "\n"
     return "".join(pieces)
 
 
@@ -262,24 +255,17 @@ def render_table(report: SpectrumReport) -> str:
     p = report.params
     head = (
         f"{p.family.value} s={p.s}: q={p.q}, m={p.m}, "
-        f"{report.record_count} subgroups, {len(report.genera)} distinct genera"
+        f"{report.record_count} subgroups, {len(report.genera)} distinct genera\n\n"
+        f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}\n"
     )
-    rows = [head, ""]
-    rows.append(f"{'kind':<16}{'params':<16}{'|H|':>12}{'delta':>16}{'genus':>16}")
 
     def text_of(r):
         # every kind name fits its 16 columns
         before = f"{kind_of(r.descriptor).name:<16}" + "".join(f"{x}," for x in r.descriptor[:-1])
-        return before, f"{r.order:>12}{r.delta:>16}{r.genus:>16}"
+        return before, f"{r.order:>12}{r.delta:>16}{r.genus:>16}\n"
 
-    rows.extend(
-        (before + str(v)).ljust(32) + after
-        for values, texts in _runs(report, text_of)
-        for v, (before, after) in zip(values, texts)
-    )
-    rows.append("")
-    rows.append("spectrum: " + ", ".join(str(g) for g in report.genera))
-    return "\n".join(rows) + "\n"
+    spectrum = "\nspectrum: " + ", ".join(str(g) for g in report.genera) + "\n"
+    return "".join([head, *_lines(report, text_of, 32), spectrum])
 
 
 def validate_export(text: str | bytes | bytearray) -> None:

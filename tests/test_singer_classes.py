@@ -25,6 +25,7 @@ from skabelund.catalog import (
 from skabelund.curves import CurveParams, Family, make_params
 from skabelund.singer import (
     ClassRuns,
+    SingerSquare,
     delta_sigma_cm,
     evaluate_singer_square,
     singer_block,
@@ -67,10 +68,12 @@ def test_records_equal_per_descriptor_evaluation(family, s):
     assert compute_spectrum(family, s, "sigma-cm").records == sigma
 
 
+# past the caps: Suzuki s=7 and s=9 have 512 classes, Ree s=6 has 100
+PAST_THE_CAPS = [(Family.SUZUKI, s) for s in (7, 8, 9)] + [(Family.REE, 6)]
+
+
 def test_class_records_belong_to_their_class():
-    # past the caps: Suzuki s=7 and s=9 have 512 classes, Ree s=6 has 100
-    curves = WITHIN_CAPS + [(Family.SUZUKI, s) for s in (7, 8, 9)] + [(Family.REE, 6)]
-    for family, s in curves:
+    for family, s in WITHIN_CAPS + PAST_THE_CAPS:
         params = make_params(family, s)
         square = evaluate_singer_square(params)
         for block, records in zip(square.blocks, square.class_records):
@@ -79,6 +82,37 @@ def test_class_records_belong_to_their_class():
                 descriptor = SigmaCm(block.n1, block.n2, cls.a)
                 assert records[key] == evaluate_descriptor(params, descriptor)
                 assert type(records[key].descriptor) is SigmaCm
+
+
+def assert_walk_puts_each_a_in_its_class(square):
+    """walk(lambda r: r) yields, for each a of each block, the record that
+    class_key looks up for a row by row: the reference for the strided
+    residue columns."""
+    for block, records, (values, texts) in zip(
+        square.blocks, square.class_records, square.walk(lambda r: r), strict=True
+    ):
+        wanted = (records[class_key(block, a)] for a in values)
+        wrong = [a for a, got, want in zip(values, texts, wanted, strict=True) if got is not want]
+        assert not wrong, f"(n1, n2)=({block.n1}, {block.n2}): a in {wrong[:5]} misplaced"
+
+
+@pytest.mark.parametrize(
+    "family,s", WITHIN_CAPS + PAST_THE_CAPS, ids=lambda x: getattr(x, "value", x)
+)
+def test_walk_puts_each_a_in_its_class(family, s):
+    assert_walk_puts_each_a_in_its_class(evaluate_singer_square(make_params(family, s)))
+
+
+def test_walk_rejects_a_residue_off_the_step():
+    # Ree s=3, m = 7^2 * 43: the rows of (7, m) hold the multiples of step 7,
+    # so a residue 1 mod 49 names no row and must not be written into one
+    params = make_params(Family.REE, 3)
+    block = singer_block(params, 7, params.m)
+    assert block.step == 7 and block.moduli == (49, 43)
+    bad = block._replace(residues=({1: 1}, *block.residues[1:]))
+    square = SingerSquare((bad,), ({key: key for key in bad.classes},))
+    with pytest.raises(AssertionError, match=r"^residue 1 mod 49 is not a multiple of .* 7$"):
+        next(square.walk(lambda r: r))
 
 
 @pytest.mark.parametrize(
@@ -260,6 +294,20 @@ def test_classes_match_delta_sigma_cm_on_synthetic_params(params):
                 assert delta_sigma_cm(params, se) == delta_sigma_cm(params, member)
             counted = Counter(class_key(block, se.a) for se in members[n1, n2])
             assert counted == {key: c.count for key, c in block.classes.items()}
+
+
+@given(synthetic_params().filter(lambda params: len(params.m_factors) >= 2))
+@settings(max_examples=100, deadline=None)
+@example(CurveParams(Family.SUZUKI, 1, 2, 8, 360, 4, 0, (1, 7, 49, 343 % 360), 1))
+def test_walk_puts_each_a_in_its_class_on_synthetic_params(params):
+    # the synthetic curves fail Riemann-Hurwitz, so each class's key stands
+    # in for its record
+    blocks = square_blocks(params)
+    assert_walk_puts_each_a_in_its_class(
+        SingerSquare(blocks, tuple({key: key for key in b.classes} for b in blocks))
+    )
+    # (p, m) for a prime p | m: every prime a column, step p > 1, m/p rows
+    assert any(len(b.moduli) >= 2 and 1 < b.step < b.n2 for b in blocks)
 
 
 # curves whose primes synthetic m <= 400 share: m = 5^2 and m = 7^2 * 43

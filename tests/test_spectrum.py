@@ -639,9 +639,16 @@ def test_streamed_exports_equal_per_record_exports(family, s, expansions):
     assert_exports_match_reference(family, s, None, expansions)
 
 
-@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
-@pytest.mark.parametrize("kind", list(KINDS_BY_NAME))
-@pytest.mark.parametrize("s", [1, 2])
+# every kind at s <= 2, and the sigma-cm export, whose last row is a Singer
+# row, at every s within the default caps
+PER_KIND = [(family, kind, s) for s in (1, 2) for kind in KINDS_BY_NAME for family in Family]
+PER_KIND += [(Family.SUZUKI, "sigma-cm", s) for s in range(3, 7)]
+PER_KIND += [(Family.REE, "sigma-cm", s) for s in range(3, 6)]
+
+
+@pytest.mark.parametrize(
+    "family,kind,s", PER_KIND, ids=[f"{s}-{kind}-{family.value}" for family, kind, s in PER_KIND]
+)
 def test_streamed_exports_equal_per_record_exports_per_kind(family, kind, s, expansions):
     owner = KINDS_BY_NAME[kind].family
     if owner not in (None, family):
