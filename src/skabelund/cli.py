@@ -13,7 +13,9 @@ that is not a valid integer, an s below 1, a negative oracle cap
 (--max-elements, SKABELUND_MAX_ELEMENTS, SKABELUND_MAX_CLOSURE_M), a
 --subgroup-family that is unknown or belongs to the other curve family, a
 descriptor the curve does not have, or a verify-tables run that selects no
-table ends the run with a one-line message and exit status 1.
+table ends the run with a one-line message and exit status 1.  An argument
+argparse refuses (an unknown command, option or choice, a value that is not
+an integer, a missing required option) is a one-line error with status 2.
 """
 
 from __future__ import annotations
@@ -137,8 +139,15 @@ def _cmd_oracle(args) -> int:
     return 1 if failed else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument in one line, without the usage text; exit status 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(  # add_subparsers gives its parsers this class too
         prog="skabelund",
         description="Genera of Galois subcovers of the Skabelund maximal curves.",
     )

@@ -52,8 +52,11 @@ The Ree(3)-side censuses are validated against explicit permutation groups:
 N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
 field with eight elements by semilinear affine maps x -> a*x^(2^j) + b, and
 PSL(2,8) acts on the projective line over that field by fractional linear
-maps.  A realization does not depend on the curve, so each group is closed
-once per process.
+maps.  N2's generators are defined once, in _N2: the N2 realizations name
+theirs from it, and _skew_generators reads r and the translations s1, s2,
+s3 from it, so the skew closure and the realized censuses share one
+definition of the group.  A realization does not depend on the curve, so
+each group is closed once per process.
 """
 
 from __future__ import annotations
@@ -269,15 +272,31 @@ for _c in range(7):
     _v = f8_mul(_v, F8_GENERATOR)
 del _c, _v
 
+# the generators of N2 as semilinear maps x -> a*x^(2^j) + b, stored as
+# (a, b, j): s1, s2, s3 span the translations (the Sylow 2-subgroup), r is
+# multiplication by a generator g of F8* (order 7, cycles the s_i under
+# conjugation), l is the Frobenius (order 3, conjugates r to r^2), and lt,
+# x -> g*x^2, is the twisted order-3 map that normalizes the four
+# translations by {0, 1, g, g+1}
+_N2 = {
+    "s1": (1, 1, 0),
+    "s2": (1, F8_GENERATOR, 0),
+    "s3": (1, _F8_MUL[F8_GENERATOR][F8_GENERATOR], 0),
+    "r": (F8_GENERATOR, 0, 0),
+    "l": (1, 0, 1),
+    "lt": (F8_GENERATOR, 0, 1),
+}
+
 
 def _skew_generators(
     params: CurveParams, h: N2SkewFull | N2SkewCyclic
 ) -> list[tuple[int, int, int]]:
     """Generators (a, b, e) of h: r*tau^(i*w), and for N2SkewFull also the
-    translations s1, s2, s3."""
-    gens = [(F8_GENERATOR, 0, (h.i * h.w) % params.m)]
+    translations s1, s2, s3, read from _N2 (their j = 0 reads as e = 0)."""
+    a, b, _ = _N2["r"]
+    gens = [(a, b, (h.i * h.w) % params.m)]
     if type(h) is N2SkewFull:
-        gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
+        gens += [_N2["s1"], _N2["s2"], _N2["s3"]]
     return gens
 
 
@@ -398,10 +417,10 @@ def _affine_perm(a: int, b: int, j: int) -> tuple[int, ...]:
 
 
 def _f8_div(a: int, b: int) -> int:
-    for k in range(8):
-        if _F8_MUL[b][k] == a:
-            return k
-    raise ZeroDivisionError("division by zero in F8")
+    """a/b in F8, the unique k with b*k = a; ZeroDivisionError when b = 0."""
+    if not b:
+        raise ZeroDivisionError("division by zero in F8")
+    return _F8_MUL[b].index(a)
 
 
 def _mobius_perm(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
@@ -443,54 +462,24 @@ def _perm_order(p: tuple[int, ...]) -> int:
     return order
 
 
-_G = F8_GENERATOR
-_G2 = _F8_MUL[_G][_G]
-
-# generator sets: s1, s2, s3 span the translations (the Sylow 2-subgroup),
-# r is multiplication by a generator of F8* (order 7, cycles the s_i under
-# conjugation), l is the Frobenius (order 3, conjugates r to r^2); the
-# order-12 subgroup needs the twisted order-3 map x -> g*x^2, which
-# normalizes the four translations by {0, 1, g, g+1}
+# each N2 subgroup by the names of its generators in _N2; PSL(2,8) by the
+# fractional linear maps z -> z+1, z -> g*z and z -> 1/z
 _PERM_GENERATORS: dict[str, list[tuple[int, ...]]] = {
-    "n2_168": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-        _affine_perm(1, _G2, 0),
-        _affine_perm(_G, 0, 0),
-        _affine_perm(1, 0, 1),
-    ],
-    "n2_56": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-        _affine_perm(1, _G2, 0),
-        _affine_perm(_G, 0, 0),
-    ],
-    "n2_24": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-        _affine_perm(1, _G2, 0),
-        _affine_perm(1, 0, 1),
-    ],
-    "n2_12": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-        _affine_perm(_G, 0, 1),
-    ],
-    "n2_8": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-        _affine_perm(1, _G2, 0),
-    ],
-    "n2_4": [
-        _affine_perm(1, 1, 0),
-        _affine_perm(1, _G, 0),
-    ],
-    "psl28": [
-        _mobius_perm(1, 1, 0, 1),
-        _mobius_perm(_G, 0, 0, 1),
-        _mobius_perm(0, 1, 1, 0),
-    ],
+    tag: [_affine_perm(*_N2[name]) for name in names]
+    for tag, names in {
+        "n2_168": ("s1", "s2", "s3", "r", "l"),
+        "n2_56": ("s1", "s2", "s3", "r"),
+        "n2_24": ("s1", "s2", "s3", "l"),
+        "n2_12": ("s1", "s2", "lt"),
+        "n2_8": ("s1", "s2", "s3"),
+        "n2_4": ("s1", "s2"),
+    }.items()
 }
+_PERM_GENERATORS["psl28"] = [
+    _mobius_perm(1, 1, 0, 1),
+    _mobius_perm(F8_GENERATOR, 0, 0, 1),
+    _mobius_perm(0, 1, 1, 0),
+]
 
 
 @cache

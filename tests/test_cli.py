@@ -104,6 +104,28 @@ def test_an_unknown_family_is_named(command, capsys):
     assert "argument --family: unknown family 'SUZUKI'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("genus", "--family", "suzuki", "--s", "1.5", "--descriptor", "sigma-cm:1,5,1"),
+        ("spectrum", "--family", "ree", "--s", "1", "--format", "xml"),
+        ("verify-tables", "--s-max", "x"),
+        ("oracle", "--family", "ree"),
+        ("frobnicate",),
+        (),
+    ],
+    ids=["s-not-an-int", "unknown-format", "s-max-not-an-int", "missing-s", "unknown-command",
+         "no-command"],
+)
+def test_argument_errors_are_one_line_without_usage(args, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(args))
+    assert info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith("skabelund") and ": error: " in err and "usage:" not in err
+
+
 def test_s_cap_enforced():
     with pytest.raises(SystemExit):
         main(["spectrum", "--family", "suzuki", "--s", "7"])

@@ -8,6 +8,7 @@ from skabelund.catalog import (
     B0Cyclic,
     B0Dihedral,
     N2NonSkew,
+    N2SkewCyclic,
     N2SkewFull,
     Psl28,
     SigmaCm,
@@ -18,8 +19,12 @@ from skabelund.catalog import (
 from skabelund.curves import Family, make_params
 from skabelund.iota import census
 from skabelund.oracle import (
+    _PERM_GENERATORS,
     BruteForceCapError,
+    _affine_perm,
     _f8_div,
+    _perm_closure,
+    _skew_generators,
     count_congruence_solutions,
     delta_b0_census,
     delta_census,
@@ -242,9 +247,32 @@ def test_f8_multiplication_table():
         seen.add(v)
     assert seen == set(range(1, 8))
     assert f8_mul(v, 2) == 1
-    assert _f8_div(f8_mul(5, 3), 3) == 5
-    with pytest.raises(ZeroDivisionError):
-        _f8_div(5, 0)
+
+
+def test_f8_division_inverts_multiplication():
+    for b in range(1, 8):
+        for a in range(8):
+            assert [k for k in range(8) if f8_mul(b, k) == a] == [_f8_div(a, b)]
+    for a in (0, 5):
+        with pytest.raises(ZeroDivisionError):
+            _f8_div(a, 0)
+
+
+@pytest.mark.parametrize("skew", [N2SkewFull, N2SkewCyclic])
+def test_skew_generators_and_the_n2_realization_name_one_group(skew):
+    """The affine parts of a skew subgroup's generators, as permutations of
+    F8, close to N2's order-56 subgroup (N2SkewFull) or to an order-7
+    subgroup of it (N2SkewCyclic): both read N2's generators from one table."""
+    n2_56 = _perm_closure(_PERM_GENERATORS["n2_56"])
+    assert len(n2_56) == 56
+    for i in range(1, 7):
+        for w in (1, 31):
+            gens = _skew_generators(R2, skew(i, w))
+            closed = _perm_closure([_affine_perm(a, b, 0) for a, b, _ in gens])
+            if skew is N2SkewFull:
+                assert closed == n2_56, (i, w)
+            else:
+                assert len(closed) == 7 and closed <= n2_56, (i, w)
 
 
 def test_skew_materialization_orders():

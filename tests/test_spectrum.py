@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
@@ -514,13 +515,18 @@ class Reference(NamedTuple):
     records: list
 
 
-def per_descriptor_reference(family, s, kind=None):
+@cache
+def per_descriptor_records(family, s):
+    """Each descriptor of the curve evaluated on its own, in catalog order.
+    Built once per curve: the whole-catalog and per-kind export tests filter
+    the same list (Ree s=5 has 176,436 records)."""
     params = make_params(family, s)
-    records = [
-        evaluate_descriptor(params, d)
-        for d in enumerate_descriptors(params)
-        if kind in (None, kind_of(d).name)
-    ]
+    return params, tuple(evaluate_descriptor(params, d) for d in enumerate_descriptors(params))
+
+
+def per_descriptor_reference(family, s, kind=None):
+    params, every_record = per_descriptor_records(family, s)
+    records = [r for r in every_record if kind in (None, kind_name(r))]
     return Reference(
         params,
         tuple(sorted({r.genus for r in records})),
