@@ -75,7 +75,7 @@ def valuation(p: int, n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n >= 1, ascending."""
     if n < 1:
-        raise ValueError(f"divisors of {n} undefined: need a positive integer")
+        raise ValueError(f"n must be >= 1, got {n}")
     divs = [1]
     for p, e in factorize(n):
         divs = [d * p**k for d in divs for k in range(e + 1)]

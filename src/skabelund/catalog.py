@@ -67,10 +67,8 @@ class SigmaCm(NamedTuple):
         A float or a bool field would pass every arithmetic check below."""
         if not (type(self.n1) is int and type(self.n2) is int and type(self.a) is int):
             raise ValueError(f"descriptor fields must be int, got {self!r}")
-        if not (self.n1 >= 1 and m % self.n1 == 0):
-            raise ValueError(f"n1={self.n1} does not divide m={m}")
-        if not (self.n2 >= 1 and m % self.n2 == 0):
-            raise ValueError(f"n2={self.n2} does not divide m={m}")
+        _divides("n1", self.n1, "m", m)
+        _divides("n2", self.n2, "m", m)
         if not 0 <= self.a < self.n2:
             raise ValueError(f"a={self.a} out of range [0, {self.n2})")
         if (self.a * m) % (self.n1 * self.n2) != 0:
@@ -351,8 +349,7 @@ def check_descriptor(params: CurveParams, h: SubgroupDescriptor) -> None:
     for field in h:
         if type(field) is not int:
             raise ValueError(f"descriptor fields must be int, got {h!r}")
-    if kind.family not in (None, params.family):
-        check_kind_family(kind.name, params.family)
+    check_kind_family(kind.name, params.family)
     kind.check(params, h)
 
 

@@ -10,7 +10,8 @@ Exit status is 0 for success and 1 when a verification fails.  Default
 curve-size caps (s <= 6 Suzuki, s <= 5 Ree) bound runtimes; override with
 --allow-large-s or the SKABELUND_MAX_S environment variable.  A setting
 that is not a valid integer, an s below 1, a negative oracle cap
-(--max-elements, SKABELUND_MAX_ELEMENTS, SKABELUND_MAX_CLOSURE_M), a
+(--max-elements, SKABELUND_MAX_ELEMENTS, SKABELUND_MAX_CLOSURE_M: the
+settings module refuses each, and main prints its SettingError), a
 --subgroup-family that is unknown or belongs to the other curve family, a
 descriptor the curve does not have, or a verify-tables run that selects no
 table ends the run with a one-line message and exit status 1.  An argument
@@ -128,8 +129,6 @@ def _cmd_genus(args) -> int:
 
 def _cmd_oracle(args) -> int:
     _check_s_cap(args.family, args.s, args.allow_large_s)
-    if args.max_elements is not None and args.max_elements < 0:
-        raise SystemExit(f"--max-elements must be at least 0, got {args.max_elements}")
     checks = run_oracle_suite(args.family, args.s, max_elements=args.max_elements)
     failed = False
     for check in checks:

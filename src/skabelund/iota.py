@@ -131,9 +131,6 @@ class OrderCensus(NamedTuple):
     counts: tuple[tuple[int, int], ...]  # (element order, count), ascending
     order3_central: bool | None = None
 
-    def count(self, order: int) -> int:
-        return dict(self.counts).get(order, 0)
-
 
 # Censuses of the Ree(3)-side groups used by the closed forms.  PSL(2,8) and
 # the full N2 counts come with the theory; the smaller N2 subgroups (one
@@ -150,11 +147,3 @@ CENSUS_TABLE: dict[str, OrderCensus] = {
     "n2_8": OrderCensus(8, ((1, 1), (2, 7))),
     "n2_4": OrderCensus(4, ((1, 1), (2, 3))),
 }
-
-
-def census(group_tag: str) -> OrderCensus:
-    """Census for one of psl28, n2_168, n2_56, n2_24, n2_12, n2_8, n2_4."""
-    try:
-        return CENSUS_TABLE[group_tag]
-    except KeyError:
-        raise ValueError(f"unknown group tag {group_tag!r}") from None

@@ -21,9 +21,12 @@ below m is weighed from two reads of iota_ree or iota_suzuki, at k = 0 and
 k = 1, without visiting its elements.  A Singer-cycle element sigma^A tau^B
 of a skew subgroup weighs m exactly when B is one of the images A*q^d mod m
 (iota.singer_images), so a bucket of them is weighed as m times the number
-of its tau exponents among those images.  The only shared code with the
-formula modules is the iota classification layer, which is exactly the
-point of contact the cross-checks are meant to pin.
+of its tau exponents among those images.  What this module shares with
+the formula modules is the curve's constants (CurveParams, tau_iota and
+q_powers among them) and the descriptor checks (catalog.check_descriptor,
+and subgroup_order_sigma, which validates a Singer-square triple); the
+suite adds the KINDS evaluators it compares against.  No formula module
+imports iota: only the oracle sums its weights.
 
 A skew subgroup is closed as buckets: one m-bit int of tau exponents e per
 affine part (a, b).  The subgroup lies in Aff(F8) x C_m, so each bucket is
@@ -71,18 +74,26 @@ from .catalog import B0Cyclic, B0Dihedral, N2NonSkew, N2SkewCyclic, N2SkewFull, 
 from .catalog import check_descriptor, subgroup_order_sigma
 from .curves import CurveParams
 from .iota import (  # iota_ree, iota_suzuki: callers also look them up here
+    CENSUS_TABLE,
     OrderClassRee,
     OrderClassSz,
     iota_ree,
     iota_suzuki,
     singer_images,
 )
-from .iota import census as census_table
 from .settings import max_closure_m, max_elements_cap
 
 
 class BruteForceCapError(ValueError):
     """Raised when an oracle run would exceed the configured brute-force cap."""
+
+
+def _check_element_cap(params: CurveParams, se: SigmaCm, max_elements: int | None) -> None:
+    """Validate se; BruteForceCapError when |H| exceeds the element cap."""
+    order = subgroup_order_sigma(params.m, se)
+    cap = max_elements_cap(max_elements)
+    if order > cap:
+        raise BruteForceCapError(f"|H|={order} exceeds brute-force cap {cap}")
 
 
 def delta_sigma_cm_bruteforce(
@@ -102,10 +113,7 @@ def delta_sigma_cm_bruteforce(
     count_congruence_solutions: the kernels then run each row scan once
     (see _kernels).
     """
-    order = subgroup_order_sigma(params.m, se)  # validates se
-    cap = max_elements_cap(max_elements)
-    if order > cap:
-        raise BruteForceCapError(f"|H|={order} exceeds brute-force cap {cap}")
+    _check_element_cap(params, se, max_elements)
     tau_count, special_count = _kernels.sigma_cm_iota_counts(
         params.m, se.n1, se.n2, se.a, params.q_powers, scans=scans
     )
@@ -123,10 +131,7 @@ def count_congruence_solutions(
     j*n2 = i*(n1*q^d - a) (mod m), including (0, 0).  se is validated and
     the element cap checked once for all the powers.  scans as for
     delta_sigma_cm_bruteforce."""
-    order = subgroup_order_sigma(params.m, se)  # validates se
-    cap = max_elements_cap(max_elements)
-    if order > cap:
-        raise BruteForceCapError(f"subgroup exceeds brute-force cap {cap}")
+    _check_element_cap(params, se, max_elements)
     m, n1, n2, a = params.m, se.n1, se.n2, se.a
     # a list comprehension, not a generator: with a generator object per
     # call the peak RSS of repeated Ree suites rose by 0.13 MiB
@@ -202,7 +207,7 @@ def delta_census(params: CurveParams, h: Psl28 | N2NonSkew) -> int:
     """
     check_descriptor(params, h)
     _require(h, Psl28, N2NonSkew)
-    cen = census_table("psl28" if type(h) is Psl28 else f"n2_{h.k_order}")
+    cen = CENSUS_TABLE["psl28" if type(h) is Psl28 else f"n2_{h.k_order}"]
     total = _ree_coset_sum(params, (1, None), h.n)
     for order, count in cen.counts:
         if order != 1:

@@ -53,6 +53,7 @@ from .arith import valuation
 from .catalog import (
     GenusRecord,
     SigmaCm,
+    check_descriptor,
     make_record,
     standard_exponent_blocks,
     standard_exponent_step,
@@ -196,13 +197,11 @@ def _block(
 
 
 def singer_block(params: CurveParams, n1: int, n2: int) -> SingerBlock:
-    """Every nu-profile class of the subgroups (n1, n2, a), with its size."""
-    m = params.m
-    for name, n in (("n1", n1), ("n2", n2)):
-        if not (n >= 1 and m % n == 0):
-            raise ValueError(f"{name}={n} is not a positive divisor of m={m}")
+    """Every nu-profile class of the subgroups (n1, n2, a), with its size.
+    The block exists exactly when its first triple (n1, n2, 0) is valid."""
+    check_descriptor(params, SigmaCm(n1, n2, 0))
     primes = [p for p, _e in params.m_factors]
-    step = standard_exponent_step(m, n1, n2)
+    step = standard_exponent_step(params.m, n1, n2)
     return _block(params, primes, _p_parts(primes, (n2, step)), {}, n1, n2, step)
 
 

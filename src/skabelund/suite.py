@@ -19,13 +19,14 @@ comparison is a product of p-parts p^min(v_p(x), v_p(n2)) over the primes
 of m, each found by this module's own division loop (_p_part), not by
 arith.valuation.
 
-Work that depends on less than one case is done once: a sampled subgroup's
-congruence counts come from one count_congruence_solutions call, one count
-per special power; the closure check compares m*m-bit element masks (bit
-A*m+B set for (A, B)) from enumerate_subgroups_bruteforce and
-standard_exponent_elements; and the skew check builds the curve's six
-Singer image masks once (skew_image_masks) and passes them to every
-delta_skew_census.
+Work that depends on less than one case is done once: the delta and
+congruence checks walk the sample in one loop, with one scans dict; a
+sampled subgroup's congruence counts come from one
+count_congruence_solutions call, one count per special power; the closure
+check compares m*m-bit element masks (bit A*m+B set for (A, B)) from
+enumerate_subgroups_bruteforce and standard_exponent_elements; and the
+skew check builds the curve's six Singer image masks once
+(skew_image_masks) and passes them to every delta_skew_census.
 
 The spectrum pipeline, the CLI's spectrum, genus and verify-tables commands
 and `import skabelund` do not load this module or the oracle:
@@ -135,44 +136,42 @@ def run_oracle_suite(
     checks: list[OracleCheck] = []
 
     sampled = sample_standard_exponents(params.m, cap, SAMPLE_LIMIT)
-    # row scans of this curve, shared by the delta and congruence checks
-    scans: dict = {}
+    scans: dict = {}  # row scans of this curve, shared by both checks
 
-    bad = []
+    bad_delta, bad_count = [], []
+    m = params.m
+    m_parts = [(p, p**e) for p, e in params.m_factors]
     for se in sampled:
+        n1, n2, a = se
         formula = delta_sigma_cm(params, se)
         brute = delta_sigma_cm_bruteforce(params, se, max_elements=cap, scans=scans)
         if formula != brute:
-            bad.append(f"{se}: formula {formula} != brute force {brute}")
+            bad_delta.append(f"{se}: formula {formula} != brute force {brute}")
+        counts = count_congruence_solutions(params, se, max_elements=cap, scans=scans)
+        # (p, p^v_p(n2)) per prime of m, the same for every power; n2 | m
+        n2_parts = [(p, _p_part(n2, p, pe)) for p, pe in m_parts]
+        for d, (qd, count) in enumerate(zip(params.q_powers, counts)):
+            # the product prime by prime, not the gcd delta_sigma_cm takes,
+            # so the count is checked against a formulation of its own
+            x = n1 * qd - a
+            prod = 1
+            for p, pe in n2_parts:
+                prod *= _p_part(x, p, pe)
+            if count * n1 * n2 != m * prod:
+                bad_count.append(f"{se} d={d}: {count} vs {m * prod}")
     checks.append(
         _verdict(
             "singer-square delta: closed form vs element enumeration",
-            bad,
+            bad_delta,
             f"{len(sampled)} subgroups checked",
             sampled,
             cap,
         )
     )
-
-    bad = []
-    m_parts = [(p, p**e) for p, e in params.m_factors]
-    for se in sampled:
-        counts = count_congruence_solutions(params, se, max_elements=cap, scans=scans)
-        # (p, p^v_p(n2)) per prime of m, the same for every power; n2 | m
-        n2_parts = [(p, _p_part(se.n2, p, pe)) for p, pe in m_parts]
-        for d, (qd, count) in enumerate(zip(params.q_powers, counts)):
-            # the product prime by prime, not the gcd delta_sigma_cm takes,
-            # so the count is checked against a formulation of its own
-            x = se.n1 * qd - se.a
-            prod = 1
-            for p, pe in n2_parts:
-                prod *= _p_part(x, p, pe)
-            if count * se.n1 * se.n2 != params.m * prod:
-                bad.append(f"{se} d={d}: {count} vs {params.m * prod}")
     checks.append(
         _verdict(
             "congruence solution count: literal loop vs CRT product",
-            bad,
+            bad_count,
             f"{len(sampled)} subgroups x {len(params.q_powers)} powers",
             sampled,
             cap,

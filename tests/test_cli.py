@@ -240,17 +240,22 @@ def test_zero_max_s_is_rejected(monkeypatch):
         main(["spectrum", "--family", "suzuki", "--s", "1"])
 
 
-def test_oracle_that_checks_nothing_exits_nonzero(capsys):
+def test_oracle_that_checks_nothing_exits_nonzero(capsys, monkeypatch):
     assert main(["oracle", "--family", "ree", "--s", "2", "--max-elements", "0"]) == 1
     out = capsys.readouterr().out
     assert "PASS singer-square" not in out
     assert out.count("FAIL") == 3
+    assert out.count("(none within the element cap 0)") == 3
+    # the environment's cap has the flag's floor: 0 is accepted
+    monkeypatch.setenv("SKABELUND_MAX_ELEMENTS", "0")
+    assert main(["oracle", "--family", "ree", "--s", "2"]) == 1
+    assert capsys.readouterr().out == out
 
 
 @pytest.mark.parametrize(
     "args, env, text",
     [
-        (("--max-elements", "-5"), {}, "--max-elements must be at least 0, got -5"),
+        (("--max-elements", "-1"), {}, "max_elements must be at least 0, got -1"),
         ((), {"SKABELUND_MAX_ELEMENTS": "-1"}, "SKABELUND_MAX_ELEMENTS must be at least 0, got -1"),
         ((), {"SKABELUND_MAX_CLOSURE_M": "-1"}, "SKABELUND_MAX_CLOSURE_M must be at least 0, got -1"),
     ],

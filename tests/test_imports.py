@@ -141,8 +141,15 @@ def test_every_private_name_of_the_package_is_read():
     assert dead_private_names(sources) == []
 
 
-# the messages of the kind conditions catalog.check_descriptor checks
-KIND_CONDITION_PHRASES = ("does not divide", "violates 7w | m", "out of range 1..6", "not one of")
+# the messages of the kind conditions catalog.check_descriptor checks; a
+# divisibility test worded with "divisor" restates one too
+KIND_CONDITION_PHRASES = (
+    "does not divide",
+    "divisor",
+    "violates 7w | m",
+    "out of range 1..6",
+    "not one of",
+)
 
 
 def kind_condition_raises(sources: dict[str, str]) -> list[str]:
@@ -180,7 +187,21 @@ def test_the_check_sees_a_restated_kind_condition():
     )
     assert kind_condition_raises({"oracle": restated}) == [f"oracle:{lines + 5}"]
     assert kind_condition_raises({"a": "raise ValueError('x does not divide y')\n"}) == ["a:1"]
-    assert kind_condition_raises({"a": "raise ValueError('x is no divisor of y')\n"}) == []
+    assert kind_condition_raises({"a": "raise ValueError('x must be >= 1, got 0')\n"}) == []
+
+
+def test_the_check_sees_a_restated_singer_block_divisor_test():
+    """A block-divisor loop in singer, worded "is not a positive divisor
+    of", restates what check_descriptor checks of the block's first triple."""
+    sources = _package_sources()
+    lines = sources["singer"].count("\n")
+    restated = sources["singer"] + (
+        "\n\ndef _check_block(m, n1, n2):\n"
+        '    for name, n in (("n1", n1), ("n2", n2)):\n'
+        "        if not (n >= 1 and m % n == 0):\n"
+        '            raise ValueError(f"{name}={n} is not a positive divisor of m={m}")\n'
+    )
+    assert kind_condition_raises({"singer": restated}) == [f"singer:{lines + 6}"]
 
 
 def test_kind_conditions_are_raised_from_the_catalog_only():

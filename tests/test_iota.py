@@ -6,7 +6,6 @@ from skabelund.iota import (
     CENSUS_TABLE,
     OrderClassRee,
     OrderClassSz,
-    census,
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
@@ -114,15 +113,13 @@ def test_census_sums():
 
 
 def test_census_contents():
-    psl = census("psl28")
+    psl = CENSUS_TABLE["psl28"]
     assert dict(psl.counts) == {1: 1, 2: 63, 3: 56, 7: 216, 9: 168}
     assert psl.order3_central is True
-    n2 = census("n2_168")
+    n2 = CENSUS_TABLE["n2_168"]
     assert dict(n2.counts) == {1: 1, 2: 7, 3: 56, 6: 56, 7: 48}
     assert n2.order3_central is False
-    assert dict(census("n2_8").counts) == {1: 1, 2: 7}
-    with pytest.raises(ValueError):
-        census("m11")
+    assert dict(CENSUS_TABLE["n2_8"].counts) == {1: 1, 2: 7}
 
 
 def test_complete_element_accounting():

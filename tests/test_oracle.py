@@ -17,7 +17,7 @@ from skabelund.catalog import (
     subgroup_order_sigma,
 )
 from skabelund.curves import Family, make_params
-from skabelund.iota import census
+from skabelund.iota import CENSUS_TABLE
 from skabelund.oracle import (
     _PERM_GENERATORS,
     BruteForceCapError,
@@ -184,15 +184,15 @@ def test_closure_cap():
 
 def test_element_cap(monkeypatch):
     monkeypatch.setenv("SKABELUND_MAX_ELEMENTS", "100")
-    with pytest.raises(BruteForceCapError):
-        delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0))  # |H| = 361
-    with pytest.raises(BruteForceCapError, match="subgroup exceeds brute-force cap 100"):
+    with pytest.raises(BruteForceCapError, match=r"^\|H\|=361 exceeds brute-force cap 100$"):
+        delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0))
+    with pytest.raises(BruteForceCapError, match=r"^\|H\|=361 exceeds brute-force cap 100$"):
         count_congruence_solutions(R1, SigmaCm(1, 1, 0))
     assert delta_sigma_cm_bruteforce(R1, SigmaCm(1, 1, 0), max_elements=400)
 
 
-@pytest.mark.parametrize("cap", [2.5, 400.0, True, "400"], ids=repr)
-@pytest.mark.parametrize(
+# the library entry points that take a max_elements override
+CAP_ENTRY_POINTS = pytest.mark.parametrize(
     "run",
     [
         lambda cap: run_oracle_suite(Family.SUZUKI, 1, max_elements=cap),
@@ -201,10 +201,22 @@ def test_element_cap(monkeypatch):
     ],
     ids=["run_oracle_suite", "delta_sigma_cm_bruteforce", "count_congruence_solutions"],
 )
+
+
+@pytest.mark.parametrize("cap", [2.5, 400.0, True, "400"], ids=repr)
+@CAP_ENTRY_POINTS
 def test_an_element_cap_that_is_not_an_int_is_refused(run, cap):
     with pytest.raises(SettingError) as info:
         run(cap)
     assert str(info.value) == f"max_elements must be an integer, got {cap!r}"
+
+
+@CAP_ENTRY_POINTS
+def test_an_element_cap_below_zero_is_refused(run):
+    """An override has the floor of SKABELUND_MAX_ELEMENTS and --max-elements."""
+    with pytest.raises(SettingError) as info:
+        run(-1)
+    assert str(info.value) == "max_elements must be at least 0, got -1"
 
 
 def test_delta_census_values():
@@ -305,7 +317,7 @@ def test_skew_census_i_invariance():
 
 def test_permutation_censuses_match_tables():
     for tag in ("psl28", "n2_168", "n2_56", "n2_24", "n2_12", "n2_8", "n2_4"):
-        table = census(tag)
+        table = CENSUS_TABLE[tag]
         realized = realize_census(tag)
         assert realized == dict(table.counts), tag
         assert sum(realized.values()) == table.group_order
@@ -321,7 +333,7 @@ def test_a_caller_cannot_change_the_cached_census():
     first = realize_census("psl28")
     first[2] = -1
     first[99] = 1
-    assert realize_census("psl28") == dict(census("psl28").counts)
+    assert realize_census("psl28") == dict(CENSUS_TABLE["psl28"].counts)
     assert realize_census("psl28") is not realize_census("psl28")
 
 

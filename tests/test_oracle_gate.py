@@ -65,9 +65,9 @@ from skabelund.catalog import (
 )
 from skabelund.curves import CurveParams, Family, make_params, seven_divides_m
 from skabelund.iota import (
+    CENSUS_TABLE,
     OrderClassRee,
     OrderClassSz,
-    census,
     iota_ree,
     iota_sigma_element,
     iota_suzuki,
@@ -192,7 +192,7 @@ def ref_delta_b0_census(params, d, n, dihedral):
 
 
 def ref_delta_census(group_tag, params, n):
-    cen = census(group_tag)
+    cen = CENSUS_TABLE[group_tag]
     total = sum(iota_ree(params, OrderClassRee.TAU, k) for k in range(1, n))
     for order, count in cen.counts:
         if order == 1:

@@ -25,7 +25,7 @@ from skabelund.catalog import (
     enumerate_standard_exponents,
 )
 from skabelund.curves import Family, make_params
-from skabelund.iota import OrderCensus, census
+from skabelund.iota import CENSUS_TABLE, OrderCensus
 from skabelund.singer import SingerSquare
 from skabelund.spectrum import (
     REFERENCE_TABLES,
@@ -130,7 +130,7 @@ def _instances():
         N2SkewFull(1, 1),
         N2SkewCyclic(1, 1),
         evaluate_descriptor(params, se),
-        census("psl28"),
+        CENSUS_TABLE["psl28"],
         REFERENCE_TABLES[0],
         verify_tables(s_max=1)[0],
         OracleCheck("x", True, "d"),
@@ -203,7 +203,6 @@ def test_standard_exponents_sort_as_tuples():
 
 def test_defaults_and_keyword_construction():
     assert OrderCensus(4, ((1, 1), (2, 3))).order3_central is None
-    assert census("n2_4").count(2) == 3
     params = make_params(Family.SUZUKI, 1)
     report = SpectrumReport(params, (0,), (), "note")
     assert report.singer == SingerSquare((), ()) and report.other_records == ()

@@ -152,7 +152,7 @@ def test_singer_block_rejects_a_non_divisor(n1, n2, message):
     assert params.m == 25
     with pytest.raises(ValueError) as info:
         singer_block(params, n1, n2)
-    assert str(info.value) == f"{message} is not a positive divisor of m=25"
+    assert str(info.value) == f"{message} does not divide m=25"
 
 
 def delta_by_valuations(params, se):
