@@ -17,15 +17,18 @@ not cataloged; spectrum reports carry a completeness note to that effect.
 
 Each descriptor is the flat tuple of its export parameters.  KINDS defines
 each cataloged kind once: its name, descriptor class (whose _fields are the
-parameters), curve family, enumerator, conditions and closed form.  The
-closed forms and the oracle's censuses check a descriptor by
-check_descriptor first; the CLI, the spectrum and the exports read KINDS.
+parameters), curve family, enumerator, conditions and closed form.
+family_kinds answers which kinds a curve has (all, or one named kind), and
+enumerate_descriptors which descriptors; the spectrum and the oracle suite
+take them from there.  The closed forms and the oracle's censuses check a
+descriptor by check_descriptor first and trust what the catalog built.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable
+from itertools import product, starmap
 from typing import NamedTuple, Union
 
 from .arith import divisors
@@ -65,8 +68,7 @@ class SigmaCm(NamedTuple):
     def validate(self, m: int) -> None:
         """ValueError unless (n1, n2, a) are ints naming a subgroup for m.
         A float or a bool field would pass every arithmetic check below."""
-        if not (type(self.n1) is int and type(self.n2) is int and type(self.a) is int):
-            raise ValueError(f"descriptor fields must be int, got {self!r}")
+        _check_fields(self)
         _divides("n1", self.n1, "m", m)
         _divides("n2", self.n2, "m", m)
         if not 0 <= self.a < self.n2:
@@ -227,14 +229,21 @@ def standard_exponent_elements(m: int, se: SigmaCm) -> int:
 
 def _b0(cls):
     """Enumerator of C_d x C_n resp. D_d x C_n: d | q-1 major, n | m minor."""
-    return lambda params, m_divs: (cls(d, n) for d in divisors(params.q - 1) for n in m_divs)
+    return lambda params: starmap(cls, product(divisors(params.q - 1), divisors(params.m)))
 
 
 def _skew(cls):
     """Enumerator of a skew N2 family: w with 7w | m major, i = 1..6 minor."""
-    return lambda params, m_divs: (
-        cls(i, w) for w in m_divs if params.m % (7 * w) == 0 for i in range(1, 7)
+    return lambda params: (
+        cls(i, w) for w in divisors(params.m) if params.m % (7 * w) == 0 for i in range(1, 7)
     )
+
+
+def _check_fields(h: SubgroupDescriptor) -> None:
+    # a float or a bool field would pass every arithmetic check of a kind
+    for field in h:
+        if type(field) is not int:
+            raise ValueError(f"descriptor fields must be int, got {h!r}")
 
 
 def _divides(name: str, value: int, total_name: str, total: int) -> None:
@@ -274,8 +283,8 @@ class DescriptorKind(NamedTuple):
     name: str  # CLI and export name
     cls: type  # the descriptor class; its _fields are the parameters
     family: Family | None  # the curve family that has the kind; None: both
-    # (params, divisors of m) -> the kind's descriptors on that curve, in order
-    enumerate: Callable[[CurveParams, list[int]], Iterable[SubgroupDescriptor]]
+    # params -> the kind's descriptors on that curve, in order
+    enumerate: Callable[[CurveParams], Iterable[SubgroupDescriptor]]
     # (params, descriptor of int fields): ValueError unless it is enumerated
     check: Callable[[CurveParams, SubgroupDescriptor], None]
     evaluate: Callable[[CurveParams, SubgroupDescriptor], GenusRecord]
@@ -284,7 +293,7 @@ class DescriptorKind(NamedTuple):
 KINDS: tuple[DescriptorKind, ...] = (
     DescriptorKind(
         "sigma-cm", SigmaCm, None,
-        lambda params, m_divs: enumerate_standard_exponents(params.m),
+        lambda params: enumerate_standard_exponents(params.m),
         lambda params, h: h.validate(params.m),
         lambda params, h: singer.sigma_cm_record(params, h),
     ),
@@ -297,13 +306,13 @@ KINDS: tuple[DescriptorKind, ...] = (
         lambda params, h: genus_suzuki.genus_b0_dihedral(params, h.d, h.n),
     ),
     DescriptorKind(
-        "psl28", Psl28, Family.REE, lambda params, m_divs: map(Psl28, m_divs),
+        "psl28", Psl28, Family.REE, lambda params: map(Psl28, divisors(params.m)),
         lambda params, h: _divides("n", h.n, "m", params.m),
         lambda params, h: genus_ree.genus_psl28(params, h.n),
     ),
     DescriptorKind(
         "n2-nonskew", N2NonSkew, Family.REE,
-        lambda params, m_divs: (N2NonSkew(k, n) for k in N2_SUBGROUP_ORDERS for n in m_divs),
+        lambda params: starmap(N2NonSkew, product(N2_SUBGROUP_ORDERS, divisors(params.m))),
         _check_n2_nonskew,
         lambda params, h: genus_ree.genus_n2_nonskew(params, h.k_order, h.n),
     ),
@@ -329,16 +338,20 @@ def kind_of(descriptor: SubgroupDescriptor) -> DescriptorKind:
         raise ValueError(f"unknown descriptor {descriptor!r}") from None
 
 
-def check_kind_family(name: str | None, family: Family) -> None:
-    """Raise ValueError unless name is None or names a kind the family has."""
+def family_kinds(family: Family, name: str | None = None) -> list[DescriptorKind]:
+    """The kinds a curve of family has, in KINDS order, or the one named;
+    ValueError if name names no kind, or a kind of the other family."""
+    if name is None:
+        return [kind for kind in KINDS if kind.family in (None, family)]
     kind = KINDS_BY_NAME.get(name)
-    if kind is None and name is not None:
+    if kind is None:
         raise ValueError(f"unknown subgroup family {name!r}")
-    if kind is not None and kind.family not in (None, family):
+    if kind.family not in (None, family):
         raise ValueError(
             f"subgroup family {name!r} is a {kind.family.value} kind, "
             f"not a {family.value} one"
         )
+    return [kind]
 
 
 def check_descriptor(params: CurveParams, h: SubgroupDescriptor) -> None:
@@ -346,23 +359,15 @@ def check_descriptor(params: CurveParams, h: SubgroupDescriptor) -> None:
     every field is an int (a float or a bool would pass the arithmetic), the
     kind is of the curve's family, and DescriptorKind.check passes."""
     kind = kind_of(h)
-    for field in h:
-        if type(field) is not int:
-            raise ValueError(f"descriptor fields must be int, got {h!r}")
-    check_kind_family(kind.name, params.family)
+    _check_fields(h)
+    family_kinds(params.family, kind.name)
     kind.check(params, h)
 
 
 def enumerate_descriptors(params: CurveParams) -> list[SubgroupDescriptor]:
     """All cataloged descriptors for one curve, kind by kind in KINDS order:
     the Singer square (the one kind both families have) first."""
-    m_divs = divisors(params.m)
-    return [
-        d
-        for kind in KINDS
-        if kind.family in (None, params.family)
-        for d in kind.enumerate(params, m_divs)
-    ]
+    return [d for kind in family_kinds(params.family) for d in kind.enumerate(params)]
 
 
 # the evaluators reach the genus modules, which import this one, through

@@ -69,9 +69,11 @@ def delta_sigma_cm(params: CurveParams, se: SigmaCm) -> int:
 
     The congruence count of the d-th special power is
     m * gcd(n1*q^d - a, n2) / (n1*n2): the gcd is the product of the
-    p^nu_{d,l} of the closed form (see the module docstring).
+    p^nu_{d,l} of the closed form (see the module docstring).  se is taken
+    as valid, naming a subgroup of the curve: sigma_cm_record checks it first
+    (subgroup_order_sigma), and the class tables and the oracle suite's
+    sample build valid triples only.
     """
-    se.validate(params.m)
     m = params.m
     n1, n2, a = se.n1, se.n2, se.a
     n1n2 = n1 * n2

@@ -1,5 +1,8 @@
 """Spectrum pipeline: enumerate descriptors, evaluate genera, verify tables.
 
+compute_spectrum takes a curve's kinds from catalog.family_kinds and each
+kind's descriptors from its KINDS enumerator.
+
 The Singer square is evaluated once per nu-profile class (see singer.py),
 not once per subgroup: genus spectra, verify_tables and the CSV, JSON and
 table exports read the class tables alone.  Per-subgroup GenusRecords are
@@ -41,15 +44,7 @@ from itertools import chain, compress, count, repeat, starmap
 from operator import ne
 from typing import TYPE_CHECKING, NamedTuple
 
-from .arith import divisors
-from .catalog import (
-    KINDS,
-    KINDS_BY_NAME,
-    GenusRecord,
-    SubgroupDescriptor,
-    check_kind_family,
-    kind_of,
-)
+from .catalog import KINDS_BY_NAME, GenusRecord, SubgroupDescriptor, family_kinds, kind_of
 from .curves import CurveParams, Family, make_params
 from .settings import max_s
 
@@ -121,19 +116,13 @@ def compute_spectrum(
     """Evaluate every cataloged descriptor (optionally one kind only).  A
     kind that is unknown or of the other curve family raises ValueError."""
     params = make_params(family, s)
-    check_kind_family(family_filter, family)
-    kinds = [
-        kind
-        for kind in KINDS
-        if kind.family in (None, params.family) and family_filter in (None, kind.name)
-    ]
+    kinds = family_kinds(family, family_filter)
     singer = evaluate_singer_square(params) if _SINGER_KIND in kinds else SingerSquare((), ())
-    m_divs = divisors(params.m)
     others = tuple(
         evaluate_descriptor(params, d)
         for kind in kinds
         if kind is not _SINGER_KIND
-        for d in kind.enumerate(params, m_divs)
+        for d in kind.enumerate(params)
     )
     covered = (_SINGER_KIND.name,) if singer.blocks else ()
     covered += tuple(dict.fromkeys(kind_of(r.descriptor).name for r in others))

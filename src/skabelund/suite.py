@@ -9,9 +9,11 @@ the skew subgroups (Ree).  A check fails naming each case whose two sides
 differ, and a check whose cases the element cap left empty fails too.
 
 The cases come from the catalog: each kind's descriptors from its KINDS
-enumerator and its closed form from its KINDS evaluator, and the order
-censuses from iota.CENSUS_TABLE.  This module names each kind's census and
-failure text only (_CENSUS_CHECKS).
+enumerator, which takes the curve alone, and its closed form from its KINDS
+evaluator, and the order censuses from iota.CENSUS_TABLE.  This module
+names each kind's census and failure text only (_CENSUS_CHECKS).  The
+sampled triples are valid by construction, so delta_sigma_cm takes them
+unchecked.
 
 The oracle itself (oracle.py) takes no valuation and no closed form; this
 module compares it with both.  The congruence check's side of the
@@ -38,7 +40,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from typing import NamedTuple
 
-from .arith import divisors
 from .catalog import KINDS_BY_NAME, SigmaCm, standard_exponent_blocks, standard_exponent_elements
 from .curves import CurveParams, Family, make_params, seven_divides_m
 from .iota import CENSUS_TABLE
@@ -178,12 +179,11 @@ def run_oracle_suite(
         )
     )
 
-    m_divs = divisors(params.m)
     if params.m <= max_closure_m():
         subgroups = enumerate_subgroups_bruteforce(params.m)
         generated: set = set()
         extra, repeats = [], []
-        for se in KINDS_BY_NAME["sigma-cm"].enumerate(params, m_divs):
+        for se in KINDS_BY_NAME["sigma-cm"].enumerate(params):
             elements = standard_exponent_elements(params.m, se)
             if elements in generated:
                 repeats.append(se)
@@ -213,9 +213,9 @@ def run_oracle_suite(
                 bad.append(f"{tag}: table {dict(table.counts)} vs realized {realized}")
         summary = f"{len(CENSUS_TABLE)} groups realized"
         checks.append(_verdict("order censuses: tables vs permutation realizations", bad, summary))
-    checks.append(_census_check(params, m_divs))
+    checks.append(_census_check(params))
     if family is Family.REE and seven_divides_m(params):
-        checks.append(_skew_check(params, m_divs, cap))
+        checks.append(_skew_check(params, cap))
     return checks
 
 
@@ -243,20 +243,20 @@ _CENSUS_CHECKS = {
 }
 
 
-def _census_check(params: CurveParams, m_divs: list[int]) -> OracleCheck:
+def _census_check(params: CurveParams) -> OracleCheck:
     """Each descriptor its KINDS enumerator lists, kind by kind: the KINDS
     evaluator's delta against the census sum."""
     name, summary, censuses = _CENSUS_CHECKS[params.family]
     bad = []
     for kind_name, (census, text) in censuses.items():
         kind = KINDS_BY_NAME[kind_name]
-        for h in kind.enumerate(params, m_divs):
+        for h in kind.enumerate(params):
             if kind.evaluate(params, h).delta != census(params, h):
                 bad.append(text.format(*h))
     return _verdict(name, bad, summary)
 
 
-def _skew_check(params: CurveParams, m_divs: list[int], cap: int) -> OracleCheck:
+def _skew_check(params: CurveParams, cap: int) -> OracleCheck:
     """The n2-skew-full pairs (i, w) whose record has order <= cap: both skew
     closed forms against the census, and the cyclic one against the Singer
     square triple (m/7, 7w, iw mod 7w) it reduces to."""
@@ -265,7 +265,7 @@ def _skew_check(params: CurveParams, m_divs: list[int], cap: int) -> OracleCheck
     )
     images = skew_image_masks(params)  # the curve's, shared by every census
     pairs, bad = [], []
-    for h in full_kind.enumerate(params, m_divs):
+    for h in full_kind.enumerate(params):
         full = full_kind.evaluate(params, h)
         if full.order > cap:
             continue

@@ -21,6 +21,7 @@ from skabelund.catalog import (
     check_descriptor,
     enumerate_descriptors,
     enumerate_standard_exponents,
+    family_kinds,
     kind_of,
     make_record,
     standard_exponent_elements,
@@ -291,8 +292,8 @@ def test_check_descriptor_accepts_exactly_the_enumerated_descriptors(family, s, 
     params = make_params(family, s)
     window = field_window(params)
     listed = set()
-    if kind.family in (None, family):
-        every = set(kind.enumerate(params, divisors(params.m)))
+    if kind in family_kinds(family):
+        every = set(kind.enumerate(params))
         listed = {h for h in every if set(h) <= set(window)}
         assert bool(listed) == bool(every)  # the window holds some of the kind
     accepted = set()
@@ -304,3 +305,26 @@ def test_check_descriptor_accepts_exactly_the_enumerated_descriptors(family, s, 
             continue
         accepted.add(h)
     assert accepted == listed
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_family_kinds_gives_the_familys_kinds_in_catalog_order(family):
+    assert family_kinds(family) == [k for k in KINDS if k.family in (None, family)]
+    for kind in family_kinds(family):
+        assert family_kinds(family, kind.name) == [kind]
+
+
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+def test_family_kinds_refuses_a_kind_the_family_has_not(family):
+    other = next(f for f in Family if f is not family)
+    refused = {"frobenius": "unknown subgroup family 'frobenius'"}
+    for kind in KINDS:
+        if kind.family is other:
+            refused[kind.name] = (
+                f"subgroup family '{kind.name}' is a {other.value} kind, not a {family.value} one"
+            )
+    assert len(refused) > 1
+    for name, message in refused.items():
+        with pytest.raises(ValueError) as raised:
+            family_kinds(family, name)
+        assert str(raised.value) == message

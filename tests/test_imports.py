@@ -5,7 +5,10 @@ private name (_x) a package module defines at module level is read by some
 package module.  No linter runs on the sources, so this catches the imports
 and helpers a refactor leaves behind, in the package, its tests and
 pipebench.  And a subgroup kind's conditions are raised from catalog.py
-only, so no module restates them beside catalog.check_descriptor.  And the
+only, so no module restates them beside catalog.check_descriptor, and the
+int-field rule from one raise there.  And which kinds a curve family has
+is decided in catalog.py only (family_kinds): no other package module
+compares a .family with a tuple holding None.  And the
 oracle suite names no valuation: its congruence check forms each p-part by
 its own division loop, so it shares no valuation with the Singer-square
 closed forms it checks (singer._p_parts).  And the suite takes its kinds
@@ -152,24 +155,33 @@ KIND_CONDITION_PHRASES = (
 )
 
 
+def raise_texts(source: str) -> list[tuple[int, str]]:
+    """(line, message text) of each raise of source with an exception, the
+    text being its string constants, f-string parts included."""
+    return [
+        (
+            node.lineno,
+            "".join(
+                part.value
+                for part in ast.walk(node.exc)
+                if isinstance(part, ast.Constant) and isinstance(part.value, str)
+            ),
+        )
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise) and node.exc is not None
+    ]
+
+
 def kind_condition_raises(sources: dict[str, str]) -> list[str]:
-    """module:line of each raise outside catalog whose message text (its
-    string constants, f-string parts included) holds a kind-condition
-    phrase, in sources (module name to source text)."""
-    found = []
-    for module, source in sources.items():
-        if module == "catalog":
-            continue
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                text = "".join(
-                    part.value
-                    for part in ast.walk(node.exc)
-                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
-                )
-                if any(phrase in text for phrase in KIND_CONDITION_PHRASES):
-                    found.append(f"{module}:{node.lineno}")
-    return found
+    """module:line of each raise outside catalog whose message text holds a
+    kind-condition phrase, in sources (module name to source text)."""
+    return [
+        f"{module}:{line}"
+        for module, source in sources.items()
+        if module != "catalog"
+        for line, text in raise_texts(source)
+        if any(phrase in text for phrase in KIND_CONDITION_PHRASES)
+    ]
 
 
 def _package_sources() -> dict[str, str]:
@@ -206,6 +218,57 @@ def test_the_check_sees_a_restated_singer_block_divisor_test():
 
 def test_kind_conditions_are_raised_from_the_catalog_only():
     assert kind_condition_raises(_package_sources()) == []
+
+
+def test_the_int_field_rule_is_raised_once():
+    texts = [text for _, text in raise_texts(_package_sources()["catalog"])]
+    assert sum("must be int" in text for text in texts) == 1
+
+
+def family_filters(sources: dict[str, str]) -> list[str]:
+    """module:line of each comparison outside catalog of a .family with a
+    tuple holding None (the test of whether a kind is a curve family's), in
+    sources (module name to source text)."""
+    found = []
+    for module, source in sources.items():
+        if module == "catalog":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Compare):
+                continue
+            operands = [node.left, *node.comparators]
+            if any(
+                isinstance(x, ast.Attribute) and x.attr == "family" for x in operands
+            ) and any(
+                isinstance(x, ast.Tuple)
+                and any(isinstance(e, ast.Constant) and e.value is None for e in x.elts)
+                for x in operands
+            ):
+                found.append(f"{module}:{node.lineno}")
+    return found
+
+
+def test_the_check_sees_a_restated_family_filter():
+    """compute_spectrum's comprehension before family_kinds is flagged."""
+    sources = _package_sources()
+    assert family_filters({"catalog": sources["catalog"]}) == []
+    lines = sources["spectrum"].count("\n")
+    restated = sources["spectrum"] + (
+        "\n\ndef _kinds(params, family_filter):\n"
+        "    return [\n"
+        "        kind\n"
+        "        for kind in KINDS\n"
+        "        if kind.family in (None, params.family) and family_filter in (None, kind.name)\n"
+        "    ]\n"
+    )
+    assert family_filters({"spectrum": restated}) == [f"spectrum:{lines + 7}"]
+    assert family_filters({"a": "ok = (None, family) not in kind.family\n"}) == ["a:1"]
+    assert family_filters({"a": "ok = name in (None, kind.name)\n"}) == []
+    assert family_filters({"a": "ok = kind.family is None\n"}) == []
+
+
+def test_a_curves_kinds_are_filtered_in_the_catalog_only():
+    assert family_filters(_package_sources()) == []
 
 
 def valuation_names(source: str) -> list[str]:

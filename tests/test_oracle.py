@@ -35,7 +35,6 @@ from skabelund.oracle import (
     realize_census,
 )
 from skabelund.settings import SettingError
-from skabelund.singer import delta_sigma_cm
 from skabelund.spectrum import run_oracle_suite
 
 from references import (
@@ -124,7 +123,6 @@ NON_INT_FIELDS = [
 SINGER_ENTRY_POINTS = {
     "subgroup_order_sigma": lambda se: subgroup_order_sigma(S1.m, se),
     "standard_exponent_elements": lambda se: standard_exponent_elements(S1.m, se),
-    "delta_sigma_cm": lambda se: delta_sigma_cm(S1, se),
     "delta_sigma_cm_bruteforce": lambda se: delta_sigma_cm_bruteforce(S1, se),
     "count_congruence_solutions": lambda se: count_congruence_solutions(S1, se),
 }

@@ -217,11 +217,9 @@ def ref_delta_census(group_tag, params, n):
     return total
 
 
-def ref_materialize_skew_subgroup(params, variant, i, w):
-    m = params.m
-    gens = [(F8_GENERATOR, 0, (i * w) % m)]
-    if variant == "full":
-        gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
+def ref_close_affine(m, gens):
+    """The elements (a, b, e) of the group the maps gens generate (x -> a*x
+    + b on F_8, paired with tau^e), closed one product at a time."""
     identity = (1, 0, 0)
     seen = {identity}
     frontier = [identity]
@@ -235,6 +233,14 @@ def ref_materialize_skew_subgroup(params, variant, i, w):
                     nxt.append(prod)
         frontier = nxt
     return seen
+
+
+def ref_materialize_skew_subgroup(params, variant, i, w):
+    m = params.m
+    gens = [(F8_GENERATOR, 0, (i * w) % m)]
+    if variant == "full":
+        gens += [(1, 1, 0), (1, 2, 0), (1, 4, 0)]
+    return ref_close_affine(m, gens)
 
 
 def ref_delta_skew_census(params, variant, i, w, iota=iota_ree):
@@ -854,22 +860,6 @@ def test_bitset_closure_matches_the_element_closure_on_synthetic_m(case):
     assert materialize_skew_subgroup(params, variant, i, w) == ref_materialize_skew_subgroup(
         params, variant, i, w
     )
-
-
-def ref_close_affine(m, gens):
-    identity = (1, 0, 0)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for a1, b1, e1 in frontier:
-            for a2, b2, e2 in gens:
-                prod = (f8_mul(a1, a2), f8_mul(a1, b2) ^ b1, (e1 + e2) % m)
-                if prod not in seen:
-                    seen.add(prod)
-                    nxt.append(prod)
-        frontier = nxt
-    return seen
 
 
 @st.composite

@@ -17,13 +17,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skabelund import Family, compute_spectrum, render_json, spectrum, validate_export
-from skabelund.catalog import KINDS_BY_NAME
+from skabelund.catalog import family_kinds
 
 
 def kind_filters(family):
     """The kind filters compute_spectrum takes for a curve of family: none,
     or one kind of that family."""
-    return [None, *(name for name, kind in KINDS_BY_NAME.items() if kind.family in (None, family))]
+    return [None, *(kind.name for kind in family_kinds(family))]
 
 
 GATE_CURVES = [(Family.SUZUKI, s) for s in (1, 2, 3)] + [(Family.REE, s) for s in (1, 2)]
