@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from skabelund.catalog import (
     family_kinds,
     kind_of,
     make_record,
+    standard_exponent_blocks,
     standard_exponent_elements,
     standard_exponent_step,
     subgroup_order_sigma,
@@ -93,6 +95,42 @@ def test_rejects_bad_m():
 @pytest.mark.parametrize("p", [p for p in range(2, 61) if is_prime(p)])
 def test_prime_count_is_p_plus_3(p):
     assert len(enumerate_standard_exponents(p)) == p + 3
+
+
+def prime_powers(m):
+    """(p, e) for each prime power p^e exactly dividing m, by trial division."""
+    p = 2
+    while m > 1:
+        if p * p > m:
+            p = m
+        e = 0
+        while m % p == 0:
+            m, e = m // p, e + 1
+        if e:
+            yield p, e
+        p += 1
+
+
+def rank_two_subgroup_counts(m):
+    """Order -> number of subgroups of C_m x C_m.  C_{p^e} x C_{p^e} has
+    1 + p + ... + p^min(k, 2e-k) subgroups of order p^k (Toth, Tatra Mt.
+    Math. Publ. 59, 2014), and the counts multiply over the primes of m."""
+    counts = {1: 1}
+    for p, e in prime_powers(m):
+        local = {p**k: sum(p**i for i in range(min(k, 2 * e - k) + 1)) for k in range(2 * e + 1)}
+        counts = {a * b: x * y for a, x in counts.items() for b, y in local.items()}
+    return counts
+
+
+def test_subgroup_counts_per_order_match_the_rank_two_formula():
+    """Every m <= 3000 and each curve's m at Suzuki s <= 8 and Ree s <= 6;
+    the closure bijection reaches m <= 60 only."""
+    curves = [(Family.SUZUKI, s) for s in range(1, 9)] + [(Family.REE, s) for s in range(1, 7)]
+    for m in [*range(1, 3001), *(make_params(family, s).m for family, s in curves)]:
+        counts = Counter()
+        for n1, n2, step in standard_exponent_blocks(m):
+            counts[m * m // (n1 * n2)] += n2 // step
+        assert counts == rank_two_subgroup_counts(m), m
 
 
 def test_triples_are_valid_and_ordered():

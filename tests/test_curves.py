@@ -88,3 +88,21 @@ def test_seven_divides_m_examples():
 def test_seven_divides_m_congruence(s):
     # for the Ree family, 7 | m iff s = 2 or 3 mod 6
     assert seven_divides_m(make_params(Family.REE, s)) == (s % 6 in (2, 3))
+
+
+def test_the_point_count_identity_pins_the_ambient_genus():
+    """X/<tau> is the Suzuki (Ree) curve Y, and tau fixes l+1 points of X,
+    l = q^2 (q^3), and moves every other point in an orbit of size m.  Both
+    curves are maximal over F_{l^2}, where a curve of genus g has
+    N(g) = l^2 + 1 + 2*g*l points, so N(g_X) = (l+1) + m*(N(g_Y) - (l+1))."""
+    for family, p, s_max in ((Family.SUZUKI, 2, 40), (Family.REE, 3, 25)):
+        for s in range(1, s_max + 1):
+            q0 = p**s
+            q = p * q0**2
+            if family is Family.SUZUKI:
+                ell, genus_y = q**2, q0 * (q - 1)
+            else:
+                ell, genus_y = q**3, 3 * q0 * (q - 1) * (q + q0 + 1) // 2
+            params = make_params(family, s)
+            n_x, n_y = (ell**2 + 1 + 2 * g * ell for g in (ambient_genus(params), genus_y))
+            assert n_x == (ell + 1) + params.m * (n_y - (ell + 1)), (family, s)

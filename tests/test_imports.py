@@ -4,21 +4,17 @@ imports one name twice, since the second binding hides the first.  Every
 private name (_x) a package module defines at module level is read by some
 package module.  No linter runs on the sources, so this catches the imports
 and helpers a refactor leaves behind, in the package, its tests and
-pipebench.  And a subgroup kind's conditions are raised from catalog.py
-only, so no module restates them beside catalog.check_descriptor, and the
-int-field rule from one raise there.  And which kinds a curve family has
-is decided in catalog.py only (family_kinds): no other package module
-compares a .family with a tuple holding None.  And the
-oracle suite names no valuation: its congruence check forms each p-part by
-its own division loop, so it shares no valuation with the Singer-square
-closed forms it checks (singer._p_parts).  And the suite takes its kinds
-from KINDS alone: it imports no genus module and names no descriptor class
-but SigmaCm and no N2_SUBGROUP_ORDERS.  And no package module brings in
-a float (a float literal, true division, math.inf, math.nan or the name
-float): every genus and delta is an exact int."""
+pipebench.
+
+And each rule in RULES is stated at one site: only the rule's owner modules
+may hold what its scanner flags.  The comment above each row says why that
+rule has one site.  A new single-site rule is one row of the table."""
 
 import ast
+from collections.abc import Callable
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -30,6 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(PACKAGE.glob("*.py")) + sorted(
     path for folder in ("tests", "pipebench") for path in (ROOT / folder).glob("*.py")
 )
+PACKAGE_SOURCES = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _imports(node: ast.AST, lines: list[str]) -> list[str]:
@@ -140,256 +137,194 @@ def test_the_check_sees_dead_private_names():
 
 
 def test_every_private_name_of_the_package_is_read():
-    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-    assert dead_private_names(sources) == []
+    assert dead_private_names(PACKAGE_SOURCES) == []
 
 
+# a rule's scanner: what a node restates of the rule, or nothing (None or "")
+Scanner = Callable[[ast.AST], str | None]
+
+
+def flagged(scan: Scanner, source: str) -> list[str]:
+    """"line: what" for each node of source that scan flags, in source order."""
+    nodes = [node for node in ast.walk(ast.parse(source)) if scan(node)]
+    return [f"{n.lineno}: {scan(n)}" for n in sorted(nodes, key=attrgetter("lineno", "col_offset"))]
+
+
+def _identifiers(node: ast.AST) -> list[str]:
+    """A name, attribute, imported name or alias, argument or definition."""
+    fields = ("id", "attr", "name", "asname", "arg")
+    return [value for f in fields if isinstance(value := getattr(node, f, None), str)]
+
+
+def _holding(*words: str) -> Scanner:
+    """Scanner: an identifier holding one of words, in any case."""
+    return lambda node: next(
+        (name for name in _identifiers(node) if any(w in name.lower() for w in words)), None
+    )
+
+
+def _raising(*phrases: str) -> Scanner:
+    """Scanner: a phrase a raise's message (its string constants) holds."""
+
+    def scan(node):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            strings = [part.value for part in ast.walk(node.exc) if isinstance(part, ast.Constant)]
+            text = "".join(s for s in strings if isinstance(s, str))
+            return next((phrase for phrase in phrases if phrase in text), None)
+
+    return scan
+
+
+def _family_filter(node):
+    """A .family compared with a tuple holding None: is a kind the curve's?"""
+    operands = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+    elements = [e for x in operands if isinstance(x, ast.Tuple) for e in x.elts]
+    if any(isinstance(x, ast.Attribute) and x.attr == "family" for x in operands) and any(
+        isinstance(e, ast.Constant) and e.value is None for e in elements
+    ):
+        return ast.unparse(node)
+
+
+GENUS_MODULES = ("genus_ree", "genus_suzuki")
+# what the suite reads from KINDS instead: the genus modules, the kinds'
+# descriptor classes but SigmaCm (the sample builds triples), N2's orders
+RESTATED = {*GENUS_MODULES, "N2_SUBGROUP_ORDERS", *(k.cls.__name__ for k in KINDS)} - {"SigmaCm"}
+
+
+def _kind_restatement(node):
+    """A name imported from a genus module, or an identifier naming a RESTATED."""
+    if isinstance(node, ast.ImportFrom):
+        module = (node.module or "").rpartition(".")[2]
+        if module in GENUS_MODULES:
+            return ", ".join(f"{module}.{alias.name}" for alias in node.names)
+    return next((i for i in _identifiers(node) if i.rpartition(".")[2] in RESTATED), None)
+
+
+def _float(node):
+    """A float literal, a true division (/, /=), math.inf or math.nan, or float."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, float):
+        return repr(node.value)
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "/"
+    if isinstance(node, ast.Attribute) and ast.unparse(node) in ("math.inf", "math.nan"):
+        return ast.unparse(node)
+    if isinstance(node, ast.ImportFrom) and node.module == "math":
+        return ", ".join(f"math.{a.name}" for a in node.names if a.name in ("inf", "nan"))
+    if isinstance(node, ast.Name) and node.id == "float":
+        return "float"
+
+
+def _arith_import(node):
+    """What an import takes from skabelund.arith; a relative one is the package's."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        base = ("skabelund" if getattr(node, "level", 0) else None, getattr(node, "module", None))
+        names = (".".join(filter(None, (*base, alias.name))) for alias in node.names)
+        return ", ".join(name for name in names if f"{name}.".startswith("skabelund.arith."))
+
+
+_gcd_or_lcm = _holding("gcd", "lcm")
+
+
+def _oracle_shortcut(node):
+    """An import from arith, or an identifier holding gcd or lcm."""
+    return _arith_import(node) or _gcd_or_lcm(node)
+
+
+class Rule(NamedTuple):
+    name: str
+    scan: Scanner
+    modules: tuple[str, ...]  # the package modules scanned
+    owners: dict[str, int | None]  # the modules allowed to hit: exact hit count, or None
+    bad: dict[str, list[str]]  # snippet -> the hits it must give
+    clean: tuple[str, ...]  # snippets that must give none
+
+
+ALL = tuple(PACKAGE_SOURCES)
 # the messages of the kind conditions catalog.check_descriptor checks; a
 # divisibility test worded with "divisor" restates one too
 KIND_CONDITION_PHRASES = (
-    "does not divide",
-    "divisor",
-    "violates 7w | m",
-    "out of range 1..6",
-    "not one of",
+    "does not divide", "divisor", "violates 7w | m", "out of range 1..6", "not one of"
 )
-
-
-def raise_texts(source: str) -> list[tuple[int, str]]:
-    """(line, message text) of each raise of source with an exception, the
-    text being its string constants, f-string parts included."""
-    return [
-        (
-            node.lineno,
-            "".join(
-                part.value
-                for part in ast.walk(node.exc)
-                if isinstance(part, ast.Constant) and isinstance(part.value, str)
-            ),
-        )
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Raise) and node.exc is not None
-    ]
-
-
-def kind_condition_raises(sources: dict[str, str]) -> list[str]:
-    """module:line of each raise outside catalog whose message text holds a
-    kind-condition phrase, in sources (module name to source text)."""
-    return [
-        f"{module}:{line}"
-        for module, source in sources.items()
-        if module != "catalog"
-        for line, text in raise_texts(source)
-        if any(phrase in text for phrase in KIND_CONDITION_PHRASES)
-    ]
-
-
-def _package_sources() -> dict[str, str]:
-    return {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
-
-
-def test_the_check_sees_a_restated_kind_condition():
-    sources = _package_sources()
-    assert kind_condition_raises({"catalog": sources["catalog"]}) == []
-    lines = sources["oracle"].count("\n")
-    restated = sources["oracle"] + (
-        "\n\ndef _check_w(m, w):\n"
+RULES = (
+    # check_descriptor raises every kind condition, so none drifts from it
+    Rule("kind-condition", _raising(*KIND_CONDITION_PHRASES), ALL, {"catalog": None}, {
+        "def _check_w(m, w):\n"
         "    if m % (7 * w):\n"
-        '        raise ValueError(f"w={w} violates 7w | m for m={m}")\n'
-    )
-    assert kind_condition_raises({"oracle": restated}) == [f"oracle:{lines + 5}"]
-    assert kind_condition_raises({"a": "raise ValueError('x does not divide y')\n"}) == ["a:1"]
-    assert kind_condition_raises({"a": "raise ValueError('x must be >= 1, got 0')\n"}) == []
-
-
-def test_the_check_sees_a_restated_singer_block_divisor_test():
-    """A block-divisor loop in singer, worded "is not a positive divisor
-    of", restates what check_descriptor checks of the block's first triple."""
-    sources = _package_sources()
-    lines = sources["singer"].count("\n")
-    restated = sources["singer"] + (
-        "\n\ndef _check_block(m, n1, n2):\n"
+        '        raise ValueError(f"w={w} violates 7w | m for m={m}")\n': ["3: violates 7w | m"],
+        # singer_block's old test of the block's first triple
+        "def _check_block(m, n1, n2):\n"
         '    for name, n in (("n1", n1), ("n2", n2)):\n'
         "        if not (n >= 1 and m % n == 0):\n"
-        '            raise ValueError(f"{name}={n} is not a positive divisor of m={m}")\n'
-    )
-    assert kind_condition_raises({"singer": restated}) == [f"singer:{lines + 6}"]
-
-
-def test_kind_conditions_are_raised_from_the_catalog_only():
-    assert kind_condition_raises(_package_sources()) == []
-
-
-def test_the_int_field_rule_is_raised_once():
-    texts = [text for _, text in raise_texts(_package_sources()["catalog"])]
-    assert sum("must be int" in text for text in texts) == 1
-
-
-def family_filters(sources: dict[str, str]) -> list[str]:
-    """module:line of each comparison outside catalog of a .family with a
-    tuple holding None (the test of whether a kind is a curve family's), in
-    sources (module name to source text)."""
-    found = []
-    for module, source in sources.items():
-        if module == "catalog":
-            continue
-        for node in ast.walk(ast.parse(source)):
-            if not isinstance(node, ast.Compare):
-                continue
-            operands = [node.left, *node.comparators]
-            if any(
-                isinstance(x, ast.Attribute) and x.attr == "family" for x in operands
-            ) and any(
-                isinstance(x, ast.Tuple)
-                and any(isinstance(e, ast.Constant) and e.value is None for e in x.elts)
-                for x in operands
-            ):
-                found.append(f"{module}:{node.lineno}")
-    return found
-
-
-def test_the_check_sees_a_restated_family_filter():
-    """compute_spectrum's comprehension before family_kinds is flagged."""
-    sources = _package_sources()
-    assert family_filters({"catalog": sources["catalog"]}) == []
-    lines = sources["spectrum"].count("\n")
-    restated = sources["spectrum"] + (
-        "\n\ndef _kinds(params, family_filter):\n"
+        '            raise ValueError(f"{name}={n} is not a positive divisor of m={m}")\n':
+        ["4: divisor"],
+        "raise ValueError('x does not divide y')\n": ["1: does not divide"],
+    }, clean=("raise ValueError('x must be >= 1, got 0')\n",)),
+    # catalog._check_fields checks the fields of every kind, once
+    Rule("int-field", _raising("must be int"), ALL, {"catalog": 1}, {
+        "def _check_n(h):\n"
+        "    if type(h.n) is not int:\n"
+        '        raise ValueError(f"descriptor fields must be int, got {h!r}")\n': ["3: must be int"],
+    }, clean=("raise ValueError(f's must be an integer, got {s!r}')\n",)),
+    # catalog.family_kinds decides which kinds a curve family has
+    Rule("family-filter", _family_filter, ALL, {"catalog": None}, {
+        # compute_spectrum's comprehension before family_kinds
+        "def _kinds(params, family_filter):\n"
         "    return [\n"
         "        kind\n"
         "        for kind in KINDS\n"
         "        if kind.family in (None, params.family) and family_filter in (None, kind.name)\n"
-        "    ]\n"
-    )
-    assert family_filters({"spectrum": restated}) == [f"spectrum:{lines + 7}"]
-    assert family_filters({"a": "ok = (None, family) not in kind.family\n"}) == ["a:1"]
-    assert family_filters({"a": "ok = name in (None, kind.name)\n"}) == []
-    assert family_filters({"a": "ok = kind.family is None\n"}) == []
+        "    ]\n": ["5: kind.family in (None, params.family)"],
+        "ok = (None, family) not in kind.family\n": ["1: (None, family) not in kind.family"],
+    }, clean=("ok = name in (None, kind.name)\n", "ok = kind.family is None\n")),
+    # the suite's congruence check forms each p-part by its own division loop,
+    # so it shares no valuation with the closed forms it checks (singer._p_parts)
+    Rule("suite-valuation", _holding("valuation"), ("suite",), {}, {
+        "def _capped(p, x, e):\n    return min(arith.valuation(p, x), e)\n": ["2: valuation"],
+        "from .arith import valuation as v\nv(2, 4)\n": ["1: valuation"],
+        "from .arith import INFINITE_VALUATION\n": ["1: INFINITE_VALUATION"],
+    }, clean=('"""a valuation named in a docstring"""\n',)),
+    # the suite takes its cases and closed forms from KINDS alone
+    Rule("suite-kinds", _kind_restatement, ("suite",), {}, {
+        "from .genus_suzuki import genus_b0_cyclic\n": ["1: genus_suzuki.genus_b0_cyclic"],
+        "from . import genus_ree\n": ["1: genus_ree"],
+        "import skabelund.genus_suzuki\n": ["1: skabelund.genus_suzuki"],
+        "from .catalog import N2_SUBGROUP_ORDERS as orders\n": ["1: N2_SUBGROUP_ORDERS"],
+        "h = catalog.Psl28(7)\nk = B0Cyclic(1, 5)\n": ["1: Psl28", "2: B0Cyclic"],
+    }, clean=('"""genus_ree and N2SkewFull in a docstring"""\nSigmaCm(1, 1, 0)\n',)),
+    # every genus and delta is an exact int
+    Rule("float", _float, ALL, {}, {
+        "import math\n\nINFINITE_VALUATION = math.inf\n": ["3: math.inf"],
+        "def _half(x):\n    return x / 2\n": ["2: /"],
+        "x = 1.5\ny = 2\ny /= 2\nz = float('nan')\n": ["1: 1.5", "3: /", "4: float"],
+        "from math import inf, isqrt\nn = math.nan\n": ["1: math.inf", "2: math.nan"],
+    }, clean=("n = 7 // 2\n'''a / in a docstring, 1.5'''\n",)),
+    # the oracle recomputes what arith's closed forms give, so it takes
+    # nothing from arith and reaches for no gcd or lcm (say m // gcd(x, m))
+    Rule("oracle-arith", _oracle_shortcut, ("_kernels", "oracle", "iota"), {}, {
+        "from .arith import divisors\n": ["1: skabelund.arith.divisors"],
+        "from . import arith\n": ["1: skabelund.arith"],
+        "import skabelund.arith\n": ["1: skabelund.arith"],
+        "from math import gcd\n": ["1: gcd"],
+        "n = m // math.gcd(x, m)\n": ["1: gcd"],
+        "period = _lcm(n1, n2)\n": ["1: _lcm"],
+    }, clean=('"""m and q-1 share no factor: gcd(m, q-1) = 1."""\n',)),
+)
 
 
-def test_a_curves_kinds_are_filtered_in_the_catalog_only():
-    assert family_filters(_package_sources()) == []
+@pytest.mark.parametrize("rule", RULES, ids=attrgetter("name"))
+def test_only_the_owners_hit(rule):
+    hits = {module: flagged(rule.scan, PACKAGE_SOURCES[module]) for module in rule.modules}
+    strays = [f"{m}:{hit}" for m, found in hits.items() if m not in rule.owners for hit in found]
+    assert strays == []
+    for module, count in rule.owners.items():
+        assert count is None or len(hits[module]) == count, hits[module]
 
 
-def valuation_names(source: str) -> list[str]:
-    """The identifiers of source (names, attributes, imported names and
-    aliases, arguments) that hold "valuation" in any case, sorted."""
-    return sorted(
-        {
-            value
-            for node in ast.walk(ast.parse(source))
-            for field in ("id", "attr", "name", "asname", "arg")
-            if isinstance(value := getattr(node, field, None), str)
-            and "valuation" in value.lower()
-        }
-    )
-
-
-def test_the_check_sees_a_valuation_readded_to_the_suite():
-    source = (PACKAGE / "suite.py").read_text()
-    readded = source + "\n\ndef _capped(p, x, e):\n    return min(arith.valuation(p, x), e)\n"
-    assert valuation_names(readded) == ["valuation"]
-    assert valuation_names("from .arith import valuation as v\nv(2, 4)\n") == ["valuation"]
-    assert valuation_names("from .arith import INFINITE_VALUATION\n") == ["INFINITE_VALUATION"]
-    assert valuation_names('"""a valuation named in a docstring"""\n') == []
-
-
-def test_the_suite_names_no_valuation():
-    assert valuation_names((PACKAGE / "suite.py").read_text()) == []
-
-
-GENUS_MODULES = ("genus_ree", "genus_suzuki")
-# what the suite reads from KINDS instead: the kinds' descriptor classes but
-# SigmaCm (the sample builds triples) and the N2 subgroup orders
-KIND_NAMES = {kind.cls.__name__ for kind in KINDS} - {"SigmaCm"} | {"N2_SUBGROUP_ORDERS"}
-
-
-def kind_restatements(source: str) -> list[str]:
-    """What source takes of the kinds besides KINDS, sorted: each name it
-    imports from a genus module (as module.name), each genus module it
-    imports, and each identifier of KIND_NAMES it holds."""
-    found = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom):
-            module = (node.module or "").rpartition(".")[2]
-            for alias in node.names:
-                if module in GENUS_MODULES:
-                    found.add(f"{module}.{alias.name}")
-                elif alias.name in GENUS_MODULES or alias.name in KIND_NAMES:
-                    found.add(alias.name)
-        elif isinstance(node, ast.Import):
-            found.update(a.name for a in node.names if a.name.rpartition(".")[2] in GENUS_MODULES)
-        elif isinstance(node, ast.Name) and node.id in KIND_NAMES:
-            found.add(node.id)
-        elif isinstance(node, ast.Attribute) and node.attr in KIND_NAMES:
-            found.add(node.attr)
-    return sorted(found)
-
-
-def test_the_check_sees_a_kind_restated_in_the_suite():
-    source = (PACKAGE / "suite.py").read_text()
-    readded = source + "\nfrom .genus_suzuki import genus_b0_cyclic\n"
-    assert kind_restatements(readded) == ["genus_suzuki.genus_b0_cyclic"]
-    assert kind_restatements("from . import genus_ree\nimport skabelund.genus_suzuki\n") == [
-        "genus_ree",
-        "skabelund.genus_suzuki",
-    ]
-    assert kind_restatements("from .catalog import N2_SUBGROUP_ORDERS as orders\n") == [
-        "N2_SUBGROUP_ORDERS"
-    ]
-    assert kind_restatements("h = catalog.Psl28(7)\nk = B0Cyclic(1, 5)\n") == ["B0Cyclic", "Psl28"]
-    docstring = '"""genus_ree and N2SkewFull in a docstring"""\n'
-    assert kind_restatements(docstring + "SigmaCm(1, 1, 0)\n") == []
-
-
-def test_the_suite_restates_no_kind():
-    assert kind_restatements((PACKAGE / "suite.py").read_text()) == []
-
-
-def float_uses(source: str) -> list[tuple[int, str]]:
-    """(line, what) for each place source brings in a float: a float
-    literal, a true division (/ or /=), math.inf or math.nan (read or
-    imported), or the name float; in line order."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Constant) and isinstance(node.value, float):
-            found.append((node.lineno, repr(node.value)))
-        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-            found.append((node.lineno, "/"))
-        elif (
-            isinstance(node, ast.Attribute)
-            and node.attr in ("inf", "nan")
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "math"
-        ):
-            found.append((node.lineno, f"math.{node.attr}"))
-        elif isinstance(node, ast.ImportFrom) and node.module == "math":
-            names = [alias.name for alias in node.names if alias.name in ("inf", "nan")]
-            found += [(node.lineno, f"math.{name}") for name in names]
-        elif isinstance(node, ast.Name) and node.id == "float":
-            found.append((node.lineno, "float"))
-    return sorted(found)
-
-
-def test_the_check_sees_a_float_readded_to_the_package():
-    source = (PACKAGE / "arith.py").read_text()
-    lines = source.count("\n")
-    readded = source + "\nimport math\n\nINFINITE_VALUATION = math.inf\n"
-    assert float_uses(readded) == [(lines + 4, "math.inf")]
-    halved = source + "\n\ndef _half(x):\n    return x / 2\n"
-    assert float_uses(halved) == [(lines + 4, "/")]
-    assert float_uses("x = 1.5\ny = 2\ny /= 2\nz = float('nan')\n") == [
-        (1, "1.5"),
-        (3, "/"),
-        (4, "float"),
-    ]
-    assert float_uses("from math import inf, isqrt\nn = math.nan\n") == [
-        (1, "math.inf"),
-        (2, "math.nan"),
-    ]
-    assert float_uses("n = 7 // 2\n'''a / in a docstring, 1.5'''\n") == []
-
-
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
-def test_the_package_holds_no_float(path):
-    assert float_uses(path.read_text()) == []
+# one case per snippet: <rule>-bad<n> must give its hits, <rule>-clean<n> none
+@pytest.mark.parametrize(("rule", "snippet", "hits"), [
+    pytest.param(rule, snippet, hits, id=f"{rule.name}-{'bad' if hits else 'clean'}{n}")
+    for rule in RULES
+    for n, (snippet, hits) in enumerate([*rule.bad.items(), *((s, []) for s in rule.clean)], 1)
+])
+def test_the_rule_sees_each_bad_snippet(rule, snippet, hits):
+    assert flagged(rule.scan, snippet) == hits
