@@ -14,12 +14,17 @@ Each renderer has one row template, text_of(record) -> (before, after),
 read from the record alone: every row, of any kind, is before +
 str(last parameter of the descriptor) + after, after ending in the row
 separator (the table pads before + str(last parameter) to 32 columns).
-_lines, the one row path of the three formats, yields the rows in catalog
-order for one join.  A Singer block's texts are formatted once per class by
-SingerSquare.walk, which reads their classes from residue columns written
-by strided slices, and its rows are joined in map, without a Python frame
-per row; a sparse block (one residue column, fewer runs of one class than
-rows) comes as ClassRuns, each run written by one join of its values.
+_rows.lines, the one row path of the three formats, yields the rows in
+catalog order for one join.  No last parameter is passed to str:
+_rows.decimals spells a run of them as chunks of one digit count, a prefix
+(the thousands) and a slice of a table of 1000 decimal suffixes, so a
+chunk's table pad is one string.  A Singer block's texts are formatted once
+per class by SingerSquare.walk, which reads their classes from residue
+columns written by strided slices, and each chunk's rows are joined in map,
+without a Python frame per row; a sparse block (one residue column, fewer
+runs of one class than rows) comes as ClassRuns, each run written by one
+join of its suffixes per chunk.  The renderers import _rows on the first
+export, so spectra and verify_tables never compile it or build its tables.
 
 validate_export rebuilds the export a text's head names and compares the
 two: render_json is the definition of a valid export.
@@ -39,8 +44,7 @@ brute-force oracle (oracle.py, _kernels.py, iota.py).
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator
-from itertools import chain, compress, count, repeat, starmap
+from itertools import compress, count
 from operator import ne
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -49,7 +53,7 @@ from .curves import CurveParams, Family, make_params
 from .settings import max_s
 
 # delta_sigma_cm is not called here; pipebench's tracer test reads this binding
-from .singer import ClassRuns, SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
+from .singer import SingerSquare, delta_sigma_cm, evaluate_singer_square  # noqa: F401
 
 if TYPE_CHECKING:
     from .suite import OracleCheck
@@ -140,47 +144,9 @@ def compute_spectrum(
 # --- export ------------------------------------------------------------------
 
 
-RowText = Callable[[GenusRecord], tuple[str, str]]
-
-
-def _lines(report: SpectrumReport, text_of: RowText, width: int = 0) -> Iterator[str]:
-    """The rows in catalog order as strings, each ending in the row
-    separator that ends every after of text_of, so that an export is one
-    "".join; with width, before + str(v) is left-justified to width columns.
-
-    The rows come as runs of (values, texts), row i being before + str(v) +
-    after for the i-th v and text: one run per Singer block, its texts
-    formatted once per class by SingerSquare.walk, and one run of one row per
-    other record.  A run's rows are str(v).join((before, after)) in map, so
-    no Python frame runs per row; a ClassRuns gives each run of one class as
-    one join of its values by after + before, before put on the first value
-    and after on the last.  The rows of a run share one before length (a
-    Singer block's kind and n1, n2), so width pads its value strings in map.
-    """
-
-    def strings(values, before):
-        if not width:
-            return map(str, values)
-        return map(str.ljust, map(str, values), repeat(width - len(before)))
-
-    def rows(values, texts):
-        if type(texts) is not ClassRuns:
-            texts = iter(texts)
-            first = next(texts)  # every run has a row
-            return map(str.join, strings(values, first[0]), chain((first,), texts))
-        joined = []
-        for run, (before, after) in texts.runs:
-            parts = [*strings(run, before)]
-            parts[0] = before + parts[0]
-            parts[-1] += after
-            joined.append((after + before).join(parts))
-        return joined
-
-    others = ((r.descriptor[-1:], (text_of(r),)) for r in report.other_records)
-    return chain.from_iterable(starmap(rows, chain(report.singer.walk(text_of), others)))
-
-
 def render_csv(report: SpectrumReport) -> str:
+    from ._rows import lines
+
     p = report.params
     prefix = f"{p.family.value},{p.s},{p.q},{p.m},"
 
@@ -190,11 +156,28 @@ def render_csv(report: SpectrumReport) -> str:
         before = prefix + kind_of(r.descriptor).name + "," + "".join(f"{x}," for x in lead)
         return before, "," * (3 - len(lead)) + f"{r.order},{r.delta},{r.genus}\n"
 
-    return "".join([CSV_HEADER + "\n", *_lines(report, text_of)])
+    return "".join([CSV_HEADER + "\n", *lines(report, text_of)])
 
 
 _JSON_KINDS = {name: json.dumps(name) for name in KINDS_BY_NAME}
 _JSON_RECORD_TAIL = "\n   ]\n  },\n"
+
+
+def _head(report: SpectrumReport) -> dict:
+    """The document render_json writes for report, with no records."""
+    p = report.params
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "family": p.family.value,
+        "s": p.s,
+        "q": p.q,
+        "m": p.m,
+        "ambient_degree": p.ambient_degree,
+        "families_covered": list(report.families_covered),
+        "completeness_note": report.completeness_note,
+        "genera": list(report.genera),
+        "records": [],
+    }
 
 
 def render_json(report: SpectrumReport) -> str:
@@ -204,23 +187,9 @@ def render_json(report: SpectrumReport) -> str:
     are written from a fixed template (keys sorted, depth 2) and spliced in,
     since an indented json.dumps never uses the C encoder.
     """
-    p = report.params
-    head = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "family": p.family.value,
-            "s": p.s,
-            "q": p.q,
-            "m": p.m,
-            "ambient_degree": p.ambient_degree,
-            "families_covered": list(report.families_covered),
-            "completeness_note": report.completeness_note,
-            "genera": list(report.genera),
-            "records": [],
-        },
-        sort_keys=True,
-        indent=1,
-    )
+    from ._rows import lines
+
+    head = json.dumps(_head(report), sort_keys=True, indent=1)
 
     def text_of(r):
         before = (
@@ -234,13 +203,16 @@ def render_json(report: SpectrumReport) -> str:
         return head + "\n"
     before, _, after = head.partition('"records": []')
     # one join, so that no joined copy of the records is kept beside the
-    # document; the last piece is one row, whose ",\n" gives way to the close
-    pieces = [before + '"records": [\n', *_lines(report, text_of)]
+    # document; the last piece ends the last row (a row, or a run's pad +
+    # after), and its ",\n" gives way to the close
+    pieces = [before + '"records": [\n', *lines(report, text_of)]
     pieces[-1] = pieces[-1][:-2] + "\n ]" + after + "\n"
     return "".join(pieces)
 
 
 def render_table(report: SpectrumReport) -> str:
+    from ._rows import lines
+
     p = report.params
     head = (
         f"{p.family.value} s={p.s}: q={p.q}, m={p.m}, "
@@ -254,7 +226,7 @@ def render_table(report: SpectrumReport) -> str:
         return before, f"{r.order:>12}{r.delta:>16}{r.genus:>16}\n"
 
     spectrum = "\nspectrum: " + ", ".join(str(g) for g in report.genera) + "\n"
-    return "".join([head, *_lines(report, text_of, 32), spectrum])
+    return "".join([head, *lines(report, text_of, 32), spectrum])
 
 
 def validate_export(text: str | bytes | bytearray) -> None:
@@ -283,7 +255,7 @@ def validate_export(text: str | bytes | bytearray) -> None:
     start, end = text.find('"records": ['), text.rfind("]")
     try:
         head = json.loads(text[:start] + '"records": []' + text[end + 1 :])
-        if type(head) is dict and text == _export_named_by(head):
+        if type(head) is dict and text == render_json(_report_named_by(head)):
             return
     except _PastTheCap:
         raise
@@ -295,7 +267,12 @@ def validate_export(text: str | bytes | bytearray) -> None:
         raise ValueError("export is nested too deeply to parse") from None
     if type(doc) is not dict:
         raise ValueError(f"export is a JSON {type(doc).__name__}, not an object")
-    difference = _first_difference(doc, json.loads(_export_named_by(doc)))
+    from ._rows import records
+
+    report = _report_named_by(doc)
+    want = _head(report)
+    want["records"] = records(report)
+    difference = _first_difference(doc, want)
     if difference is not None:
         raise ValueError(difference)
 
@@ -308,8 +285,8 @@ class _PastTheCap(ValueError):
     can change that, so validate_export raises it from the head alone."""
 
 
-def _export_named_by(head: dict) -> str:
-    """render_json of the report head's family, s and families_covered name;
+def _report_named_by(head: dict) -> SpectrumReport:
+    """The report an export head's family, s and families_covered name;
     ValueError if they name no curve within max_s."""
     name, s, covered = head.get("family"), head.get("s"), head.get("families_covered")
     family = _FAMILIES.get(name) if type(name) is str else None
@@ -321,9 +298,9 @@ def _export_named_by(head: dict) -> str:
     if s > cap:
         raise _PastTheCap(f"s={s} exceeds the cap {cap} for {family.value} (SKABELUND_MAX_S)")
     if covered == []:
-        return render_json(SpectrumReport(make_params(family, s), (), (), COMPLETENESS_NOTE))
+        return SpectrumReport(make_params(family, s), (), (), COMPLETENESS_NOTE)
     one = type(covered) is list and len(covered) == 1 and type(covered[0]) is str
-    return render_json(compute_spectrum(family, s, covered[0] if one else None))
+    return compute_spectrum(family, s, covered[0] if one else None)
 
 
 def _first_difference(doc: dict, want: dict) -> str | None:

@@ -46,10 +46,9 @@ SUZUKI_1 = (
 SRC = str(Path(arith.__file__).resolve().parents[1])
 
 
-def loaded_in_a_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
-    """Which of modules a fresh interpreter has loaded after running code."""
-    found = f"sorted(set({modules!r}) & set(sys.modules))"
-    script = f"import json, sys\n{code}\nprint(json.dumps({found}))"
+def in_a_fresh_interpreter(code: str, value: str):
+    """The JSON-encodable value a fresh interpreter evaluates after running code."""
+    script = f"import json, sys\n{code}\nprint(json.dumps({value}))"
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-c", script],
@@ -59,6 +58,11 @@ def loaded_in_a_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[s
         env={**os.environ, "PYTHONPATH": path},
     )
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def loaded_in_a_fresh_interpreter(code: str, modules: tuple[str, ...]) -> list[str]:
+    """Which of modules a fresh interpreter has loaded after running code."""
+    return in_a_fresh_interpreter(code, f"sorted(set({modules!r}) & set(sys.modules))")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -243,3 +247,18 @@ def test_records_are_expanded_lazily(expansions):
     report = compute_spectrum(Family.SUZUKI, 2)
     assert report.record_count == 57 and expansions == []
     assert len(report.records) == report.record_count and len(expansions) == 1
+
+
+def test_the_row_path_loads_on_the_first_export():
+    """Spectra and verify_tables leave the export row module, and so its
+    decimal tables, unloaded; render_csv loads it."""
+    code = (
+        "import skabelund\n"
+        "report = skabelund.compute_spectrum(skabelund.Family.SUZUKI, 5)\n"
+        "report.genera\n"
+        "skabelund.verify_tables()\n"
+        "loaded = ['skabelund._rows' in sys.modules]\n"
+        "skabelund.render_csv(report)\n"
+        "loaded.append('skabelund._rows' in sys.modules)\n"
+    )
+    assert in_a_fresh_interpreter(code, "loaded") == [False, True]

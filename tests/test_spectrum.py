@@ -1,13 +1,16 @@
 import hashlib
 import json
+import operator
 import re
 from functools import cache
 from pathlib import Path
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from skabelund import catalog, genus_ree, genus_suzuki, singer, suite
+from skabelund import _rows, catalog, genus_ree, genus_suzuki, singer, suite
 from skabelund.catalog import (
     KINDS_BY_NAME,
     B0Dihedral,
@@ -676,6 +679,57 @@ def test_exports_of_a_kind_without_records():
     assert render_csv(report) == CSV_HEADER + "\n"
 
 
+# --- decimal chunks of the row values ----------------------------------------
+
+
+@given(st.integers(0, 2_000_000), st.integers(0, 2_000_000), st.integers(1, 100_000))
+@settings(max_examples=100, deadline=None)
+# digit-count and thousand edges, steps about a thousand, one-value and empty ranges
+@example(9, 11, 1)
+@example(99, 101, 1)
+@example(999, 1001, 1)
+@example(9999, 10001, 1)
+@example(0, 20_000, 999)
+@example(0, 20_000, 1000)
+@example(1, 20_000, 1001)
+@example(1000, 1001, 1)
+@example(0, 1, 1)
+@example(0, 1000, 1)
+@example(1, 1001, 1000)
+@example(1001, 2000, 1000)
+@example(7, 7, 1)
+@example(10, 3, 1)
+def test_decimal_chunks_spell_each_value(start, stop, step):
+    """decimals gives str(v) for each v as prefix + suffix, in order, in
+    chunks of one digit count split only where the prefix or the count
+    changes."""
+    values = range(start, stop, step)
+    chunks = list(_rows.decimals(values))
+    spelled = (prefix + x for prefix, suffixes in chunks for x in suffixes)
+    assert all(map(operator.eq, spelled, map(str, values)))
+    assert sum(len(suffixes) for _prefix, suffixes in chunks) == len(values)
+    assert "".join(p + x for p, xs in chunks for x in xs) == "".join(map(str, values))
+    shapes = [(prefix, {*map(len, suffixes)}) for prefix, suffixes in chunks]
+    assert all(len(lengths) == 1 for _prefix, lengths in shapes)
+    assert all(lengths == {3} for prefix, lengths in shapes if prefix)
+    assert all(a != b for a, b in zip(shapes, shapes[1:]))
+
+
+@pytest.mark.parametrize("length", [3, 5, 6, 7, 8, 9], ids=lambda n: f"before-{n}")
+def test_the_table_pad_is_ljust(length):
+    """Each row of a width-padded export is (before + str(v)).ljust(width) +
+    after, for befores whose rows end below, at and past the width: Suzuki
+    s=6 has 1- to 4-digit values in class runs and in mapped blocks."""
+    report = compute_spectrum(Family.SUZUKI, 6)
+    width = 9
+    text = ("b" * length, "|\n")
+    got = "".join(_rows.lines(report, lambda r: text, width))
+    want = "".join(
+        ("b" * length + str(r.descriptor[-1])).ljust(width) + "|\n" for r in report.records
+    )
+    assert_same_text(got, want)
+
+
 # --- exports past the reference renderers ------------------------------------
 
 EXPORT_GOLDEN = Path(__file__).resolve().parent / "data" / "export_golden.json"
@@ -684,8 +738,9 @@ EXPORT_GOLDEN = Path(__file__).resolve().parent / "data" / "export_golden.json"
 @pytest.mark.parametrize("s", [7, 8])
 def test_large_exports_match_recorded_hashes(s, expansions, monkeypatch):
     """Suzuki s=7 and 8 (45,184 and 133,856 records), past the per-record
-    reference gate, against hashes recorded from the per-row renderers, and
-    through validate_export, with the curve-size cap raised to take them."""
+    reference gate, against hashes recorded from the per-row renderers (the
+    table's from the renderers that passed each value to str), and through
+    validate_export, with the curve-size cap raised to take them."""
     monkeypatch.setenv("SKABELUND_MAX_S", "8")
     report = compute_spectrum(Family.SUZUKI, s)
     json_text = render_json(report)
@@ -693,6 +748,7 @@ def test_large_exports_match_recorded_hashes(s, expansions, monkeypatch):
         "records": report.record_count,
         "csv_sha256": hashlib.sha256(render_csv(report).encode()).hexdigest(),
         "json_sha256": hashlib.sha256(json_text.encode()).hexdigest(),
+        "table_sha256": hashlib.sha256(render_table(report).encode()).hexdigest(),
     }
     assert expansions == []
     assert digest == json.loads(EXPORT_GOLDEN.read_text())[f"suzuki-{s}"]
