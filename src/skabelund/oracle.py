@@ -33,9 +33,12 @@ affine part (a, b).  The subgroup lies in Aff(F8) x C_m, so each bucket is
 one coset rep(a, b) + E of the exponents E paired with the identity map,
 and Schreier's lemma gives E from one breadth-first pass over the affine
 parts: the exponent differences met at parts already reached generate it.
-E is closed from {0} by doubling on one m-bit int, and its census counts
-the buckets, not the elements.  The element-by-element closure in the
-tests (tests/test_oracle_gate.py) stays the reference it must match.
+That pass keeps each nonzero generator exponent symbolic, so it runs once
+per generator shape per process (the suite's two shapes at import), and
+each call only scales its multiples by the exponents mod m.  E is closed
+from {0} by doubling on one m-bit int, and its census counts the buckets,
+not the elements.  The element-by-element closure in the tests
+(tests/test_oracle_gate.py) stays the reference it must match.
 
 The censuses take a catalog descriptor h, checked first by
 catalog.check_descriptor: delta_b0_census(params, h) a B0Cyclic or B0Dihedral,
@@ -51,25 +54,22 @@ Subgroup closure works on m*m-bit masks, bit A*m+B set for the element
 (A, B): enumerate_subgroups_bruteforce returns the kernel's masks as they
 are, and catalog.standard_exponent_elements builds the same form.
 
-The Ree(3)-side censuses are validated against explicit permutation groups:
-N2 (the order-168 normalizer of a Sylow 2-subgroup of Ree(3)) acts on the
-field with eight elements by semilinear affine maps x -> a*x^(2^j) + b, and
-PSL(2,8) acts on the projective line over that field by fractional linear
-maps.  N2's generators are defined once, in _N2: the N2 realizations name
-theirs from it, and _skew_generators reads r and the translations s1, s2,
-s3 from it, so the skew closure and the realized censuses share one
-definition of the group.  A realization does not depend on the curve, so
-each group is closed once per process.
+The Ree(3)-side censuses are validated against explicit permutation groups
+(_ree3, which also holds the F8 tables): realize_census closes each tagged
+group once per process.  _skew_generators reads r and the translations s1,
+s2, s3 from _ree3._N2, the generators the N2 realizations name theirs from,
+so the skew closure and the realized censuses share one definition of the
+group.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from functools import cache
 from itertools import repeat
-from operator import countOf, mod
+from operator import add, countOf, mod, mul, sub
 
 from . import _kernels
+from ._ree3 import _F8_LOG, _F8_MUL, _N2
+from ._ree3 import realize_census  # noqa: F401  (suite and pipebench look it up here)
 from .catalog import B0Cyclic, B0Dihedral, N2NonSkew, N2SkewCyclic, N2SkewFull, Psl28, SigmaCm
 from .catalog import check_descriptor, subgroup_order_sigma
 from .curves import CurveParams
@@ -247,50 +247,7 @@ def _ree_coset_sum(params: CurveParams, key: tuple[int, bool | None], n: int) ->
     return _class_weight_sum(iota_ree, params, klass, at_zero, n - 1)
 
 
-# --- F8 arithmetic and the skew-subgroup element oracle ---------------------
-
-_F8_REDUCTION = 0b1011  # x^3 + x + 1
-F8_GENERATOR = 2  # the class of x, a generator of the multiplicative group
-
-
-def f8_mul(a: int, b: int) -> int:
-    """Multiplication in the field with eight elements (carry-less, reduced)."""
-    acc = 0
-    while b:
-        if b & 1:
-            acc ^= a
-        b >>= 1
-        a <<= 1
-        if a & 8:
-            a ^= _F8_REDUCTION
-    return acc
-
-
-# product table of F8, built from f8_mul: _F8_MUL[a][b] = a*b
-_F8_MUL = tuple(tuple(f8_mul(a, b) for b in range(8)) for a in range(8))
-
-# discrete logarithm table for F8*: _F8_LOG[g^c] = c
-_F8_LOG = {}
-_v = 1
-for _c in range(7):
-    _F8_LOG[_v] = _c
-    _v = f8_mul(_v, F8_GENERATOR)
-del _c, _v
-
-# the generators of N2 as semilinear maps x -> a*x^(2^j) + b, stored as
-# (a, b, j): s1, s2, s3 span the translations (the Sylow 2-subgroup), r is
-# multiplication by a generator g of F8* (order 7, cycles the s_i under
-# conjugation), l is the Frobenius (order 3, conjugates r to r^2), and lt,
-# x -> g*x^2, is the twisted order-3 map that normalizes the four
-# translations by {0, 1, g, g+1}
-_N2 = {
-    "s1": (1, 1, 0),
-    "s2": (1, F8_GENERATOR, 0),
-    "s3": (1, _F8_MUL[F8_GENERATOR][F8_GENERATOR], 0),
-    "r": (F8_GENERATOR, 0, 0),
-    "l": (1, 0, 1),
-    "lt": (F8_GENERATOR, 0, 1),
-}
+# --- the skew-subgroup element oracle ---------------------------------------
 
 
 def _skew_generators(
@@ -305,6 +262,52 @@ def _skew_generators(
     return gens
 
 
+def _skeleton(shape: tuple[tuple[int, int, bool], ...]) -> tuple[tuple, tuple]:
+    """The breadth-first pass of _close_skew over the affine parts, for
+    generators (a, b, symbolic) with symbolic true where the tau exponent is
+    not 0 mod m.  Exponents are vectors of multiples of the symbolic
+    generators' exponents, so the pass does not depend on m or on them.
+
+    Returns (schreier, groups): the distinct nonzero Schreier generators of
+    E, and (rep, parts) per distinct rep, the parts whose coset is rep + E.
+    """
+    symbols = [k for k, (_, _, symbolic) in enumerate(shape) if symbolic]
+    units = [(a, b, tuple(int(i == k) for i in symbols)) for k, (a, b, _) in enumerate(shape)]
+    reps = {(1, 0): (0,) * len(symbols)}  # the identity (1, 0, 0)
+    schreier = {}
+    frontier = [(1, 0)]
+    while frontier:
+        reached = []
+        for a1, b1 in frontier:
+            v1 = reps[a1, b1]
+            row = _F8_MUL[a1]
+            for a2, b2, unit in units:
+                part = row[a2], row[b2] ^ b1
+                v = tuple(map(add, v1, unit))
+                rep = reps.get(part)
+                if rep is None:
+                    reps[part] = v
+                    reached.append(part)
+                elif rep != v:
+                    schreier[tuple(map(sub, v, rep))] = None
+        frontier = reached
+    groups = {}
+    for part, v in reps.items():
+        groups.setdefault(v, []).append(part)
+    return tuple(schreier), tuple((v, tuple(parts)) for v, parts in groups.items())
+
+
+# the shapes of the suite's skew generators, built once: r*tau^(i*w), whose
+# exponent 0 < i*w < m is never 0 mod m, alone or with s1, s2, s3 (j = 0)
+_SKELETONS = {
+    shape: _skeleton(shape)
+    for shape in (
+        tuple((*_N2[name][:2], name == "r") for name in names)
+        for names in (("r",), ("r", "s1", "s2", "s3"))
+    )
+}
+
+
 def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int], int]:
     """Closure of gens as {(a, b): m-bit int whose bit e marks (a, b, e)}.
 
@@ -315,41 +318,42 @@ def _close_skew(m: int, gens: list[tuple[int, int, int]]) -> dict[tuple[int, int
     first tau exponent reaching each part as its rep; an edge that reaches
     a seen part with another exponent e gives the Schreier generator
     e - rep of E (Schreier's lemma: C_m is central, so the Schreier
-    generator of a part and a generator is its exponent difference).  E is
-    closed from {0} by doubling (E <- E u E + delta*2^j until nothing is
-    added), skipping each delta already in E.
+    generator of a part and a generator is its exponent difference).
+
+    That pass depends on the generators' affine parts and on which of their
+    exponents are 0 mod m only: each rep and Schreier generator is a sum of
+    integer multiples of the nonzero exponents (_skeleton).  It runs once
+    per generator shape per process, at import for the suite's two shapes
+    (_SKELETONS); a call only scales its multiples by the exponents mod m.
+    E is closed from {0} by doubling (E <- E u E + delta*2^j until nothing
+    is added), skipping each delta already in E, and rotated once per
+    distinct rep.
     """
     full = (1 << m) - 1
 
     def rotate(bits, e):
         return ((bits << e) | (bits >> (m - e))) & full
 
-    reps = {(1, 0): 0}  # the identity (1, 0, 0)
+    exponents = [e % m for _, _, e in gens]
+    shape = tuple((a, b, e != 0) for (a, b, _), e in zip(gens, exponents))
+    schreier, groups = _SKELETONS.get(shape) or _skeleton(shape)
+    nonzero = [e for e in exponents if e]  # what the multiples scale
     kernel = 1  # E as an m-bit int
-    frontier = [(1, 0)]
-    while frontier:
-        reached = []
-        for a1, b1 in frontier:
-            e1 = reps[a1, b1]
-            row = _F8_MUL[a1]
-            for a2, b2, e2 in gens:
-                part = row[a2], row[b2] ^ b1
-                e = (e1 + e2) % m
-                rep = reps.get(part)
-                if rep is None:
-                    reps[part] = e
-                    reached.append(part)
-                    continue
-                delta = (e - rep) % m
-                if kernel >> delta & 1:
-                    continue
-                while True:
-                    grown = kernel | rotate(kernel, delta)
-                    if grown == kernel:
-                        break
-                    kernel, delta = grown, (2 * delta) % m
-        frontier = reached
-    return {part: rotate(kernel, e) for part, e in reps.items()}
+    for multiples in schreier:
+        delta = sum(map(mul, multiples, nonzero)) % m
+        if kernel >> delta & 1:
+            continue
+        while True:
+            grown = kernel | rotate(kernel, delta)
+            if grown == kernel:
+                break
+            kernel, delta = grown, (2 * delta) % m
+    buckets = {}
+    for multiples, parts in groups:
+        bits = rotate(kernel, sum(map(mul, multiples, nonzero)) % m)
+        for part in parts:
+            buckets[part] = bits
+    return buckets
 
 
 def skew_image_masks(params: CurveParams) -> dict[int, int]:
@@ -405,102 +409,3 @@ def delta_skew_census(
     return total + _class_weight_sum(
         iota_ree, params, OrderClassRee.ORDER2, at_zero, involutions - at_zero
     )
-
-
-# --- permutation realizations of the Ree(3)-side groups ---------------------
-
-
-def _f8_frobenius(x: int, j: int) -> int:
-    for _ in range(j):
-        x = _F8_MUL[x][x]
-    return x
-
-
-def _affine_perm(a: int, b: int, j: int) -> tuple[int, ...]:
-    """x -> a * x^(2^j) + b as a permutation of the eight field elements."""
-    return tuple(_F8_MUL[a][_f8_frobenius(x, j)] ^ b for x in range(8))
-
-
-def _f8_div(a: int, b: int) -> int:
-    """a/b in F8, the unique k with b*k = a; ZeroDivisionError when b = 0."""
-    if not b:
-        raise ZeroDivisionError("division by zero in F8")
-    return _F8_MUL[b].index(a)
-
-
-def _mobius_perm(a: int, b: int, c: int, d: int) -> tuple[int, ...]:
-    """z -> (a*z + b)/(c*z + d) on the projective line over F8; 8 = infinity."""
-    image = []
-    for z in range(9):
-        if z == 8:
-            image.append(8 if c == 0 else _f8_div(a, c))
-            continue
-        num = _F8_MUL[a][z] ^ b
-        den = _F8_MUL[c][z] ^ d
-        image.append(8 if den == 0 else _f8_div(num, den))
-    return tuple(image)
-
-
-def _perm_closure(generators: list[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    degree = len(generators[0])
-    identity = tuple(range(degree))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in generators:
-                q = tuple(g[p[k]] for k in range(degree))
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
-def _perm_order(p: tuple[int, ...]) -> int:
-    identity = tuple(range(len(p)))
-    q, order = p, 1
-    while q != identity:
-        q = tuple(p[k] for k in q)
-        order += 1
-    return order
-
-
-# each N2 subgroup by the names of its generators in _N2; PSL(2,8) by the
-# fractional linear maps z -> z+1, z -> g*z and z -> 1/z
-_PERM_GENERATORS: dict[str, list[tuple[int, ...]]] = {
-    tag: [_affine_perm(*_N2[name]) for name in names]
-    for tag, names in {
-        "n2_168": ("s1", "s2", "s3", "r", "l"),
-        "n2_56": ("s1", "s2", "s3", "r"),
-        "n2_24": ("s1", "s2", "s3", "l"),
-        "n2_12": ("s1", "s2", "lt"),
-        "n2_8": ("s1", "s2", "s3"),
-        "n2_4": ("s1", "s2"),
-    }.items()
-}
-_PERM_GENERATORS["psl28"] = [
-    _mobius_perm(1, 1, 0, 1),
-    _mobius_perm(F8_GENERATOR, 0, 0, 1),
-    _mobius_perm(0, 1, 1, 0),
-]
-
-
-@cache
-def _realized_census(group_tag: str) -> tuple[tuple[int, int], ...]:
-    try:
-        generators = _PERM_GENERATORS[group_tag]
-    except KeyError:
-        raise ValueError(f"unknown group tag {group_tag!r}") from None
-    group = _perm_closure(generators)
-    return tuple(sorted(Counter(_perm_order(p) for p in group).items()))
-
-
-def realize_census(group_tag: str) -> dict[int, int]:
-    """Order census of a tagged group from its permutation realization.
-
-    The closure does not depend on the curve, so it runs once per tag per
-    process; each call returns a fresh dict.
-    """
-    return dict(_realized_census(group_tag))

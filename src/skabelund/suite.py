@@ -26,9 +26,11 @@ congruence checks walk the sample in one loop, with one scans dict; a
 sampled subgroup's congruence counts come from one
 count_congruence_solutions call, one count per special power; the closure
 check compares m*m-bit element masks (bit A*m+B set for (A, B)) from
-enumerate_subgroups_bruteforce and standard_exponent_elements; and the
-skew check builds the curve's six Singer image masks once
-(skew_image_masks) and passes them to every delta_skew_census.
+enumerate_subgroups_bruteforce and standard_exponent_elements; the skew
+check builds the curve's six Singer image masks once (skew_image_masks)
+and passes them to every delta_skew_census; and the affine pass of the
+skew closure runs once per generator shape per process, when the oracle
+is imported, so each census only scales its multiples by the exponents.
 
 The spectrum pipeline, the CLI's spectrum, genus and verify-tables commands
 and `import skabelund` do not load this module or the oracle:

@@ -300,7 +300,7 @@ RULES = (
     }, clean=("n = 7 // 2\n'''a / in a docstring, 1.5'''\n",)),
     # the oracle recomputes what arith's closed forms give, so it takes
     # nothing from arith and reaches for no gcd or lcm (say m // gcd(x, m))
-    Rule("oracle-arith", _oracle_shortcut, ("_kernels", "oracle", "iota"), {}, {
+    Rule("oracle-arith", _oracle_shortcut, ("_kernels", "_ree3", "oracle", "iota"), {}, {
         "from .arith import divisors\n": ["1: skabelund.arith.divisors"],
         "from . import arith\n": ["1: skabelund.arith"],
         "import skabelund.arith\n": ["1: skabelund.arith"],

@@ -14,12 +14,9 @@ from skabelund.catalog import (
 )
 from skabelund.curves import Family, make_params
 from skabelund.iota import CENSUS_TABLE
+from skabelund._ree3 import _PERM_GENERATORS, _affine_perm, _f8_div, _perm_closure, f8_mul
 from skabelund.oracle import (
-    _PERM_GENERATORS,
     BruteForceCapError,
-    _affine_perm,
-    _f8_div,
-    _perm_closure,
     _skew_generators,
     count_congruence_solutions,
     delta_b0_census,
@@ -27,7 +24,6 @@ from skabelund.oracle import (
     delta_sigma_cm_bruteforce,
     delta_skew_census,
     enumerate_subgroups_bruteforce,
-    f8_mul,
     realize_census,
 )
 from skabelund.settings import SettingError

@@ -53,6 +53,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skabelund import _kernels, oracle, suite
+from skabelund._ree3 import _F8_LOG, F8_GENERATOR, f8_mul
 from skabelund.arith import divisors, is_prime
 from skabelund.catalog import (
     B0Cyclic,
@@ -74,15 +75,12 @@ from skabelund.iota import (
     singer_images,
 )
 from skabelund.oracle import (
-    _F8_LOG,
-    F8_GENERATOR,
     _ree_coset_sum,
     _close_skew,
     _skew_generators,
     delta_b0_census,
     delta_census,
     delta_skew_census,
-    f8_mul,
     max_elements_cap,
     skew_image_masks,
 )
@@ -878,11 +876,31 @@ def affine_generators(draw):
 @example((12, [(1, 0, 8)]))  # a pure tau generator alone: E = <8>, one part
 @example((12, [(1, 0, 4), (1, 0, 6)]))  # E = <4, 6>, the even exponents
 @example((1, [(2, 0, 0), (1, 1, 0)]))  # m = 1: E = {0}, all 56 parts
+@example((7, [(2, 0, 0)]))  # r with exponent 0: one shape the import does not build
+@example((7, [(2, 0, 0), (1, 1, 0), (1, 2, 0), (1, 4, 0)]))  # the full skew parts, r at 0
+@example((12, [(3, 1, 2), (3, 1, 5)]))  # one affine part twice, two exponents
+@example((12, [(1, 1, 0), (1, 1, 3)]))  # one affine part twice, a zero and a nonzero exponent
+@example((14, [(2, 0, 2), (1, 1, 7), (1, 2, 0), (1, 4, 0)]))  # the full skew parts, E = {0, 7}
 def test_bitset_closure_matches_the_element_closure_on_any_generators(case):
     m, gens = case
     buckets = _close_skew(m, gens)
     got = {(a, b, e) for (a, b), bits in buckets.items() for e in bit_positions(bits)}
     assert got == ref_close_affine(m, gens)
+
+
+def test_the_suite_closes_every_skew_subgroup_from_the_import_time_skeletons(
+    monkeypatch, default_caps
+):
+    """Both generator shapes of the suite's skew subgroups are built when
+    the oracle is imported, so a suite runs no affine pass of its own."""
+
+    def no_pass(shape):
+        raise AssertionError(f"skeleton pass for {shape}")
+
+    monkeypatch.setattr(oracle, "_skeleton", no_pass)
+    checks = run_oracle_suite(Family.REE, 3)
+    assert [c.ok for c in checks if c.name.startswith("skew subgroups")] == [True]
+    assert all(check.ok for check in checks)
 
 
 @pytest.mark.parametrize("s", [2, 3])  # m = 217 and 2107

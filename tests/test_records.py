@@ -70,7 +70,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         assert loaded_in_a_fresh_interpreter(f"import {module}", ("dataclasses", "inspect")) == []
 
 
-ORACLE_MODULES = ("skabelund._kernels", "skabelund.iota", "skabelund.oracle", "skabelund.suite")
+ORACLE_MODULES = (
+    "skabelund._kernels",
+    "skabelund._ree3",
+    "skabelund.iota",
+    "skabelund.oracle",
+    "skabelund.suite",
+)
 
 # each CLI command in a fresh interpreter: its arguments, the oracle modules it loads
 CLI_RUNS = {
